@@ -6,9 +6,10 @@ from .fitting import (
     fit_given_order,
     fit_p_constrained,
     fit_theta,
+    moments,
     objective,
 )
-from .kemeny_lp import PairLP, SimplexError, build_pair_lp, lp_bound, solve_dense_lp
+from .kemeny_lp import PairLP, SimplexError, build_pair_lp, solve_dense_lp
 from .model import (
     Dataset,
     Parameters,
@@ -16,7 +17,6 @@ from .model import (
     compute_stats,
     log_density,
     log_psi,
-    moments,
     order_of,
     psi,
     sample,
@@ -46,7 +46,6 @@ __all__ = [
     "greedy_local",
     "log_density",
     "log_psi",
-    "lp_bound",
     "moments",
     "objective",
     "order_of",

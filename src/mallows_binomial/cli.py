@@ -85,7 +85,6 @@ class RunConfig:
     theta_max: float | None = None
     node_budget: int = search.DEFAULT_NODE_BUDGET
     candidate_cap: int = 1024
-    brute_cap: int = 7
 
     def __post_init__(self):
         if self.B < 1:
@@ -277,10 +276,9 @@ def cmd_fit(args) -> int:
     config = _config_from_args(args)
     dataset, labels, _ = ingest(args.scores, args.rankings, scale)
     result = inference.fit_method(
-        dataset, dataset.M, config.method,
+        dataset, config.method,
         theta_max=config.theta_max, node_budget=config.node_budget,
-        candidate_cap=config.candidate_cap, brute_cap=config.brute_cap,
-        rng=np.random.default_rng(config.seed),
+        candidate_cap=config.candidate_cap, rng=np.random.default_rng(config.seed),
     )
     _dump_json(_fit_doc(result, labels, scale, dataset), args.out)
     return EXIT_BUDGET if result.budget_exhausted else EXIT_OK
@@ -325,7 +323,7 @@ def cmd_bootstrap(args) -> int:
         raise IngestError("bootstrap requires --out (JSON path; rank CSV lands beside it)")
     dataset, labels, _ = ingest(args.scores, args.rankings, scale)
     summary = inference.bootstrap(
-        dataset, dataset.M, config.method, B=config.B, level=config.level, seed=config.seed,
+        dataset, config.method, B=config.B, level=config.level, seed=config.seed,
         theta_max=config.theta_max, node_budget=config.node_budget,
         candidate_cap=config.candidate_cap, n_jobs=args.jobs,
     )
@@ -427,7 +425,7 @@ def cmd_compare(args) -> int:
         method = config.method if model == "mallows-binomial" else model
         try:
             summary = inference.bootstrap(
-                dataset, dataset.M, method, B=config.B, level=config.level, seed=config.seed,
+                dataset, method, B=config.B, level=config.level, seed=config.seed,
                 theta_max=config.theta_max, node_budget=config.node_budget,
                 candidate_cap=config.candidate_cap, n_jobs=args.jobs,
             )

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import xlog1py, xlogy
 
-from .model import Dataset, Parameters, Ranking, SufficientStats, compute_stats, log_psi
+from .model import Dataset, Parameters, Ranking, SufficientStats, _check_partial_shape, compute_stats
 
 THETA_FLOOR = 1e-8
 
@@ -73,6 +73,19 @@ def _distance_variance_total(theta: float, w, k, sum_r) -> float:
         head = sum_r / (np.expm1(theta) * (-np.expm1(-theta)))
         tail = np.sum(w * k * k / (np.expm1(theta * k) * (-np.expm1(-theta * k))))
         return float(head - tail)
+
+
+def moments(theta: float, R: int, J: int) -> tuple[float, float]:
+    """Mean and variance of the Kendall distance of a top-R Mallows draw.
+
+    Both follow from the independent level decomposition: the distance is a
+    sum of R truncated-geometric insertion counts.
+    """
+    _check_partial_shape(R, J)
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    w, k, sum_r = _level_weights((R,), J)
+    return _expected_distance_total(theta, w, k, sum_r), _distance_variance_total(theta, w, k, sum_r)
 
 
 def fit_theta(
@@ -159,6 +172,14 @@ def _pava(values: list[float], weights: list[float]) -> list[float]:
     return out
 
 
+def _score_weights(mean_score, count, M) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial weights a = count * mean and b = count * (M - mean), zero for
+    objects with no observed score."""
+    a = count * np.where(count > 0, mean_score, 0.0)
+    b = count * np.where(count > 0, M - mean_score, 0.0)
+    return a, b
+
+
 def _binomial_cost(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Negative Binomial loglikelihood terms: a = count * mean,
     b = count * (M - mean); boundary terms use the 0*log(0) = 0 convention."""
@@ -199,8 +220,7 @@ def _fit_p_core(mean_score, count, M, prefix, free) -> np.ndarray:
             p[j] = q[j]
         top = min(q[j] for j in leaves)
     else:
-        a = count * np.where(count > 0, mean_score, 0.0)
-        b = count * np.where(count > 0, M - mean_score, 0.0)
+        a, b = _score_weights(mean_score, count, M)
         members = chain + leaves
         idx = np.array(members)
         a_m, b_m = a[idx], b[idx]
@@ -279,10 +299,7 @@ def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None
         stats = data
         if M is None:
             raise ValueError("M is required when passing sufficient statistics")
-    count = stats.score_count
-    a = count * np.where(count > 0, stats.mean_score, 0.0)
-    b = count * np.where(count > 0, M - stats.mean_score, 0.0)
-    total = _binomial_cost(params.p, a, b)
+    total = _binomial_cost(params.p, *_score_weights(stats.mean_score, stats.score_count, M))
     if stats.n_rankers:
         if params.theta is None:
             raise ValueError("rankings present but parameters carry no theta")

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 from typing import Sequence
 
 import numpy as np
 
-from . import search
+from . import kendall, search
+from .fitting import fit_given_order
 from .model import Dataset, Parameters, compute_stats, log_density, order_of, sample
 from .search import FitResult, astar, brute_force, fv, greedy, greedy_local
 
@@ -25,21 +26,18 @@ COMPARISON_MODELS = ("converted-scores", "only-scores", "converted-rankings", "o
 
 def fit_method(
     dataset: Dataset,
-    M: int | None = None,
     method: str = "exact-crude",
     *,
     theta_max: float | None = None,
     node_budget: int = search.DEFAULT_NODE_BUDGET,
     candidate_cap: int = 1024,
-    brute_cap: int = 7,
     rng=None,
 ) -> FitResult:
     """Fit the panel with a named algorithm or comparison model."""
-    M = dataset.M if M is None else M
     if method in COMPARISON_MODELS:
-        return comparison_fit(dataset, M, method, theta_max=theta_max, rng=rng,
-                              node_budget=node_budget)
+        return comparison_fit(dataset, method, theta_max=theta_max, rng=rng, node_budget=node_budget)
     stats = compute_stats(dataset)
+    M = dataset.M
     if method == "exact-crude":
         return astar(stats, M, theta_max, heuristic="crude", node_budget=node_budget)
     if method == "exact-lp":
@@ -51,7 +49,7 @@ def fit_method(
     if method == "greedy-local":
         return greedy_local(stats, M, theta_max)
     if method == "brute":
-        return brute_force(stats, M, theta_max, cap=brute_cap)
+        return brute_force(stats, M, theta_max)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -98,24 +96,11 @@ def _independent_binomial_fit(score_table: np.ndarray, J: int, M: int, algorithm
     stats = compute_stats(dataset)
     keys = np.where(stats.score_count > 0, stats.mean_score, np.inf)
     order = tuple(int(j) for j in np.argsort(keys, kind="stable"))
-    from .fitting import fit_given_order
-
-    cond = fit_given_order(stats, order, M, theta_max=None)
-    return FitResult(
-        params=cond.params,
-        f_value=cond.f_value,
-        algorithm=algorithm,
-        nodes_expanded=0,
-        candidate_evaluations=1,
-        elapsed=time.perf_counter() - t0,
-        theta_flag="undefined",
-        non_identified=tuple(int(j) for j in np.flatnonzero(stats.score_count == 0)),
-    )
+    return FitResult.from_fit(stats, fit_given_order(stats, order, M), algorithm, t0, 0, 1)
 
 
 def comparison_fit(
     dataset: Dataset,
-    M: int | None = None,
     model: str = "converted-scores",
     *,
     theta_max: float | None = None,
@@ -134,7 +119,7 @@ def comparison_fit(
     qualities are not identified. only-rankings: the rankings-only fit on the
     original rankings.
     """
-    M = dataset.M if M is None else M
+    M = dataset.M
     if model == "converted-scores":
         extra = _converted_score_rows(dataset)
         table = np.vstack([dataset.scores, extra]) if extra.size else np.array(dataset.scores)
@@ -155,19 +140,8 @@ def comparison_fit(
             raise ValueError(f"{model} requires at least one ranking")
         blank = np.full((len(rankings), dataset.J), np.nan)
         ranks_only = Dataset(J=dataset.J, M=M, scores=blank, rankings=tuple(rankings))
-        result = fit_method(ranks_only, M, method, theta_max=theta_max, node_budget=node_budget)
-        return FitResult(
-            params=result.params,
-            f_value=result.f_value,
-            algorithm=model,
-            nodes_expanded=result.nodes_expanded,
-            candidate_evaluations=result.candidate_evaluations,
-            elapsed=result.elapsed,
-            theta_flag=result.theta_flag,
-            non_identified=result.non_identified,
-            optimal=result.optimal,
-            budget_exhausted=result.budget_exhausted,
-        )
+        result = fit_method(ranks_only, method, theta_max=theta_max, node_budget=node_budget)
+        return replace(result, algorithm=model)
     raise ValueError(f"unknown comparison model {model!r}")
 
 
@@ -212,13 +186,15 @@ def _resample(dataset: Dataset, rng) -> Dataset:
 
 
 def _bootstrap_replicate(args):
-    (dataset, M, method, theta_max, node_budget, candidate_cap, brute_cap, seed, rep) = args
+    (dataset, method, theta_max, node_budget, candidate_cap, seed, rep) = args
     rng = np.random.default_rng([seed, rep])
     try:
         resampled = _resample(dataset, rng)
-        result = fit_method(resampled, M, method, theta_max=theta_max, node_budget=node_budget,
-                            candidate_cap=candidate_cap, brute_cap=brute_cap, rng=rng)
-    except Exception as err:  # noqa: BLE001 - failures are data, not bugs
+        result = fit_method(resampled, method, theta_max=theta_max, node_budget=node_budget,
+                            candidate_cap=candidate_cap, rng=rng)
+    except ValueError as err:
+        # a resample with no scores or no rankings for the method, or more
+        # objects than brute force allows; anything else is a bug and propagates
         return rep, None, f"replicate {rep}: {err}"
     theta = np.nan if result.params.theta is None else float(result.params.theta)
     return rep, (result.params.p.copy(), theta, result.theta_flag, result.params.rank_places()), None
@@ -226,7 +202,6 @@ def _bootstrap_replicate(args):
 
 def bootstrap(
     dataset: Dataset,
-    M: int | None = None,
     method: str = "exact-crude",
     B: int = 200,
     level: float = 0.90,
@@ -235,7 +210,6 @@ def bootstrap(
     theta_max: float | None = None,
     node_budget: int = search.DEFAULT_NODE_BUDGET,
     candidate_cap: int = 1024,
-    brute_cap: int = 7,
     n_jobs: int = 1,
 ) -> BootstrapSummary:
     """Judge-level nonparametric bootstrap with percentile intervals.
@@ -249,12 +223,9 @@ def bootstrap(
         raise ValueError("B must be at least 1")
     if not 0 < level < 1:
         raise ValueError("level must lie strictly between 0 and 1")
-    M = dataset.M if M is None else M
-    point = fit_method(dataset, M, method, theta_max=theta_max, node_budget=node_budget,
-                       candidate_cap=candidate_cap, brute_cap=brute_cap,
-                       rng=np.random.default_rng([seed, B]))
-    tasks = [(dataset, M, method, theta_max, node_budget, candidate_cap, brute_cap, seed, rep)
-             for rep in range(B)]
+    point = fit_method(dataset, method, theta_max=theta_max, node_budget=node_budget,
+                       candidate_cap=candidate_cap, rng=np.random.default_rng([seed, B]))
+    tasks = [(dataset, method, theta_max, node_budget, candidate_cap, seed, rep) for rep in range(B)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             raw = list(pool.map(_bootstrap_replicate, tasks, chunksize=max(1, B // (4 * n_jobs))))
@@ -429,7 +400,7 @@ def consistency_experiment(
             rng = np.random.default_rng([seed, cell_idx, trial])
             truth, data = simulate_cell(I, M, J, R, theta, rng)
             t0 = time.perf_counter()
-            result = fit_method(data, M, method, theta_max=theta_max, node_budget=node_budget)
+            result = fit_method(data, method, theta_max=theta_max, node_budget=node_budget)
             theta_hat = result.params.theta
             rows.append({
                 "I": I, "M": M, "J": J, "R": R, "theta": theta, "trial": trial,
@@ -454,7 +425,6 @@ def benchmark_grid(
     seed: int = 0,
     theta_max: float | None = None,
     node_budget: int = search.DEFAULT_NODE_BUDGET,
-    brute_cap: int = 7,
 ) -> list[dict]:
     """Speed/accuracy benchmark: one row per (cell, trial, algorithm).
 
@@ -463,23 +433,19 @@ def benchmark_grid(
     exact optimum and how far its order lies from the reference in Kendall
     distance.
     """
-    from . import kendall
-
     rows = []
     cells = _grid_cells(I_values, M_values, J_values, R_values, theta_values)
     for cell_idx, (I, M, J, R, theta) in enumerate(cells):
         for trial in range(trials):
             rng = np.random.default_rng([seed, cell_idx, trial])
             truth, data = simulate_cell(I, M, J, R, theta, rng)
-            if J <= brute_cap:
-                reference = fit_method(data, M, "brute", brute_cap=brute_cap, theta_max=theta_max)
+            if J <= search.BRUTE_CAP:
+                reference = fit_method(data, "brute", theta_max=theta_max)
             else:
-                reference = fit_method(data, M, "exact-crude", theta_max=theta_max,
-                                       node_budget=node_budget)
+                reference = fit_method(data, "exact-crude", theta_max=theta_max, node_budget=node_budget)
             ref_order = reference.params.consensus_order
             for algorithm in algorithms:
-                result = fit_method(data, M, algorithm, theta_max=theta_max,
-                                    node_budget=node_budget)
+                result = fit_method(data, algorithm, theta_max=theta_max, node_budget=node_budget)
                 est_order = result.params.consensus_order
                 rows.append({
                     "I": I, "M": M, "J": J, "R": R, "theta": theta, "trial": trial,

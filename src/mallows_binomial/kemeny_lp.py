@@ -2,9 +2,10 @@
 
 At a prefix node the mean Kendall cost splits into a fixed part (pairs whose
 relative order the prefix settles) and a free part over the remaining
-objects. The crude free part sums pairwise minima of the preference matrix;
-the LP free part solves the Kemeny linear relaxation over the free objects
-and is never looser. A small dense simplex with Bland's anti-cycling rule is
+objects. The search keeps the fixed part and the crude free part (pairwise
+minima of the preference matrix) incrementally; this module's LP free part
+solves the Kemeny linear relaxation over the free objects and is never
+looser. A small dense simplex with Bland's anti-cycling rule is
 embedded so bounds are exact and bit-deterministic.
 """
 from __future__ import annotations
@@ -15,9 +16,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-
-from .fitting import PrefixConstraint
-from .model import SufficientStats
 
 
 class SimplexError(RuntimeError):
@@ -131,46 +129,10 @@ def solve_dense_lp(program: PairLP, max_pivots: int | None = None) -> tuple[floa
     raise SimplexError(f"pivot budget exceeded after {max_pivots} pivots")
 
 
-def fixed_pair_cost(Q: np.ndarray, prefix: Sequence[int]) -> float:
-    """Mean Kendall cost of the pairs the prefix already determines: each
-    prefix object above every later prefix object and every free object."""
-    prefix = list(prefix)
-    J = Q.shape[0]
-    in_prefix = np.zeros(J, dtype=bool)
-    cost = 0.0
-    col_total = Q.sum(axis=0)
-    for v in prefix:
-        in_prefix[v] = True
-        cost += col_total[v] - Q[in_prefix, v].sum()
-    return float(cost)
-
-
-def min_pair_cost(Q: np.ndarray, free: Sequence[int]) -> float:
-    """Crude free-pair cost: sum of min(Q_uv, Q_vu) over free pairs."""
-    free = np.asarray(list(free), dtype=int)
-    if free.size < 2:
-        return 0.0
-    sub = Q[np.ix_(free, free)]
-    lower = np.minimum(sub, sub.T)
-    return float(lower[np.triu_indices(free.size, k=1)].sum())
-
-
-def crude_cost(stats: SufficientStats, constraint: PrefixConstraint) -> float:
-    """Admissible mean ranking cost L at a node: fixed pairs plus pairwise
-    minima over free pairs."""
-    return fixed_pair_cost(stats.Q, constraint.prefix) + min_pair_cost(stats.Q, constraint.free)
-
-
-def lp_free_cost(Q: np.ndarray, free: Sequence[int], crude_free: float | None = None) -> float:
+def lp_free_cost(Q: np.ndarray, free: Sequence[int], crude_free: float) -> float:
     """LP free-pair cost, clamped from below by the crude free cost (both are
     valid lower bounds). Falls back to the crude cost with a warning if the
     simplex hits its pivot budget."""
-    if crude_free is None:
-        crude_free = min_pair_cost(Q, free)
-    if len(free) < 3:
-        # fewer than three free objects: the LP has no triangle rows and its
-        # optimum equals the pairwise minimum sum
-        return float(crude_free)
     program = build_pair_lp(Q, free)
     try:
         lp_free, _ = solve_dense_lp(program)
@@ -178,10 +140,3 @@ def lp_free_cost(Q: np.ndarray, free: Sequence[int], crude_free: float | None = 
         warnings.warn(f"pair LP did not converge ({err}); using crude bound", RuntimeWarning)
         return float(crude_free)
     return max(lp_free, float(crude_free))
-
-
-def lp_bound(stats: SufficientStats, constraint: PrefixConstraint) -> float:
-    """Tight admissible mean ranking cost L_LP at a node: fixed-pair cost
-    plus the Kemeny LP optimum over free pairs."""
-    fixed = fixed_pair_cost(stats.Q, constraint.prefix)
-    return fixed + lp_free_cost(stats.Q, constraint.free)

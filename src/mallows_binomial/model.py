@@ -1,5 +1,5 @@
-"""Core Mallows-Binomial model: domain types, density, normalizing constant,
-distance moments, and exact sampling.
+"""Core Mallows-Binomial model: domain types, density, normalizing constant
+and exact sampling.
 
 A panel consists of I judges assessing J objects. Each judge may supply
 integer scores in {0, ..., M} (lower is better, missing cells allowed) and/or
@@ -163,26 +163,6 @@ def log_psi(theta: float, R: int, J: int) -> float:
 def psi(theta: float, R: int, J: int) -> float:
     """Normalizing constant of the top-R Mallows model (product form)."""
     return float(np.exp(log_psi(theta, R, J)))
-
-
-def moments(theta: float, R: int, J: int) -> tuple[float, float]:
-    """Mean and variance of the Kendall distance of a top-R Mallows draw.
-
-    Both follow from the independent level decomposition: the distance is a
-    sum of R truncated-geometric insertion counts.
-    """
-    _check_partial_shape(R, J)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    j = np.arange(J - R + 1, J + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        em1 = np.expm1(j * theta)
-        mean = R / np.expm1(theta) - float(np.sum(j / em1))
-        # e^{-jt}/(1-e^{-jt})^2 == 1 / (expm1(jt) * (-expm1(-jt)))
-        tail = j * j / (em1 * (-np.expm1(-j * theta)))
-        e1 = np.expm1(theta)
-        var = R / (e1 * (-np.expm1(-theta))) - float(np.sum(tail))
-    return float(mean), float(var)
 
 
 def log_density(scores_row: Sequence[float], ranking: Ranking | None, params: Parameters, M: int) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -19,8 +20,10 @@ import numpy as np
 
 from . import kendall
 from .fitting import (
+    ConditionalFit,
     _binomial_cost,
     _fit_p_core,
+    _score_weights,
     _theta_cost,
     default_theta_max,
     fit_given_order,
@@ -29,6 +32,7 @@ from .kemeny_lp import lp_free_cost
 from .model import Dataset, Parameters, Ranking, SufficientStats
 
 DEFAULT_NODE_BUDGET = 10_000_000
+BRUTE_CAP = 7
 
 
 class BruteForceCapExceeded(ValueError):
@@ -53,6 +57,22 @@ class FitResult:
     rounds_capped: bool = False
     candidate_cap_hit: bool = False
 
+    @classmethod
+    def from_fit(cls, stats: SufficientStats, cond: ConditionalFit, algorithm: str, t0: float,
+                 nodes: int, cands: int, **flags) -> "FitResult":
+        """Wrap an existing conditional fit; elapsed runs from t0 to now."""
+        return cls(
+            params=cond.params,
+            f_value=cond.f_value,
+            algorithm=algorithm,
+            nodes_expanded=nodes,
+            candidate_evaluations=cands,
+            elapsed=time.perf_counter() - t0,
+            theta_flag=cond.theta_flag,
+            non_identified=_non_identified(stats),
+            **flags,
+        )
+
 
 class _SearchContext:
     """Precomputed arrays shared by every bound evaluation of one search."""
@@ -66,11 +86,9 @@ class _SearchContext:
         self.col_total = stats.Q.sum(axis=0)
         self.mmin = np.minimum(stats.Q, stats.Q.T)
         self.root_free_min = float(self.mmin[np.triu_indices(self.J, k=1)].sum())
-        count = stats.score_count
-        self.count = count
+        self.count = stats.score_count
         self.mean = stats.mean_score
-        self.a = count * np.where(count > 0, stats.mean_score, 0.0)
-        self.b = count * np.where(count > 0, M - stats.mean_score, 0.0)
+        self.a, self.b = _score_weights(self.mean, self.count, M)
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
     def child_costs(self, prefix: Ranking, fixed: float, free_min: float, child: int, free: Sequence[int]):
@@ -79,6 +97,8 @@ class _SearchContext:
         return fixed_c, free_min - drop
 
     def ranking_cost(self, fixed: float, free_min: float, free: tuple[int, ...], heuristic: str) -> float:
+        # with fewer than three free objects the LP has no triangle rows and
+        # its optimum equals the pairwise minimum sum
         if heuristic == "crude" or len(free) < 3:
             return fixed + free_min
         cached = self._lp_cache.get(free)
@@ -95,24 +115,30 @@ class _SearchContext:
         p = _fit_p_core(self.mean, self.count, self.M, prefix, free)
         return value + _binomial_cost(p, self.a, self.b)
 
+    def children(self, prefix: Ranking, fixed: float, free_min: float, heuristic: str):
+        """Yield (bound, child_prefix, fixed, free_min, free) for every child
+        of a node, in object order."""
+        free = tuple(o for o in range(self.J) if o not in prefix)
+        for child in free:
+            fixed_c, free_min_c = self.child_costs(prefix, fixed, free_min, child, free)
+            free_c = tuple(o for o in free if o != child)
+            child_prefix = prefix + (child,)
+            yield (self.bound(child_prefix, fixed_c, free_min_c, free_c, heuristic),
+                   child_prefix, fixed_c, free_min_c, free_c)
+
 
 def _non_identified(stats: SufficientStats) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(stats.score_count == 0))
 
 
-def _finalize(stats, M, theta_max, order, algorithm, t0, nodes, cands, **flags) -> FitResult:
-    cond = fit_given_order(stats, order, M, theta_max)
-    return FitResult(
-        params=cond.params,
-        f_value=cond.f_value,
-        algorithm=algorithm,
-        nodes_expanded=nodes,
-        candidate_evaluations=cands,
-        elapsed=time.perf_counter() - t0,
-        theta_flag=cond.theta_flag,
-        non_identified=_non_identified(stats),
-        **flags,
-    )
+def _best_fit(stats, orders, M, theta_max, best: ConditionalFit | None = None) -> ConditionalFit | None:
+    """Conditional fit of each order in turn; the first one with a strictly
+    smaller f than the best so far (starting from best) wins."""
+    for order in orders:
+        cond = fit_given_order(stats, order, M, theta_max)
+        if best is None or cond.f_value < best.f_value:
+            best = cond
+    return best
 
 
 def astar(
@@ -140,7 +166,7 @@ def astar(
     J = stats.J
     algorithm = f"exact-{heuristic}"
     if J == 1:
-        return _finalize(stats, M, theta_max, (0,), algorithm, t0, 0, 1)
+        return FitResult.from_fit(stats, fit_given_order(stats, (0,), M, theta_max), algorithm, t0, 0, 1)
 
     heap: list[tuple[float, int, Ranking, float, float]] = []
     counter = itertools.count()
@@ -150,29 +176,23 @@ def astar(
 
     def expand(prefix: Ranking, fixed: float, free_min: float):
         nonlocal candidate_evals, best_terminal
-        free = tuple(o for o in range(J) if o not in prefix)
-        for child in free:
-            child_prefix = prefix + (child,)
-            fixed_c, free_min_c = ctx.child_costs(prefix, fixed, free_min, child, free)
-            free_c = tuple(o for o in free if o != child)
-            bound = ctx.bound(child_prefix, fixed_c, free_min_c, free_c, heuristic)
+        for bound, child_prefix, fixed_c, free_min_c, free_c in ctx.children(prefix, fixed, free_min, heuristic):
             candidate_evals += 1
             if trace is not None:
                 trace.append(bound)
             heapq.heappush(heap, (bound, next(counter), child_prefix, fixed_c, free_min_c))
             if len(child_prefix) == J - 1:
-                order = child_prefix + free_c
                 if best_terminal is None or bound < best_terminal[0]:
-                    best_terminal = (bound, order)
+                    best_terminal = (bound, child_prefix + free_c)
 
     expand((), 0.0, ctx.root_free_min)
     nodes_expanded += 1
     while heap:
         _, _, prefix, fixed, free_min = heapq.heappop(heap)
         if len(prefix) == J - 1:
-            last = next(o for o in range(J) if o not in prefix)
-            return _finalize(stats, M, theta_max, prefix + (last,), algorithm, t0,
-                             nodes_expanded, candidate_evals)
+            order = prefix + tuple(o for o in range(J) if o not in prefix)
+            return FitResult.from_fit(stats, fit_given_order(stats, order, M, theta_max), algorithm, t0,
+                                      nodes_expanded, candidate_evals)
         if nodes_expanded >= node_budget:
             break
         expand(prefix, fixed, free_min)
@@ -183,11 +203,11 @@ def astar(
         order = _greedy_order(ctx)[0]
     else:
         order = best_terminal[1]
-    return _finalize(stats, M, theta_max, order, algorithm, t0, nodes_expanded,
-                     candidate_evals, optimal=False, budget_exhausted=True)
+    return FitResult.from_fit(stats, fit_given_order(stats, order, M, theta_max), algorithm, t0,
+                              nodes_expanded, candidate_evals, optimal=False, budget_exhausted=True)
 
 
-def brute_force(stats: SufficientStats, M: int, theta_max: float | None = None, cap: int = 7) -> FitResult:
+def brute_force(stats: SufficientStats, M: int, theta_max: float | None = None, cap: int = BRUTE_CAP) -> FitResult:
     """Global MLE by evaluating the conditional fit of every order.
 
     Ties in f break toward the lexicographically smallest order.
@@ -195,38 +215,20 @@ def brute_force(stats: SufficientStats, M: int, theta_max: float | None = None, 
     if stats.J > cap:
         raise BruteForceCapExceeded(f"J={stats.J} exceeds the brute-force cap {cap}")
     t0 = time.perf_counter()
-    best_f = np.inf
-    best_order = None
-    evals = 0
-    for order in itertools.permutations(range(stats.J)):
-        cond = fit_given_order(stats, order, M, theta_max)
-        evals += 1
-        if cond.f_value < best_f:
-            best_f = cond.f_value
-            best_order = order
-    return _finalize(stats, M, theta_max, best_order, "brute", t0, 0, evals)
+    best = _best_fit(stats, itertools.permutations(range(stats.J)), M, theta_max)
+    return FitResult.from_fit(stats, best, "brute", t0, 0, math.factorial(stats.J))
 
 
 def _greedy_order(ctx: _SearchContext) -> tuple[Ranking, int]:
     """Depth-first descent choosing the child with the smallest crude bound."""
-    J = ctx.J
     prefix: Ranking = ()
-    fixed, free_min = 0.0, ctx.root_free_min
+    fixed, free_min, free = 0.0, ctx.root_free_min, tuple(range(ctx.J))
     evals = 0
-    while len(prefix) < J - 1:
-        free = tuple(o for o in range(J) if o not in prefix)
-        best = None
-        for child in free:
-            fixed_c, free_min_c = ctx.child_costs(prefix, fixed, free_min, child, free)
-            free_c = tuple(o for o in free if o != child)
-            bound = ctx.bound(prefix + (child,), fixed_c, free_min_c, free_c, "crude")
-            evals += 1
-            if best is None or bound < best[0]:
-                best = (bound, child, fixed_c, free_min_c)
-        _, child, fixed, free_min = best
-        prefix = prefix + (child,)
-    last = next(o for o in range(J) if o not in prefix)
-    return prefix + (last,), evals
+    while len(free) > 1:
+        evals += len(free)
+        _, prefix, fixed, free_min, free = min(ctx.children(prefix, fixed, free_min, "crude"),
+                                               key=lambda child: child[0])
+    return prefix + free, evals
 
 
 def greedy(stats: SufficientStats, M: int, theta_max: float | None = None) -> FitResult:
@@ -236,9 +238,9 @@ def greedy(stats: SufficientStats, M: int, theta_max: float | None = None) -> Fi
     (ties: lexicographic); the final order gets the exact conditional fit.
     """
     t0 = time.perf_counter()
-    ctx = _SearchContext(stats, M, theta_max)
-    order, evals = _greedy_order(ctx)
-    return _finalize(stats, M, theta_max, order, "greedy", t0, max(stats.J - 1, 0), evals)
+    order, evals = _greedy_order(_SearchContext(stats, M, theta_max))
+    return FitResult.from_fit(stats, fit_given_order(stats, order, M, theta_max), "greedy", t0,
+                              max(stats.J - 1, 0), evals)
 
 
 def greedy_local(
@@ -254,42 +256,36 @@ def greedy_local(
     neighbor improves (that final sweep counts as a round) or at max_rounds.
     """
     t0 = time.perf_counter()
-    ctx = _SearchContext(stats, M, theta_max)
-    order, evals = _greedy_order(ctx)
+    order, evals = _greedy_order(_SearchContext(stats, M, theta_max))
     incumbent = fit_given_order(stats, order, M, theta_max)
-    rounds = 0
-    capped = False
-    while True:
-        if rounds >= max_rounds:
-            capped = True
-            break
+    rounds, capped = 0, True
+    while rounds < max_rounds:
         rounds += 1
-        best = None
-        for neighbor in kendall.adjacent_neighbors(order):
-            cond = fit_given_order(stats, neighbor, M, theta_max)
-            evals += 1
-            if cond.f_value < incumbent.f_value and (best is None or cond.f_value < best[0].f_value):
-                best = (cond, neighbor)
-        if best is None:
+        neighbors = kendall.adjacent_neighbors(incumbent.params.consensus_order)
+        evals += len(neighbors)
+        best = _best_fit(stats, neighbors, M, theta_max, incumbent)
+        if best is incumbent:
+            capped = False
             break
-        incumbent, order = best
-    return FitResult(
-        params=incumbent.params,
-        f_value=incumbent.f_value,
-        algorithm="greedy-local",
-        nodes_expanded=max(stats.J - 1, 0),
-        candidate_evaluations=evals,
-        elapsed=time.perf_counter() - t0,
-        theta_flag=incumbent.theta_flag,
-        non_identified=_non_identified(stats),
-        local_rounds=rounds,
-        rounds_capped=capped,
-    )
+        incumbent = best
+    return FitResult.from_fit(stats, incumbent, "greedy-local", t0, max(stats.J - 1, 0), evals,
+                              local_rounds=rounds, rounds_capped=capped)
+
+
+def _group_orders(groups: list[list[int]]):
+    """Concatenations of one permutation per group, first group outermost
+    (the order of itertools.product), generated lazily."""
+    if not groups:
+        yield ()
+        return
+    for head in itertools.permutations(groups[0]):
+        for tail in _group_orders(groups[1:]):
+            yield head + tail
 
 
 def _tie_break_orders(averages: np.ndarray, cap: int):
     """All orders sorting the averages ascending, enumerating permutations of
-    tied groups; yields at most cap orders and reports whether it truncated."""
+    tied groups; returns at most cap orders and whether it truncated."""
     values = np.where(np.isfinite(averages), averages, np.inf)
     idx = sorted(range(values.size), key=lambda j: (values[j], j))
     groups: list[list[int]] = []
@@ -298,14 +294,8 @@ def _tie_break_orders(averages: np.ndarray, cap: int):
             groups[-1].append(j)
         else:
             groups.append([j])
-    orders = []
-    truncated = False
-    for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
-        if len(orders) >= cap:
-            truncated = True
-            break
-        orders.append(tuple(itertools.chain.from_iterable(combo)))
-    return orders, truncated
+    orders = list(itertools.islice(_group_orders(groups), cap + 1))
+    return orders[:cap], len(orders) > cap
 
 
 def fv(
@@ -337,22 +327,5 @@ def fv(
     candidates = set(bases)
     for base in bases:
         candidates.update(kendall.adjacent_neighbors(base))
-    best = None
-    evals = 0
-    for order in sorted(candidates):
-        cond = fit_given_order(stats, order, M, theta_max)
-        evals += 1
-        if best is None or cond.f_value < best[0].f_value:
-            best = (cond, order)
-    incumbent, order = best
-    return FitResult(
-        params=incumbent.params,
-        f_value=incumbent.f_value,
-        algorithm="fv",
-        nodes_expanded=0,
-        candidate_evaluations=evals,
-        elapsed=time.perf_counter() - t0,
-        theta_flag=incumbent.theta_flag,
-        non_identified=_non_identified(stats),
-        candidate_cap_hit=cap_hit,
-    )
+    best = _best_fit(stats, sorted(candidates), M, theta_max)
+    return FitResult.from_fit(stats, best, "fv", t0, 0, len(candidates), candidate_cap_hit=cap_hit)

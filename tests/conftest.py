@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from mallows_binomial import Dataset, Parameters, order_of, sample
+from mallows_binomial.kemeny_lp import lp_free_cost
 
 
 def pairwise_distance_oracle(ranking, order) -> int:
@@ -138,3 +139,42 @@ def structural_oracle(mean, count, M, prefix, free):
                 if cost < best_cost - 1e-15:
                     best_cost, best_p = cost, p
     return best_cost, best_p
+
+
+# Kendall ranking-cost oracles at a search node, recomputed from scratch;
+# the search keeps the same quantities incrementally.
+
+def fixed_pair_cost(Q, prefix) -> float:
+    """Mean Kendall cost of the pairs the prefix already determines: each
+    prefix object above every later prefix object and every free object."""
+    J = Q.shape[0]
+    in_prefix = np.zeros(J, dtype=bool)
+    cost = 0.0
+    col_total = Q.sum(axis=0)
+    for v in prefix:
+        in_prefix[v] = True
+        cost += col_total[v] - Q[in_prefix, v].sum()
+    return float(cost)
+
+
+def min_pair_cost(Q, free) -> float:
+    """Crude free-pair cost: sum of min(Q_uv, Q_vu) over free pairs."""
+    free = np.asarray(list(free), dtype=int)
+    if free.size < 2:
+        return 0.0
+    sub = Q[np.ix_(free, free)]
+    lower = np.minimum(sub, sub.T)
+    return float(lower[np.triu_indices(free.size, k=1)].sum())
+
+
+def crude_cost(stats, constraint) -> float:
+    """Admissible mean ranking cost L at a node: fixed pairs plus pairwise
+    minima over free pairs."""
+    return fixed_pair_cost(stats.Q, constraint.prefix) + min_pair_cost(stats.Q, constraint.free)
+
+
+def lp_bound(stats, constraint) -> float:
+    """Tight admissible mean ranking cost L_LP at a node: fixed-pair cost
+    plus the Kemeny LP optimum over free pairs."""
+    free = constraint.free
+    return fixed_pair_cost(stats.Q, constraint.prefix) + lp_free_cost(stats.Q, free, min_pair_cost(stats.Q, free))

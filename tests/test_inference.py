@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from mallows_binomial import Dataset, compute_stats
+from mallows_binomial import Dataset, compute_stats, inference
 from mallows_binomial.inference import (
     _converted_score_rows,
     benchmark_grid,
@@ -65,6 +65,23 @@ def test_bootstrap_records_failures():
     assert summary.n_failed > 0
     assert len(summary.failures) == summary.n_failed
     assert summary.replicate_p.shape[0] == 60 - summary.n_failed
+
+
+def test_bootstrap_replicate_bug_propagates(monkeypatch):
+    # only degenerate resamples (ValueError) count as failed replicates
+    ds = identical_judges_dataset()
+    real = inference.fit_method
+    calls = []
+
+    def buggy_after_point_fit(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise ZeroDivisionError("bug inside a replicate")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_method", buggy_after_point_fit)
+    with pytest.raises(ZeroDivisionError):
+        bootstrap(ds, B=5, n_jobs=1)
 
 
 def test_bootstrap_validates_inputs():
@@ -160,6 +177,9 @@ def test_only_rankings_unanimous():
     assert result.params.consensus_order == order
     assert result.theta_flag == "cap"
     assert set(result.non_identified) == {0, 1, 2}
+    # the relabelled result keeps the inner method's diagnostics
+    local = comparison_fit(ds, model="only-rankings", method="greedy-local")
+    assert local.algorithm == "only-rankings" and local.local_rounds == 1
 
 
 def test_converted_rankings_requires_rng_and_pools():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import random_dataset
-from mallows_binomial import PrefixConstraint, build_pair_lp, compute_stats, lp_bound, solve_dense_lp
-from mallows_binomial.kemeny_lp import SimplexError, crude_cost, lp_free_cost, min_pair_cost
+from conftest import crude_cost, lp_bound, min_pair_cost, random_dataset
+from mallows_binomial import PrefixConstraint, build_pair_lp, compute_stats, solve_dense_lp
+from mallows_binomial.kemeny_lp import SimplexError
 from mallows_binomial.model import Dataset
 
 
@@ -158,5 +158,5 @@ def test_lp_free_cost_falls_back_to_crude(monkeypatch):
     rng = np.random.default_rng(5)
     Q = random_Q(rng, 4)
     with pytest.warns(RuntimeWarning, match="crude"):
-        value = klp.lp_free_cost(Q, list(range(4)))
+        value = klp.lp_free_cost(Q, list(range(4)), min_pair_cost(Q, range(4)))
     assert value == pytest.approx(min_pair_cost(Q, range(4)), abs=1e-12)

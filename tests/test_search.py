@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import enumerate_outcomes, random_dataset
+from conftest import crude_cost, enumerate_outcomes, random_dataset
 from mallows_binomial import (
     Dataset,
     PrefixConstraint,
@@ -16,8 +17,7 @@ from mallows_binomial import (
     greedy_local,
     objective,
 )
-from mallows_binomial.kemeny_lp import crude_cost
-from mallows_binomial.search import BruteForceCapExceeded, _SearchContext
+from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
 
 
 def unanimous_dataset():
@@ -208,6 +208,32 @@ def test_fv_candidate_cap_warns():
     with pytest.warns(RuntimeWarning, match="candidate cap"):
         result = fv(compute_stats(ds), ds, ds.M, candidate_cap=8)
     assert result.candidate_cap_hit
+
+
+def test_tie_break_orders_follow_product_order():
+    averages = np.array([2.0, 1.0, 1.0, 3.0, 2.0, 1.0, np.nan])
+    groups = [(1, 2, 5), (0, 4), (3,), (6,)]
+    expected = [tuple(itertools.chain.from_iterable(combo))
+                for combo in itertools.product(*(itertools.permutations(g) for g in groups))]
+    orders, truncated = _tie_break_orders(averages, 100)
+    assert orders == expected and not truncated
+    orders, truncated = _tie_break_orders(averages, 5)
+    assert orders == expected[:5] and truncated
+
+
+def test_tie_break_enumeration_is_lazy():
+    # 8 tied objects have 8! = 40320 orders; with a cap of 4 only a handful
+    # may ever exist
+    tracemalloc.start()
+    try:
+        orders, truncated = _tie_break_orders(np.zeros(8), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orders == [(0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 7, 6),
+                      (0, 1, 2, 3, 4, 6, 5, 7), (0, 1, 2, 3, 4, 6, 7, 5)]
+    assert truncated
+    assert peak < 0.5 * 2**20
 
 
 def test_fv_never_beats_exact():
