@@ -84,7 +84,7 @@ class RunConfig:
     seed: int = 0
     theta_max: float | None = None
     node_budget: int = search.DEFAULT_NODE_BUDGET
-    candidate_cap: int = 1024
+    candidate_cap: int = search.DEFAULT_CANDIDATE_CAP
 
     def __post_init__(self):
         if self.B < 1:
@@ -267,7 +267,7 @@ def _config_from_args(args) -> RunConfig:
         seed=getattr(args, "seed", 0),
         theta_max=getattr(args, "theta_max", None),
         node_budget=getattr(args, "node_budget", search.DEFAULT_NODE_BUDGET),
-        candidate_cap=getattr(args, "candidate_cap", 1024),
+        candidate_cap=getattr(args, "candidate_cap", search.DEFAULT_CANDIDATE_CAP),
     )
 
 
@@ -457,7 +457,7 @@ def cmd_bias_demo(args) -> int:
     p0 = [float(v) for v in args.p0.split(",")]
     J = len(p0)
     table = inference.bias_enumeration(
-        p0, args.theta0, M=args.M, J=J, R=args.R if args.R else J,
+        p0, args.theta0, M=args.M, J=J, R=J if args.R is None else args.R,
         theta_max=args.theta_max if args.theta_max else 50.0,
     )
     print(f"exact bias over {table.n_outcomes} outcomes "
@@ -500,7 +500,7 @@ def _add_run_flags(sub, methods):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--theta-max", type=float, default=None)
     sub.add_argument("--node-budget", type=int, default=search.DEFAULT_NODE_BUDGET)
-    sub.add_argument("--candidate-cap", type=int, default=1024)
+    sub.add_argument("--candidate-cap", type=int, default=search.DEFAULT_CANDIDATE_CAP)
     sub.add_argument("--out", default=None)
 
 

@@ -141,14 +141,14 @@ def fit_theta(
     return float(theta), "interior"
 
 
-def _theta_cost(mean_distance, ranking_lengths, J, theta_max):
-    """fit_theta plus the minimized scale-part value theta*total + log psi."""
-    theta, flag = fit_theta(mean_distance, ranking_lengths, J, theta_max)
-    if theta is None:
-        return None, flag, 0.0
+def _theta_cost(mean_distance, ranking_lengths, J, theta_max) -> float:
+    """Minimized scale-part value theta*total + log psi at the fitted theta;
+    0.0 when there are no rankings."""
+    if not ranking_lengths:
+        return 0.0
+    theta, _ = fit_theta(mean_distance, ranking_lengths, J, theta_max)
     total = mean_distance * len(ranking_lengths)
-    value = theta * total + log_psi_total(theta, ranking_lengths, J)
-    return theta, flag, float(value)
+    return float(theta * total + log_psi_total(theta, ranking_lengths, J))
 
 
 def _pava(values: list[float], weights: list[float]) -> list[float]:
@@ -190,9 +190,12 @@ def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint, M: i
     """Exact order-constrained Binomial MLE of the quality vector.
 
     Minimizes sum_j count_j * [mean_j log(1/p_j) + (M - mean_j) log(1/(1-p_j))]
-    subject to the chain-plus-star partial order. Solved by chain PAVA plus an
-    exhaustive sweep over which star leaves pool into the top chain block;
-    every sweep candidate is feasible and the optimum is among them.
+    subject to the chain-plus-star partial order. Appending the star leaves to
+    the chain in ascending order of their mean score gives a total order whose
+    isotonic regression is already star-feasible, hence optimal under the
+    partial order too. Isotonic regression minimizes every Bregman loss at
+    once, the Binomial one included (Robertson, Wright & Dykstra 1988), so one
+    chain PAVA gives the constrained MLE.
 
     Objects with no observed scores contribute no term; they take the nearest
     feasible value (the top chain value when free) and are non-identified.
@@ -203,79 +206,30 @@ def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint, M: i
 
 
 def _fit_p_core(mean_score, count, M, prefix, free) -> np.ndarray:
-    J = count.size
     with np.errstate(invalid="ignore"):
         q = np.where(count > 0, mean_score / M, 0.0)
     weight = count * M
 
-    chain = [j for j in prefix if count[j] > 0]
-    leaves = sorted((j for j in free if count[j] > 0), key=lambda j: (q[j], j))
-
-    p = np.full(J, 0.5)
-    if not chain and not leaves:
+    members = [j for j in prefix if count[j] > 0]
+    n_chain = len(members)
+    members += sorted((j for j in free if count[j] > 0), key=lambda j: (q[j], j))
+    p = np.full(count.size, 0.5)
+    if not members:
         return p
+    fitted = _pava([q[j] for j in members], [weight[j] for j in members])
+    p[members] = fitted
 
-    if not chain:
-        for j in leaves:
-            p[j] = q[j]
-        top = min(q[j] for j in leaves)
-    else:
-        a, b = _score_weights(mean_score, count, M)
-        members = chain + leaves
-        idx = np.array(members)
-        a_m, b_m = a[idx], b[idx]
-        best_cost = np.inf
-        best = None
-        cv = [q[j] for j in chain]
-        cw = [weight[j] for j in chain]
-        leaf_v = [q[j] for j in leaves]
-        leaf_w = [weight[j] for j in leaves]
-        extra_v = extra_w = 0.0
-        for t in range(len(leaves) + 1):
-            vals = list(cv)
-            wts = list(cw)
-            if extra_w:
-                vals[-1] = (cw[-1] * cv[-1] + extra_v) / (cw[-1] + extra_w)
-                wts[-1] = cw[-1] + extra_w
-            fitted = _pava(vals, wts)
-            top_val = fitted[-1]
-            cand = fitted + [top_val] * t + [max(v, top_val) for v in leaf_v[t:]]
-            cost = _binomial_cost(np.array(cand), a_m, b_m)
-            if cost < best_cost:
-                best_cost = cost
-                best = cand
-            if t < len(leaves):
-                extra_v += leaf_w[t] * leaf_v[t]
-                extra_w += leaf_w[t]
-        for j, value in zip(members, best):
-            p[j] = value
-        top = best[len(chain) - 1]
-
-    # Zero-count objects: propagate feasible values through the chain, then
-    # hand the top chain value to zero-count leaves.
-    fitted_chain: dict[int, float] = {j: p[j] for j in chain}
-    prev = None
-    pending: list[int] = []
+    # Zero-count objects take the nearest feasible value: a chain gap the
+    # value below it (the first observed value when it leads), an unobserved
+    # chain min(lowest leaf, 0.5), a free object the top of the chain.
+    prev = fitted[0] if n_chain else min(fitted[0], 0.5)
     for j in prefix:
-        if j in fitted_chain:
-            if prev is None:
-                for z in pending:
-                    p[z] = fitted_chain[j]
-            pending = []
-            prev = fitted_chain[j]
+        if count[j] > 0:
+            prev = p[j]
         else:
-            if prev is None:
-                pending.append(j)
-            else:
-                p[j] = prev
-    if prev is None and pending:  # chain entirely unobserved
-        for z in pending:
-            p[z] = min(top, 0.5)
-    if len(prefix):
-        star_floor = p[prefix[-1]]
-        for j in free:
-            if count[j] == 0:
-                p[j] = star_floor
+            p[j] = prev
+    if prefix:
+        p[[j for j in free if count[j] == 0]] = p[prefix[-1]]
     return p
 
 

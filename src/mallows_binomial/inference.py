@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kendall, search
 from .fitting import fit_given_order
-from .model import Dataset, Parameters, compute_stats, log_density, order_of, sample
+from .model import Dataset, Parameters, _check_partial_shape, compute_stats, log_density, order_of, sample
 from .search import FitResult, astar, brute_force, fv, greedy, greedy_local
 
 CORE_METHODS = ("exact-crude", "exact-lp", "fv", "greedy", "greedy-local", "brute")
@@ -30,7 +30,7 @@ def fit_method(
     *,
     theta_max: float | None = None,
     node_budget: int = search.DEFAULT_NODE_BUDGET,
-    candidate_cap: int = 1024,
+    candidate_cap: int = search.DEFAULT_CANDIDATE_CAP,
     rng=None,
 ) -> FitResult:
     """Fit the panel with a named algorithm or comparison model."""
@@ -209,7 +209,7 @@ def bootstrap(
     *,
     theta_max: float | None = None,
     node_budget: int = search.DEFAULT_NODE_BUDGET,
-    candidate_cap: int = 1024,
+    candidate_cap: int = search.DEFAULT_CANDIDATE_CAP,
     n_jobs: int = 1,
 ) -> BootstrapSummary:
     """Judge-level nonparametric bootstrap with percentile intervals.
@@ -321,6 +321,7 @@ def bias_enumeration(
     p0 = np.asarray(p0, dtype=float)
     if p0.size != J:
         raise ValueError("p0 length must equal J")
+    _check_partial_shape(R, J)
     n_rankings = 1
     for j in range(J, J - R, -1):
         n_rankings *= j

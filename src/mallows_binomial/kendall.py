@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Dataset
@@ -95,8 +94,9 @@ def average_ranks(dataset: "Dataset") -> tuple[np.ndarray | None, np.ndarray | N
             observed = np.isfinite(row)
             if not observed.any():
                 continue
-            ranks = rankdata(row[observed], method="average")
-            total[observed] += ranks
+            x = row[observed]
+            # midranks: the values below, plus the mean of 1..m over a tie of m
+            total[observed] += (x[:, None] > x).sum(1) + ((x[:, None] == x).sum(1) + 1) / 2
             count[observed] += 1
         with np.errstate(invalid="ignore"):
             from_scores = np.where(count > 0, total / np.maximum(count, 1), np.nan)

@@ -32,6 +32,7 @@ from .kemeny_lp import lp_free_cost
 from .model import Dataset, Parameters, Ranking, SufficientStats
 
 DEFAULT_NODE_BUDGET = 10_000_000
+DEFAULT_CANDIDATE_CAP = 1024
 BRUTE_CAP = 7
 
 
@@ -109,9 +110,7 @@ class _SearchContext:
 
     def bound(self, prefix: Ranking, fixed: float, free_min: float, free: tuple[int, ...], heuristic: str) -> float:
         L = self.ranking_cost(fixed, free_min, free, heuristic)
-        value = 0.0
-        if self.stats.n_rankers:
-            _, _, value = _theta_cost(L, self.stats.ranking_lengths, self.J, self.theta_max)
+        value = _theta_cost(L, self.stats.ranking_lengths, self.J, self.theta_max)
         p = _fit_p_core(self.mean, self.count, self.M, prefix, free)
         return value + _binomial_cost(p, self.a, self.b)
 
@@ -303,7 +302,7 @@ def fv(
     dataset: Dataset,
     M: int,
     theta_max: float | None = None,
-    candidate_cap: int = 1024,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> FitResult:
     """Average-rank candidate search.
 

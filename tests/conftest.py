@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from mallows_binomial import Dataset, Parameters, order_of, sample
+from mallows_binomial.fitting import _pava
 from mallows_binomial.kemeny_lp import lp_free_cost
 
 
@@ -139,6 +140,72 @@ def structural_oracle(mean, count, M, prefix, free):
                 if cost < best_cost - 1e-15:
                     best_cost, best_p = cost, p
     return best_cost, best_p
+
+
+def sweep_fit_p(mean, count, M, prefix, free):
+    """Order-constrained Binomial MLE by chain PAVA plus an exhaustive sweep
+    over how many of the ascending star leaves pool into the top chain block;
+    every sweep candidate is feasible and the optimum is among them. Zero-count
+    objects take the nearest feasible value."""
+    with np.errstate(invalid="ignore"):
+        q = np.where(count > 0, mean / M, 0.0)
+    weight = count * M
+    chain = [j for j in prefix if count[j] > 0]
+    leaves = sorted((j for j in free if count[j] > 0), key=lambda j: (q[j], j))
+    p = np.full(count.size, 0.5)
+    if not chain and not leaves:
+        return p
+    if not chain:
+        for j in leaves:
+            p[j] = q[j]
+        top = min(q[j] for j in leaves)
+    else:
+        members = chain + leaves
+        idx = np.array(members)
+        best_cost, best = np.inf, None
+        cv = [q[j] for j in chain]
+        cw = [weight[j] for j in chain]
+        leaf_v = [q[j] for j in leaves]
+        leaf_w = [weight[j] for j in leaves]
+        extra_v = extra_w = 0.0
+        for t in range(len(leaves) + 1):
+            vals, wts = list(cv), list(cw)
+            if extra_w:
+                vals[-1] = (cw[-1] * cv[-1] + extra_v) / (cw[-1] + extra_w)
+                wts[-1] = cw[-1] + extra_w
+            fitted = _pava(vals, wts)
+            top_val = fitted[-1]
+            cand = fitted + [top_val] * t + [max(v, top_val) for v in leaf_v[t:]]
+            cost = binomial_cost(np.array(cand), mean[idx], count[idx], M)
+            if cost < best_cost:
+                best_cost, best = cost, cand
+            if t < len(leaves):
+                extra_v += leaf_w[t] * leaf_v[t]
+                extra_w += leaf_w[t]
+        for j, value in zip(members, best):
+            p[j] = value
+        top = best[len(chain) - 1]
+    fitted_chain = {j: p[j] for j in chain}
+    prev, pending = None, []
+    for j in prefix:
+        if j in fitted_chain:
+            if prev is None:
+                for z in pending:
+                    p[z] = fitted_chain[j]
+            pending = []
+            prev = fitted_chain[j]
+        elif prev is None:
+            pending.append(j)
+        else:
+            p[j] = prev
+    if prev is None and pending:  # chain entirely unobserved
+        for z in pending:
+            p[z] = min(top, 0.5)
+    if len(prefix):
+        for j in free:
+            if count[j] == 0:
+                p[j] = p[prefix[-1]]
+    return p
 
 
 # Kendall ranking-cost oracles at a search node, recomputed from scratch;

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mallows_binomial
 from mallows_binomial import Parameters, order_of, sample
 from mallows_binomial.cli import (
     EXIT_BUDGET,
@@ -248,9 +253,24 @@ def test_bias_demo_values_and_permutation(tmp_path, capsys):
     assert np.allclose(doc2["bias"], doc["bias"][::-1], atol=1e-10)
 
 
+def test_bias_demo_rejects_ranking_length_outside_1_to_J(capsys):
+    for R in ("5", "0", "-1"):
+        assert main(["bias-demo", "--R", R, "--p0", "0.1,0.4,0.9"]) == EXIT_INPUT
+        assert "R <= J" in capsys.readouterr().err
+
+
 def test_bias_demo_deterministic(tmp_path, capsys):
     assert main(["bias-demo"]) == EXIT_OK
     first = capsys.readouterr().out
     assert main(["bias-demo"]) == EXIT_OK
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cli_import_loads_no_scipy_stats_or_optimize():
+    code = ("import sys, mallows_binomial.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mallows_binomial.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env).stdout
+    assert out.strip() == "[]"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, xlog1py, xlogy
 
-from conftest import random_dataset, structural_oracle
+from conftest import random_dataset, structural_oracle, sweep_fit_p
 from mallows_binomial import (
     Dataset,
     Parameters,
@@ -141,6 +141,29 @@ def test_fit_p_matches_structural_oracle(data):
     assert np.all(np.diff(chain_vals) >= -1e-12)
     for j in free:
         assert p[j] >= chain_vals[-1] - 1e-12
+
+
+def test_fit_p_matches_sweep_oracle():
+    # one PAVA over the chain plus the ascending leaves equals the leaf-pooling
+    # sweep, with zero-count objects and empty and full prefixes; a full order
+    # makes the same PAVA call, so it agrees exactly
+    rng = np.random.default_rng(2024)
+    for _ in range(700):
+        J = int(rng.integers(1, 21))
+        M = int(rng.integers(1, 11))
+        perm = [int(v) for v in rng.permutation(J)]
+        count = rng.integers(1, 4, size=J).astype(float)
+        count[rng.random(J) < 0.3] = 0
+        mean = np.where(count > 0, rng.integers(0, 2 * M + 1, size=J) / 2, np.nan)
+        stats = make_score_stats(mean, count)
+        for k in {0, int(rng.integers(0, J + 1)), J}:
+            prefix, free = tuple(perm[:k]), tuple(sorted(perm[k:]))
+            p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix), M)
+            oracle = sweep_fit_p(mean, count, M, prefix, free)
+            if free:
+                assert np.max(np.abs(p - oracle)) <= 1e-12
+            else:
+                assert np.array_equal(p, oracle)
 
 
 def test_fit_p_beats_random_feasible_points():

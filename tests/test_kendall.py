@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from conftest import pairwise_distance_oracle
 from mallows_binomial import Dataset
@@ -126,3 +127,19 @@ def test_average_ranks_flags_never_scored_objects():
     assert from_rankings is None
     assert np.isnan(from_scores[1])
     assert from_scores[0] == 1.0 and from_scores[2] == 2.0
+
+
+def test_average_ranks_from_scores_are_midranks():
+    rng = np.random.default_rng(5)
+    scores = rng.integers(0, 4, size=(30, 7)).astype(float)
+    scores[rng.random(scores.shape) < 0.2] = np.nan
+    ds = Dataset(J=7, M=3, scores=scores, rankings=(None,) * 30)
+    _, from_scores = average_ranks(ds)
+    total, count = np.zeros(7), np.zeros(7)
+    for row in scores:
+        observed = np.isfinite(row)
+        if observed.any():
+            total[observed] += rankdata(row[observed], method="average")
+            count[observed] += 1
+    expected = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+    assert np.array_equal(from_scores, expected, equal_nan=True)
