@@ -454,11 +454,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bias_demo(args) -> int:
+    theta_max = _config_from_args(args).theta_max  # rejects a non-positive --theta-max
     p0 = [float(v) for v in args.p0.split(",")]
     J = len(p0)
     table = inference.bias_enumeration(
         p0, args.theta0, M=args.M, J=J, R=J if args.R is None else args.R,
-        theta_max=args.theta_max if args.theta_max else 50.0,
+        theta_max=50.0 if theta_max is None else theta_max,
     )
     print(f"exact bias over {table.n_outcomes} outcomes "
           f"(M={table.M}, J={table.J}, R={table.R}, theta0={table.theta0})")

@@ -56,36 +56,38 @@ def _level_weights(lengths: tuple[int, ...], J: int):
     return w, k, float(sum(lengths))
 
 
+@lru_cache(maxsize=4096)
+def _distance_at_floor_and_cap(lengths: tuple[int, ...], J: int, theta_max: float) -> tuple[float, float]:
+    """Summed E[d] at THETA_FLOOR and at theta_max: fit_theta's floor and cap tests."""
+    weights = _level_weights(lengths, J)
+    return _expected_distance_total(THETA_FLOOR, *weights)[0], _expected_distance_total(theta_max, *weights)[0]
+
+
 def log_psi_total(theta: float, lengths: Sequence[int], J: int) -> float:
     """Sum of log normalizing constants over judges with lengths R_i."""
     w, k, sum_r = _level_weights(tuple(lengths), J)
     return float(np.sum(w * np.log(-np.expm1(-theta * k))) - sum_r * np.log(-np.expm1(-theta)))
 
 
-def _expected_distance_total(theta: float, w, k, sum_r) -> float:
-    # Sum over judges of E[d_{R_i,J}] at the given scale.
+def _expected_distance_total(theta: float, w, k, sum_r) -> tuple[float, float]:
+    # Sums over judges of the mean and variance of d_{R_i,J}, from one expm1 pass.
     with np.errstate(over="ignore"):
-        return float(sum_r / np.expm1(theta) - np.sum(w * k / np.expm1(theta * k)))
-
-
-def _distance_variance_total(theta: float, w, k, sum_r) -> float:
-    with np.errstate(over="ignore"):
-        head = sum_r / (np.expm1(theta) * (-np.expm1(-theta)))
-        tail = np.sum(w * k * k / (np.expm1(theta * k) * (-np.expm1(-theta * k))))
-        return float(head - tail)
+        e1, ek, wk = np.expm1(theta), np.expm1(theta * k), w * k
+        mean = sum_r / e1 - np.sum(wk / ek)
+        variance = sum_r / (e1 * -np.expm1(-theta)) - np.sum(wk * k / (ek * -np.expm1(-theta * k)))
+    return float(mean), float(variance)
 
 
 def moments(theta: float, R: int, J: int) -> tuple[float, float]:
     """Mean and variance of the Kendall distance of a top-R Mallows draw.
 
-    Both follow from the independent level decomposition: the distance is a
-    sum of R truncated-geometric insertion counts.
+    Both follow from the independent level decomposition (a sum of R truncated-
+    geometric insertion counts), in the single pass each fit_theta step takes.
     """
     _check_partial_shape(R, J)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    w, k, sum_r = _level_weights((R,), J)
-    return _expected_distance_total(theta, w, k, sum_r), _distance_variance_total(theta, w, k, sum_r)
+    return _expected_distance_total(theta, *_level_weights((R,), J))
 
 
 def fit_theta(
@@ -100,36 +102,34 @@ def fit_theta(
     judge. Returns (theta, flag) with flag one of "interior", "cap" (zero or
     near-zero distance, the all-identical-rankings degeneracy), "floor"
     (distance at or above the uniform-limit mean, no interior minimizer), or
-    "undefined" when no rankings exist.
+    "undefined" when no rankings exist. Interior solves are safeguarded Newton
+    steps, each taking E[d] and Var[d] from one pass; the floor and cap tests
+    read E[d] at both ends from a cache keyed on (lengths, J, theta_max).
     """
     lengths = tuple(int(r) for r in ranking_lengths)
     if not lengths:
         return None, "undefined"
     if mean_distance < 0:
         raise ValueError("mean distance must be non-negative")
-    if theta_max is None:
-        theta_max = default_theta_max(J)
+    theta_max = default_theta_max(J) if theta_max is None else theta_max
     w, k, sum_r = _level_weights(lengths, J)
     total = mean_distance * len(lengths)
-
-    def slope(theta):
-        return total - _expected_distance_total(theta, w, k, sum_r)
-
-    if slope(THETA_FLOOR) >= 0:
+    at_floor, at_cap = _distance_at_floor_and_cap(lengths, J, theta_max)
+    if total - at_floor >= 0:
         return THETA_FLOOR, "floor"
-    if slope(theta_max) <= 0:
+    if total - at_cap <= 0:
         return theta_max, "cap"
     lo, hi = THETA_FLOOR, theta_max
     theta = 0.5 * (lo + hi)
     for _ in range(200):
-        h = slope(theta)
+        mean, curv = _expected_distance_total(theta, w, k, sum_r)
+        h = total - mean
         if h > 0:
             hi = theta
         elif h < 0:
             lo = theta
         else:
             break
-        curv = _distance_variance_total(theta, w, k, sum_r)
         step = h / curv if curv > 0 else 0.0
         nxt = theta - step
         if not lo < nxt < hi:

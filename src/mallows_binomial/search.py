@@ -91,26 +91,25 @@ class _SearchContext:
         self.mean = stats.mean_score
         self.a, self.b = _score_weights(self.mean, self.count, M)
         self._lp_cache: dict[tuple[int, ...], float] = {}
+        self._theta_cache: dict[float, float] = {}
 
     def child_costs(self, prefix: Ranking, fixed: float, free_min: float, child: int, free: Sequence[int]):
         fixed_c = fixed + float(self.col_total[child]) - float(self.Q[list(prefix), child].sum())
         drop = float(self.mmin[list(free), child].sum())  # mmin[child, child] = 0
         return fixed_c, free_min - drop
 
-    def ranking_cost(self, fixed: float, free_min: float, free: tuple[int, ...], heuristic: str) -> float:
-        # with fewer than three free objects the LP has no triangle rows and
-        # its optimum equals the pairwise minimum sum
-        if heuristic == "crude" or len(free) < 3:
-            return fixed + free_min
-        cached = self._lp_cache.get(free)
-        if cached is None:
-            cached = lp_free_cost(self.Q, free, free_min)
-            self._lp_cache[free] = cached
-        return fixed + cached
-
     def bound(self, prefix: Ranking, fixed: float, free_min: float, free: tuple[int, ...], heuristic: str) -> float:
-        L = self.ranking_cost(fixed, free_min, free, heuristic)
-        value = _theta_cost(L, self.stats.ranking_lengths, self.J, self.theta_max)
+        # Below three free objects the LP has no triangle rows and equals the pairwise
+        # minimum sum. The LP part is memoized on the free set, the theta part on L,
+        # which many nodes share because Q holds multiples of 1/n_rankers.
+        if heuristic == "lp" and len(free) >= 3:
+            if free not in self._lp_cache:
+                self._lp_cache[free] = lp_free_cost(self.Q, free, free_min)
+            free_min = self._lp_cache[free]
+        L = fixed + free_min
+        value = self._theta_cache.get(L)
+        if value is None:
+            value = self._theta_cache[L] = _theta_cost(L, self.stats.ranking_lengths, self.J, self.theta_max)
         p = _fit_p_core(self.mean, self.count, self.M, prefix, free)
         return value + _binomial_cost(p, self.a, self.b)
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from mallows_binomial import Dataset, Parameters, order_of, sample
-from mallows_binomial.fitting import _pava
+from mallows_binomial.fitting import THETA_FLOOR, _level_weights, _pava, default_theta_max
 from mallows_binomial.kemeny_lp import lp_free_cost
 
 
@@ -245,3 +245,58 @@ def lp_bound(stats, constraint) -> float:
     plus the Kemeny LP optimum over free pairs."""
     free = constraint.free
     return fixed_pair_cost(stats.Q, constraint.prefix) + lp_free_cost(stats.Q, free, min_pair_cost(stats.Q, free))
+
+
+# Scale solver before its slope and curvature passes were fused and its
+# floor/cap tests cached; kept verbatim so the fitted bits can be compared.
+
+def reference_expected_distance_total(theta, w, k, sum_r) -> float:
+    with np.errstate(over="ignore"):
+        return float(sum_r / np.expm1(theta) - np.sum(w * k / np.expm1(theta * k)))
+
+
+def reference_distance_variance_total(theta, w, k, sum_r) -> float:
+    with np.errstate(over="ignore"):
+        head = sum_r / (np.expm1(theta) * (-np.expm1(-theta)))
+        tail = np.sum(w * k * k / (np.expm1(theta * k) * (-np.expm1(-theta * k))))
+        return float(head - tail)
+
+
+def reference_fit_theta(mean_distance, ranking_lengths, J, theta_max=None):
+    lengths = tuple(int(r) for r in ranking_lengths)
+    if not lengths:
+        return None, "undefined"
+    if mean_distance < 0:
+        raise ValueError("mean distance must be non-negative")
+    if theta_max is None:
+        theta_max = default_theta_max(J)
+    w, k, sum_r = _level_weights(lengths, J)
+    total = mean_distance * len(lengths)
+
+    def slope(theta):
+        return total - reference_expected_distance_total(theta, w, k, sum_r)
+
+    if slope(THETA_FLOOR) >= 0:
+        return THETA_FLOOR, "floor"
+    if slope(theta_max) <= 0:
+        return theta_max, "cap"
+    lo, hi = THETA_FLOOR, theta_max
+    theta = 0.5 * (lo + hi)
+    for _ in range(200):
+        h = slope(theta)
+        if h > 0:
+            hi = theta
+        elif h < 0:
+            lo = theta
+        else:
+            break
+        curv = reference_distance_variance_total(theta, w, k, sum_r)
+        step = h / curv if curv > 0 else 0.0
+        nxt = theta - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - theta) < 1e-12 or hi - lo < 1e-12:
+            theta = nxt
+            break
+        theta = nxt
+    return float(theta), "interior"

@@ -259,6 +259,12 @@ def test_bias_demo_rejects_ranking_length_outside_1_to_J(capsys):
         assert "R <= J" in capsys.readouterr().err
 
 
+def test_bias_demo_rejects_non_positive_theta_max(capsys):
+    for value in ("0", "-1"):
+        assert main(["bias-demo", "--theta-max", value]) == EXIT_INPUT
+        assert "--theta-max must be positive" in capsys.readouterr().err
+
+
 def test_bias_demo_deterministic(tmp_path, capsys):
     assert main(["bias-demo"]) == EXIT_OK
     first = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, xlog1py, xlogy
 
-from conftest import random_dataset, structural_oracle, sweep_fit_p
+from conftest import (
+    random_dataset,
+    reference_distance_variance_total,
+    reference_expected_distance_total,
+    reference_fit_theta,
+    structural_oracle,
+    sweep_fit_p,
+)
 from mallows_binomial import (
     Dataset,
     Parameters,
@@ -20,7 +28,7 @@ from mallows_binomial import (
     moments,
     objective,
 )
-from mallows_binomial.fitting import THETA_FLOOR, mean_kendall_distance
+from mallows_binomial.fitting import THETA_FLOOR, _level_weights, mean_kendall_distance
 
 
 def make_score_stats(mean, count, J=None):
@@ -74,6 +82,37 @@ def test_fit_theta_first_order_condition():
             continue
         expected_total = sum(moments(theta, R, J)[0] for R in lengths)
         assert abs(D * len(lengths) - expected_total) <= 1e-6
+
+
+def test_fit_theta_matches_reference_solver_bitwise():
+    # Top-R and full rankings with J <= 24, distances from 0 to above the
+    # uniform-limit mean; theta_max = 800 overflows expm1 at the cap.
+    rng = np.random.default_rng(4)
+    flags = Counter()
+    for case in range(2400):
+        J = int(rng.integers(2, 25))
+        n = int(rng.integers(1, 9))
+        lengths = [J if rng.random() < 0.5 else int(rng.integers(1, J + 1)) for _ in range(n)]
+        w, k, sum_r = _level_weights(tuple(lengths), J)
+        uniform_mean = reference_expected_distance_total(THETA_FLOOR, w, k, sum_r) / n
+        D = 0.0 if case % 7 == 0 else float(rng.uniform(0.0, 1.2)) * uniform_mean
+        if case % 3 == 0:
+            D = round(D * n) / n  # the lattice an observed panel lands on
+        theta_max = (None, 0.5, 60.0, 800.0)[case % 4]
+        got = fit_theta(D, lengths, J, theta_max)
+        assert got == reference_fit_theta(D, lengths, J, theta_max), (D, lengths, J, theta_max)
+        flags[got[1]] += 1
+    assert min(flags[f] for f in ("floor", "cap", "interior")) >= 100, flags
+
+
+def test_moments_match_reference_pair_bitwise():
+    for J in range(1, 25):
+        for R in range(1, J + 1):
+            w, k, sum_r = _level_weights((R,), J)
+            for theta in (THETA_FLOOR, 0.1, 1.0, 5.0, 60.0, 800.0):
+                expected = (reference_expected_distance_total(theta, w, k, sum_r),
+                            reference_distance_variance_total(theta, w, k, sum_r))
+                assert moments(theta, R, J) == expected, (theta, R, J)
 
 
 # ---------------------------------------------------------------------------

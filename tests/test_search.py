@@ -17,6 +17,7 @@ from mallows_binomial import (
     greedy_local,
     objective,
 )
+from mallows_binomial import search
 from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
 
 
@@ -130,6 +131,52 @@ def test_child_bounds_never_decrease():
                 fixed_c, free_min_c = ctx.child_costs(prefix, fixed, free_min, child, free)
                 stack.append((prefix + (child,), fixed_c, free_min_c,
                               bound if prefix else -np.inf))
+
+
+class _NeverStores(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_theta_memo_cannot_change_a_search(monkeypatch):
+    rng = np.random.default_rng(41)
+    panels = []
+    for _ in range(6):
+        ds = random_dataset(rng, J=int(rng.integers(4, 9)), missing_scores=0.1, missing_rankings=0.2)
+        panels.append((compute_stats(ds), ds.M))
+    solves = []
+    theta_cost = search._theta_cost
+
+    def counted(*args):
+        solves.append(args)
+        return theta_cost(*args)
+
+    monkeypatch.setattr(search, "_theta_cost", counted)
+
+    def run(heuristic):
+        runs = []
+        for stats, M in panels:
+            trace = []
+            result = astar(stats, M, heuristic=heuristic, trace=trace)
+            runs.append((trace, result.nodes_expanded, result.candidate_evaluations))
+        return runs
+
+    init = _SearchContext.__init__
+
+    def init_without_memo(self, *args):
+        init(self, *args)
+        self._theta_cache = _NeverStores()
+
+    for heuristic in ("crude", "lp"):
+        solves.clear()
+        memoized = run(heuristic)
+        memo_solves = len(solves)
+        with monkeypatch.context() as patch:
+            patch.setattr(_SearchContext, "__init__", init_without_memo)
+            solves.clear()
+            plain = run(heuristic)
+        assert memoized == plain
+        assert memo_solves < len(solves)  # the memo was hit
 
 
 def test_brute_force_cap():

@@ -2,7 +2,13 @@
 would break it without any other test noticing."""
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from conftest import random_dataset
+from mallows_binomial import astar, compute_stats, fitting
 
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
 
@@ -15,3 +21,18 @@ def test_traced_names_resolve():
     for mod, attr in [*trace.SPANS, *trace.COUNTS]:
         module = importlib.import_module(f"mallows_binomial.{mod}")
         assert callable(getattr(module, attr, None)), f"{mod}.{attr}"
+
+
+def test_traced_theta_layer_is_reached(monkeypatch):
+    # Patched on the module the way the tracer patches it: a search that
+    # stopped resolving these names there would leave the traced layer at 0.
+    calls = Counter()
+    for attr in ("fit_theta", "_expected_distance_total"):
+        def counted(*args, _attr=attr, _original=getattr(fitting, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(fitting, attr, counted)
+    ds = random_dataset(np.random.default_rng(8), J=5, I=8)
+    astar(compute_stats(ds), ds.M)
+    # one solve is the final conditional fit, the others are search bounds
+    assert calls["fit_theta"] > 1 and calls["_expected_distance_total"] > 0, calls
