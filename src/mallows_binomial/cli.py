@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import inference, search
-from .kemeny_lp import SimplexError
 from .model import Dataset, Parameters, order_of, sample
 from .search import BruteForceCapExceeded, FitResult
 
@@ -91,8 +90,8 @@ class RunConfig:
             raise IngestError("--B must be at least 1")
         if not 0 < self.level < 1:
             raise IngestError("--level must lie strictly between 0 and 1")
-        if self.theta_max is not None and self.theta_max <= 0:
-            raise IngestError("--theta-max must be positive")
+        if self.theta_max is not None and not 0 < self.theta_max < np.inf:
+            raise IngestError("--theta-max must be positive and finite")
         if self.node_budget < 1 or self.candidate_cap < 1:
             raise IngestError("--node-budget and --candidate-cap must be positive")
         if self.seed < 0:
@@ -260,6 +259,8 @@ def _scale_from_args(args) -> ScoreScale:
 
 
 def _config_from_args(args) -> RunConfig:
+    if getattr(args, "jobs", 1) < 1:
+        raise IngestError("--jobs must be at least 1")
     return RunConfig(
         method=getattr(args, "method", "exact-crude"),
         B=getattr(args, "B", 200),
@@ -588,9 +589,6 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except SimplexError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
     except Exception:  # noqa: BLE001 - surfaced as the internal-failure exit code
         traceback.print_exc()
         return EXIT_SOLVER

@@ -172,11 +172,12 @@ def _pava(values: list[float], weights: list[float]) -> list[float]:
     return out
 
 
-def _score_weights(mean_score, count, M) -> tuple[np.ndarray, np.ndarray]:
+def _score_weights(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray]:
     """Binomial weights a = count * mean and b = count * (M - mean), zero for
     objects with no observed score."""
+    count, mean_score = stats.score_count, stats.mean_score
     a = count * np.where(count > 0, mean_score, 0.0)
-    b = count * np.where(count > 0, M - mean_score, 0.0)
+    b = count * np.where(count > 0, stats.M - mean_score, 0.0)
     return a, b
 
 
@@ -186,7 +187,7 @@ def _binomial_cost(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(-np.sum(xlogy(a, p) + xlog1py(b, -p)))
 
 
-def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint, M: int) -> np.ndarray:
+def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint) -> np.ndarray:
     """Exact order-constrained Binomial MLE of the quality vector.
 
     Minimizes sum_j count_j * [mean_j log(1/p_j) + (M - mean_j) log(1/(1-p_j))]
@@ -202,10 +203,11 @@ def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint, M: i
     """
     if constraint.J != stats.J:
         raise ValueError("constraint dimension does not match stats")
-    return _fit_p_core(stats.mean_score, stats.score_count, M, constraint.prefix, constraint.free)
+    return _fit_p_core(stats, constraint.prefix, constraint.free)
 
 
-def _fit_p_core(mean_score, count, M, prefix, free) -> np.ndarray:
+def _fit_p_core(stats: SufficientStats, prefix, free) -> np.ndarray:
+    mean_score, count, M = stats.mean_score, stats.score_count, stats.M
     with np.errstate(invalid="ignore"):
         q = np.where(count > 0, mean_score / M, 0.0)
     weight = count * M
@@ -245,15 +247,12 @@ def mean_kendall_distance(stats: SufficientStats, order: Sequence[int]) -> float
 
 def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None = None) -> float:
     """Negative joint loglikelihood less the binomial-coefficient constants,
-    generalized to per-judge ranking lengths and missing score cells."""
-    if isinstance(data, Dataset):
-        stats = compute_stats(data)
-        M = data.M if M is None else M
-    else:
-        stats = data
-        if M is None:
-            raise ValueError("M is required when passing sufficient statistics")
-    total = _binomial_cost(params.p, *_score_weights(stats.mean_score, stats.score_count, M))
+    generalized to per-judge ranking lengths and missing score cells. The
+    score scale is read from data; M, when given, must equal it."""
+    stats = compute_stats(data) if isinstance(data, Dataset) else data
+    if M is not None and M != stats.M:
+        raise ValueError(f"M={M} disagrees with the data's score scale M={stats.M}")
+    total = _binomial_cost(params.p, *_score_weights(stats))
     if stats.n_rankers:
         if params.theta is None:
             raise ValueError("rankings present but parameters carry no theta")
@@ -272,7 +271,7 @@ class ConditionalFit(NamedTuple):
 def fit_given_order(
     stats: SufficientStats,
     order: Sequence[int],
-    M: int,
+    *,
     theta_max: float | None = None,
 ) -> ConditionalFit:
     """Exact conditional optimum of (p, theta) for a fixed consensus order."""
@@ -280,11 +279,11 @@ def fit_given_order(
     if sorted(order) != list(range(stats.J)):
         raise ValueError("order is not a permutation of the objects")
     constraint = PrefixConstraint(J=stats.J, prefix=order)
-    p = fit_p_constrained(stats, constraint, M)
+    p = fit_p_constrained(stats, constraint)
     if stats.n_rankers:
         d_mean = mean_kendall_distance(stats, order)
         theta, flag = fit_theta(d_mean, stats.ranking_lengths, stats.J, theta_max)
     else:
         theta, flag = None, "undefined"
     params = Parameters(p=p, theta=theta, consensus_order=order, theta_at_cap=flag == "cap")
-    return ConditionalFit(params, objective(stats, params, M), flag)
+    return ConditionalFit(params, objective(stats, params), flag)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kendall, search
 from .fitting import fit_given_order
-from .model import Dataset, Parameters, _check_partial_shape, compute_stats, log_density, order_of, sample
+from .model import Dataset, Parameters, _check_partial_shape, _check_scale, compute_stats, log_density, order_of, sample
 from .search import FitResult, astar, brute_force, fv, greedy, greedy_local
 
 CORE_METHODS = ("exact-crude", "exact-lp", "fv", "greedy", "greedy-local", "brute")
@@ -37,19 +37,18 @@ def fit_method(
     if method in COMPARISON_MODELS:
         return comparison_fit(dataset, method, theta_max=theta_max, rng=rng, node_budget=node_budget)
     stats = compute_stats(dataset)
-    M = dataset.M
     if method == "exact-crude":
-        return astar(stats, M, theta_max, heuristic="crude", node_budget=node_budget)
+        return astar(stats, theta_max=theta_max, heuristic="crude", node_budget=node_budget)
     if method == "exact-lp":
-        return astar(stats, M, theta_max, heuristic="lp", node_budget=node_budget)
+        return astar(stats, theta_max=theta_max, heuristic="lp", node_budget=node_budget)
     if method == "fv":
-        return fv(stats, dataset, M, theta_max, candidate_cap=candidate_cap)
+        return fv(stats, dataset, theta_max=theta_max, candidate_cap=candidate_cap)
     if method == "greedy":
-        return greedy(stats, M, theta_max)
+        return greedy(stats, theta_max=theta_max)
     if method == "greedy-local":
-        return greedy_local(stats, M, theta_max)
+        return greedy_local(stats, theta_max=theta_max)
     if method == "brute":
-        return brute_force(stats, M, theta_max)
+        return brute_force(stats, theta_max=theta_max)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -96,7 +95,7 @@ def _independent_binomial_fit(score_table: np.ndarray, J: int, M: int, algorithm
     stats = compute_stats(dataset)
     keys = np.where(stats.score_count > 0, stats.mean_score, np.inf)
     order = tuple(int(j) for j in np.argsort(keys, kind="stable"))
-    return FitResult.from_fit(stats, fit_given_order(stats, order, M), algorithm, t0, 0, 1)
+    return FitResult.from_fit(stats, fit_given_order(stats, order), algorithm, t0, 0, 1)
 
 
 def comparison_fit(
@@ -322,6 +321,7 @@ def bias_enumeration(
     if p0.size != J:
         raise ValueError("p0 length must equal J")
     _check_partial_shape(R, J)
+    _check_scale(M)
     n_rankings = 1
     for j in range(J, J - R, -1):
         n_rankings *= j
@@ -337,7 +337,7 @@ def bias_enumeration(
         for ranking in permutations(range(J), R):
             prob = float(np.exp(log_density(row, ranking, truth, M)))
             ds = Dataset(J=J, M=M, scores=row.reshape(1, -1), rankings=(ranking,))
-            result = brute_force(compute_stats(ds), M, theta_max=theta_max, cap=J)
+            result = brute_force(compute_stats(ds), theta_max=theta_max, cap=J)
             expected_p += prob * result.params.p
             if result.theta_flag == "cap":
                 cap_mass += prob

@@ -46,6 +46,7 @@ class Dataset:
     rankings: tuple[Ranking | None, ...]
 
     def __post_init__(self):
+        _check_scale(self.M)
         scores = np.atleast_2d(np.asarray(self.scores, dtype=float))
         if scores.shape[1] != self.J:
             raise ValueError(f"scores have {scores.shape[1]} columns, expected J={self.J}")
@@ -121,11 +122,14 @@ class Parameters:
 class SufficientStats:
     """Aggregates that determine the joint likelihood.
 
-    mean_score and score_count summarize observed cells per object; Q[u, v] is
-    the fraction of ranking-providing judges placing u strictly above v.
+    M is the panel's score scale: scores are Binomial(M, p_j), and every fit
+    reads M from here. mean_score and score_count summarize observed cells
+    per object; Q[u, v] is the fraction of ranking-providing judges placing u
+    strictly above v.
     """
 
     J: int
+    M: int
     mean_score: np.ndarray
     score_count: np.ndarray
     Q: np.ndarray
@@ -143,6 +147,13 @@ def _check_partial_shape(R: int, J: int):
         raise TypeError("R and J must be integers")
     if not 1 <= R <= J:
         raise ValueError(f"need 1 <= R <= J, got R={R}, J={J}")
+
+
+def _check_scale(M: int):
+    if not isinstance(M, (int, np.integer)):
+        raise TypeError("M must be an integer")
+    if M < 1:
+        raise ValueError(f"the score scale M must be at least 1, got M={M}")
 
 
 def log_psi(theta: float, R: int, J: int) -> float:
@@ -251,6 +262,7 @@ def compute_stats(dataset: Dataset) -> SufficientStats:
     Q = wins / n_rankers if n_rankers else wins
     return SufficientStats(
         J=J,
+        M=dataset.M,
         mean_score=mean,
         score_count=count,
         Q=Q,

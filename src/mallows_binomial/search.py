@@ -78,18 +78,15 @@ class FitResult:
 class _SearchContext:
     """Precomputed arrays shared by every bound evaluation of one search."""
 
-    def __init__(self, stats: SufficientStats, M: int, theta_max: float | None):
+    def __init__(self, stats: SufficientStats, *, theta_max: float | None):
         self.stats = stats
         self.J = stats.J
-        self.M = M
         self.theta_max = default_theta_max(stats.J) if theta_max is None else float(theta_max)
         self.Q = stats.Q
         self.col_total = stats.Q.sum(axis=0)
         self.mmin = np.minimum(stats.Q, stats.Q.T)
         self.root_free_min = float(self.mmin[np.triu_indices(self.J, k=1)].sum())
-        self.count = stats.score_count
-        self.mean = stats.mean_score
-        self.a, self.b = _score_weights(self.mean, self.count, M)
+        self.a, self.b = _score_weights(stats)
         self._lp_cache: dict[tuple[int, ...], float] = {}
         self._theta_cache: dict[float, float] = {}
 
@@ -110,7 +107,7 @@ class _SearchContext:
         value = self._theta_cache.get(L)
         if value is None:
             value = self._theta_cache[L] = _theta_cost(L, self.stats.ranking_lengths, self.J, self.theta_max)
-        p = _fit_p_core(self.mean, self.count, self.M, prefix, free)
+        p = _fit_p_core(self.stats, prefix, free)
         return value + _binomial_cost(p, self.a, self.b)
 
     def children(self, prefix: Ranking, fixed: float, free_min: float, heuristic: str):
@@ -129,11 +126,11 @@ def _non_identified(stats: SufficientStats) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(stats.score_count == 0))
 
 
-def _best_fit(stats, orders, M, theta_max, best: ConditionalFit | None = None) -> ConditionalFit | None:
+def _best_fit(stats, orders, *, theta_max, best: ConditionalFit | None = None) -> ConditionalFit | None:
     """Conditional fit of each order in turn; the first one with a strictly
     smaller f than the best so far (starting from best) wins."""
     for order in orders:
-        cond = fit_given_order(stats, order, M, theta_max)
+        cond = fit_given_order(stats, order, theta_max=theta_max)
         if best is None or cond.f_value < best.f_value:
             best = cond
     return best
@@ -141,7 +138,7 @@ def _best_fit(stats, orders, M, theta_max, best: ConditionalFit | None = None) -
 
 def astar(
     stats: SufficientStats,
-    M: int,
+    *,
     theta_max: float | None = None,
     heuristic: str = "crude",
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -160,11 +157,11 @@ def astar(
     if heuristic not in ("crude", "lp"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
     t0 = time.perf_counter()
-    ctx = _SearchContext(stats, M, theta_max)
+    ctx = _SearchContext(stats, theta_max=theta_max)
     J = stats.J
     algorithm = f"exact-{heuristic}"
     if J == 1:
-        return FitResult.from_fit(stats, fit_given_order(stats, (0,), M, theta_max), algorithm, t0, 0, 1)
+        return FitResult.from_fit(stats, fit_given_order(stats, (0,), theta_max=theta_max), algorithm, t0, 0, 1)
 
     heap: list[tuple[float, int, Ranking, float, float]] = []
     counter = itertools.count()
@@ -189,7 +186,7 @@ def astar(
         _, _, prefix, fixed, free_min = heapq.heappop(heap)
         if len(prefix) == J - 1:
             order = prefix + tuple(o for o in range(J) if o not in prefix)
-            return FitResult.from_fit(stats, fit_given_order(stats, order, M, theta_max), algorithm, t0,
+            return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), algorithm, t0,
                                       nodes_expanded, candidate_evals)
         if nodes_expanded >= node_budget:
             break
@@ -201,11 +198,11 @@ def astar(
         order = _greedy_order(ctx)[0]
     else:
         order = best_terminal[1]
-    return FitResult.from_fit(stats, fit_given_order(stats, order, M, theta_max), algorithm, t0,
+    return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), algorithm, t0,
                               nodes_expanded, candidate_evals, optimal=False, budget_exhausted=True)
 
 
-def brute_force(stats: SufficientStats, M: int, theta_max: float | None = None, cap: int = BRUTE_CAP) -> FitResult:
+def brute_force(stats: SufficientStats, *, theta_max: float | None = None, cap: int = BRUTE_CAP) -> FitResult:
     """Global MLE by evaluating the conditional fit of every order.
 
     Ties in f break toward the lexicographically smallest order.
@@ -213,7 +210,7 @@ def brute_force(stats: SufficientStats, M: int, theta_max: float | None = None, 
     if stats.J > cap:
         raise BruteForceCapExceeded(f"J={stats.J} exceeds the brute-force cap {cap}")
     t0 = time.perf_counter()
-    best = _best_fit(stats, itertools.permutations(range(stats.J)), M, theta_max)
+    best = _best_fit(stats, itertools.permutations(range(stats.J)), theta_max=theta_max)
     return FitResult.from_fit(stats, best, "brute", t0, 0, math.factorial(stats.J))
 
 
@@ -229,21 +226,21 @@ def _greedy_order(ctx: _SearchContext) -> tuple[Ranking, int]:
     return prefix + free, evals
 
 
-def greedy(stats: SufficientStats, M: int, theta_max: float | None = None) -> FitResult:
+def greedy(stats: SufficientStats, *, theta_max: float | None = None) -> FitResult:
     """One-pass descent of the prefix tree, never backtracking.
 
     At each level the child with the smallest crude total-cost bound is kept
     (ties: lexicographic); the final order gets the exact conditional fit.
     """
     t0 = time.perf_counter()
-    order, evals = _greedy_order(_SearchContext(stats, M, theta_max))
-    return FitResult.from_fit(stats, fit_given_order(stats, order, M, theta_max), "greedy", t0,
+    order, evals = _greedy_order(_SearchContext(stats, theta_max=theta_max))
+    return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), "greedy", t0,
                               max(stats.J - 1, 0), evals)
 
 
 def greedy_local(
     stats: SufficientStats,
-    M: int,
+    *,
     theta_max: float | None = None,
     max_rounds: int = 100,
 ) -> FitResult:
@@ -254,14 +251,14 @@ def greedy_local(
     neighbor improves (that final sweep counts as a round) or at max_rounds.
     """
     t0 = time.perf_counter()
-    order, evals = _greedy_order(_SearchContext(stats, M, theta_max))
-    incumbent = fit_given_order(stats, order, M, theta_max)
+    order, evals = _greedy_order(_SearchContext(stats, theta_max=theta_max))
+    incumbent = fit_given_order(stats, order, theta_max=theta_max)
     rounds, capped = 0, True
     while rounds < max_rounds:
         rounds += 1
         neighbors = kendall.adjacent_neighbors(incumbent.params.consensus_order)
         evals += len(neighbors)
-        best = _best_fit(stats, neighbors, M, theta_max, incumbent)
+        best = _best_fit(stats, neighbors, theta_max=theta_max, best=incumbent)
         if best is incumbent:
             capped = False
             break
@@ -299,7 +296,7 @@ def _tie_break_orders(averages: np.ndarray, cap: int):
 def fv(
     stats: SufficientStats,
     dataset: Dataset,
-    M: int,
+    *,
     theta_max: float | None = None,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> FitResult:
@@ -325,5 +322,5 @@ def fv(
     candidates = set(bases)
     for base in bases:
         candidates.update(kendall.adjacent_neighbors(base))
-    best = _best_fit(stats, sorted(candidates), M, theta_max)
+    best = _best_fit(stats, sorted(candidates), theta_max=theta_max)
     return FitResult.from_fit(stats, best, "fv", t0, 0, len(candidates), candidate_cap_hit=cap_hit)

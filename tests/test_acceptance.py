@@ -90,11 +90,11 @@ def test_criterion_2_oracle_equivalence():
         theta = float(rng.uniform(0.3, 4.0))
         _, data = simulate_cell(I, M, J, R, theta, rng)
         stats = compute_stats(data)
-        all_f = sorted(fit_given_order(stats, order, M).f_value
+        all_f = sorted(fit_given_order(stats, order).f_value
                        for order in itertools.permutations(range(J)))
-        ref = brute_force(stats, M)
-        crude = astar(stats, M, heuristic="crude")
-        lp = astar(stats, M, heuristic="lp")
+        ref = brute_force(stats)
+        crude = astar(stats, heuristic="crude")
+        lp = astar(stats, heuristic="lp")
         if abs(crude.f_value - ref.f_value) > 1e-8 or abs(lp.f_value - ref.f_value) > 1e-8:
             f_fail += 1
         if all_f[1] - all_f[0] > 1e-7:
@@ -126,10 +126,10 @@ def test_criterion_3_admissibility_chain():
         theta = float(rng.uniform(0.3, 3.0))
         _, data = simulate_cell(I, M, J, R, theta, rng)
         stats = compute_stats(data)
-        ctx = _SearchContext(stats, M, None)
+        ctx = _SearchContext(stats, theta_max=None)
         tail_cost = {}
         for order in itertools.permutations(range(J)):
-            f = fit_given_order(stats, order, M).f_value
+            f = fit_given_order(stats, order).f_value
             for k in range(0, J):
                 key = order[:k]
                 tail_cost[key] = min(tail_cost.get(key, np.inf), f)
@@ -210,9 +210,9 @@ def test_criterion_5_isotonic_exactness():
         pool = [0.0, float(M), float(M // 2)] + [float(rng.integers(0, M + 1)) for _ in range(3)]
         mean = np.array([pool[rng.integers(0, len(pool))] for _ in range(J)])
         count = rng.integers(1, 6, size=J).astype(float)
-        stats = SufficientStats(J=J, mean_score=mean, score_count=count,
+        stats = SufficientStats(J=J, M=M, mean_score=mean, score_count=count,
                                 Q=np.zeros((J, J)), n_rankers=0, ranking_lengths=())
-        p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix), M)
+        p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix))
         cost = binomial_cost(p, mean, count, M)
         oracle_cost, _ = structural_oracle(mean, count, M, prefix, free)
         if abs(cost - oracle_cost) > 1e-6:
@@ -237,10 +237,10 @@ def grid_results():
                 rng = np.random.default_rng([GRID_SEED, cell_idx, i_idx, trial])
                 truth, data = simulate_cell(I, M, GRID_J, R, th, rng)
                 stats = compute_stats(data)
-                exact = astar(stats, M)
-                a_fv = fv(stats, data, M)
-                a_g = greedy(stats, M)
-                a_gl = greedy_local(stats, M)
+                exact = astar(stats)
+                a_fv = fv(stats, data)
+                a_g = greedy(stats)
+                a_gl = greedy_local(stats)
                 rows.append({
                     "p_err": float(np.mean(np.abs(exact.params.p - truth.p))),
                     "theta_err": (None if exact.theta_flag == "cap"
@@ -372,8 +372,8 @@ def test_criterion_9_node_instrumentation():
         _, data = simulate_cell(I, 10, J, R, theta, rng)
         stats = compute_stats(data)
         trace_c, trace_l = [], []
-        res_c = astar(stats, 10, heuristic="crude", trace=trace_c)
-        res_l = astar(stats, 10, heuristic="lp", trace=trace_l)
+        res_c = astar(stats, heuristic="crude", trace=trace_c)
+        res_l = astar(stats, heuristic="lp", trace=trace_l)
         if (len(set(trace_c)) == len(trace_c)) and (len(set(trace_l)) == len(trace_l)):
             distinct_cases += 1
             if res_l.nodes_expanded > res_c.nodes_expanded:

@@ -13,6 +13,7 @@ from mallows_binomial.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_SOLVER,
     IngestError,
     ScoreScale,
     ingest,
@@ -167,6 +168,35 @@ def test_fit_requires_scale_max(tmp_path):
         main(["fit", "--scores", "x.csv"])
 
 
+def test_fit_rejects_nan_and_inf_theta_max(tmp_path, capsys):
+    out = simulate_files(tmp_path, seed=1, I=6, J=4, R=4, M=5, theta=1.0)
+    for value in ("nan", "inf"):
+        assert main(["fit", *data_flags(out, 5), "--theta-max", value]) == EXIT_INPUT
+        assert "--theta-max must be positive" in capsys.readouterr().err
+
+
+def test_run_commands_reject_jobs_below_one(tmp_path, capsys):
+    # rejected before any data is read, so no worker process starts
+    out = simulate_files(tmp_path, seed=3, I=6, J=4, R=3, M=8, theta=2.0)
+    for command in ("bootstrap", "compare"):
+        for jobs in ("0", "-3"):
+            code = main([command, *data_flags(out, 8), "--jobs", jobs, "--out", str(tmp_path / "x.json")])
+            assert code == EXIT_INPUT
+            assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_solver_failure_exits_4(tmp_path, monkeypatch):
+    from mallows_binomial import SimplexError, inference
+
+    def fail(*args, **kwargs):
+        raise SimplexError("pivot budget exceeded")
+
+    out = simulate_files(tmp_path, seed=3, I=6, J=4, R=3, M=8, theta=2.0)
+    monkeypatch.setattr(inference, "fit_method", fail)
+    assert main(["fit", *data_flags(out, 8)]) == EXIT_SOLVER
+
+
 def test_bootstrap_reproducible_bytes(tmp_path):
     out = simulate_files(tmp_path, seed=3, I=6, J=4, R=3, M=8, theta=2.0)
     blobs = []
@@ -260,9 +290,21 @@ def test_bias_demo_rejects_ranking_length_outside_1_to_J(capsys):
 
 
 def test_bias_demo_rejects_non_positive_theta_max(capsys):
-    for value in ("0", "-1"):
+    for value in ("0", "-1", "nan", "inf"):
         assert main(["bias-demo", "--theta-max", value]) == EXIT_INPUT
         assert "--theta-max must be positive" in capsys.readouterr().err
+
+
+def test_bad_score_scale_exits_2(tmp_path, capsys):
+    for M in ("0", "-1"):
+        assert main(["bias-demo", "--M", M]) == EXIT_INPUT
+        assert "score scale" in capsys.readouterr().err
+    out = tmp_path / "sim"
+    code = main(["simulate", "--I", "4", "--J", "3", "--R", "3", "--M", "0", "--theta", "1",
+                 "--out-dir", str(out)])
+    assert code == EXIT_INPUT
+    assert "score scale" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bias_demo_deterministic(tmp_path, capsys):

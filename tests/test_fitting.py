@@ -31,11 +31,11 @@ from mallows_binomial import (
 from mallows_binomial.fitting import THETA_FLOOR, _level_weights, mean_kendall_distance
 
 
-def make_score_stats(mean, count, J=None):
+def make_score_stats(mean, count, M):
     mean = np.asarray(mean, dtype=float)
     count = np.asarray(count, dtype=float)
-    J = mean.size if J is None else J
-    return SufficientStats(J=J, mean_score=mean, score_count=count,
+    J = mean.size
+    return SufficientStats(J=J, M=M, mean_score=mean, score_count=count,
                            Q=np.zeros((J, J)), n_rankers=0, ranking_lengths=())
 
 
@@ -120,40 +120,40 @@ def test_moments_match_reference_pair_bitwise():
 # ---------------------------------------------------------------------------
 
 def test_fit_p_unconstrained_optimum_feasible():
-    stats = make_score_stats([1.0, 2.0, 4.0], [3, 3, 3])
+    stats = make_score_stats([1.0, 2.0, 4.0], [3, 3, 3], M=10)
     constraint = PrefixConstraint(J=3, prefix=(0, 1, 2))
-    assert fit_p_constrained(stats, constraint, M=10).tolist() == [0.1, 0.2, 0.4]
+    assert fit_p_constrained(stats, constraint).tolist() == [0.1, 0.2, 0.4]
 
 
 def test_fit_p_chain_pooling():
-    stats = make_score_stats([3.0, 1.0], [2, 2])
-    p = fit_p_constrained(stats, PrefixConstraint(J=2, prefix=(0, 1)), M=10)
+    stats = make_score_stats([3.0, 1.0], [2, 2], M=10)
+    p = fit_p_constrained(stats, PrefixConstraint(J=2, prefix=(0, 1)))
     assert p.tolist() == [0.2, 0.2]
 
 
 def test_fit_p_prefix_star():
-    stats = make_score_stats([5.0, 2.0, 9.0], [1, 1, 1])
-    p = fit_p_constrained(stats, PrefixConstraint(J=3, prefix=(0,)), M=10)
+    stats = make_score_stats([5.0, 2.0, 9.0], [1, 1, 1], M=10)
+    p = fit_p_constrained(stats, PrefixConstraint(J=3, prefix=(0,)))
     assert np.allclose(p, [0.35, 0.35, 0.9], atol=1e-12)
 
 
 def test_fit_p_weighted_pooling():
     # unequal counts: pooled value is (sum count*mean) / (sum count*M)
-    stats = make_score_stats([4.0, 1.0], [1, 3])
-    p = fit_p_constrained(stats, PrefixConstraint(J=2, prefix=(0, 1)), M=4)
+    stats = make_score_stats([4.0, 1.0], [1, 3], M=4)
+    p = fit_p_constrained(stats, PrefixConstraint(J=2, prefix=(0, 1)))
     pooled = (1 * 4.0 + 3 * 1.0) / ((1 + 3) * 4)
     assert np.allclose(p, [pooled, pooled], atol=1e-12)
 
 
 def test_fit_p_zero_count_conventions():
     mean = np.array([2.0, np.nan, 6.0, np.nan])
-    stats = make_score_stats(mean, [2, 0, 2, 0])
-    p = fit_p_constrained(stats, PrefixConstraint(J=4, prefix=(0, 1, 2)), M=10)
+    stats = make_score_stats(mean, [2, 0, 2, 0], M=10)
+    p = fit_p_constrained(stats, PrefixConstraint(J=4, prefix=(0, 1, 2)))
     assert p[0] == 0.2 and p[2] == 0.6
     assert p[1] == p[0]         # chain gap takes the preceding value
     assert p[3] == p[2]         # free zero-count leaf takes the top chain value
-    all_zero = make_score_stats(np.full(2, np.nan), [0, 0])
-    assert fit_p_constrained(all_zero, PrefixConstraint(J=2, prefix=(1,)), M=3).tolist() == [0.5, 0.5]
+    all_zero = make_score_stats(np.full(2, np.nan), [0, 0], M=3)
+    assert fit_p_constrained(all_zero, PrefixConstraint(J=2, prefix=(1,))).tolist() == [0.5, 0.5]
 
 
 @given(st.data())
@@ -169,8 +169,8 @@ def test_fit_p_matches_structural_oracle(data):
     mean = np.array([data.draw(st.sampled_from([0, M // 2, M, data.draw(st.integers(0, M))]))
                      for _ in range(J)], dtype=float)
     count = np.array([data.draw(st.integers(1, 5)) for _ in range(J)], dtype=float)
-    stats = make_score_stats(mean, count)
-    p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix), M)
+    stats = make_score_stats(mean, count, M)
+    p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix))
     cost = binomial_cost(p, mean, count, M)
     oracle_cost, _ = structural_oracle(mean, count, M, prefix, free)
     assert cost <= oracle_cost + 1e-6
@@ -194,10 +194,10 @@ def test_fit_p_matches_sweep_oracle():
         count = rng.integers(1, 4, size=J).astype(float)
         count[rng.random(J) < 0.3] = 0
         mean = np.where(count > 0, rng.integers(0, 2 * M + 1, size=J) / 2, np.nan)
-        stats = make_score_stats(mean, count)
+        stats = make_score_stats(mean, count, M)
         for k in {0, int(rng.integers(0, J + 1)), J}:
             prefix, free = tuple(perm[:k]), tuple(sorted(perm[k:]))
-            p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix), M)
+            p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix))
             oracle = sweep_fit_p(mean, count, M, prefix, free)
             if free:
                 assert np.max(np.abs(p - oracle)) <= 1e-12
@@ -216,8 +216,8 @@ def test_fit_p_beats_random_feasible_points():
         free = [int(v) for v in perm[k:]]
         mean = rng.integers(0, M + 1, size=J).astype(float)
         count = rng.integers(1, 6, size=J).astype(float)
-        stats = make_score_stats(mean, count)
-        p_hat = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix), M)
+        stats = make_score_stats(mean, count, M)
+        p_hat = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix))
         best = binomial_cost(p_hat, mean, count, M)
         for _ in range(2000):
             cand = np.empty(J)
@@ -237,11 +237,11 @@ def test_fit_p_constraint_monotonicity():
         M = 6
         mean = rng.integers(0, M + 1, size=J).astype(float)
         count = rng.integers(1, 4, size=J).astype(float)
-        stats = make_score_stats(mean, count)
+        stats = make_score_stats(mean, count, M)
         perm = [int(v) for v in rng.permutation(J)]
         prev_cost = -np.inf
         for k in range(J + 1):
-            p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=tuple(perm[:k])), M)
+            p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=tuple(perm[:k])))
             cost = binomial_cost(p, mean, count, M)
             assert cost >= prev_cost - 1e-9
             prev_cost = cost
@@ -281,14 +281,26 @@ def test_objective_kendall_term_zero_when_unanimous():
     assert mean_kendall_distance(stats, order) == 0.0
     p = np.array([0.5, 0.75, 0.25])
     params = Parameters(p=p, theta=2.0, consensus_order=order)
-    with_rank = objective(stats, params, M=4)
+    with_rank = objective(stats, params)
     score_only = objective(
-        SufficientStats(J=3, mean_score=stats.mean_score, score_count=stats.score_count,
+        SufficientStats(J=3, M=4, mean_score=stats.mean_score, score_count=stats.score_count,
                         Q=np.zeros((3, 3)), n_rankers=0, ranking_lengths=()),
-        params, M=4)
+        params)
     from mallows_binomial.fitting import log_psi_total
 
     assert with_rank - score_only == pytest.approx(log_psi_total(2.0, (3, 3, 3), 3), abs=1e-12)
+
+
+def test_objective_checks_a_given_M():
+    rng = np.random.default_rng(15)
+    ds = random_dataset(rng, missing_scores=0.2, missing_rankings=0.3)
+    stats = compute_stats(ds)
+    params = fit_given_order(stats, tuple(range(ds.J))).params
+    assert objective(stats, params, stats.M) == objective(stats, params)
+    assert objective(ds, params, ds.M) == objective(ds, params)
+    for data in (stats, ds):
+        with pytest.raises(ValueError, match="score scale"):
+            objective(data, params, M=stats.M + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +311,7 @@ def test_fit_given_order_unanimous():
     order = (1, 0, 2)
     scores = np.array([[3.0, 1.0, 5.0]])
     ds = Dataset(J=3, M=10, scores=scores, rankings=(order,))
-    cond = fit_given_order(compute_stats(ds), order, M=10)
+    cond = fit_given_order(compute_stats(ds), order)
     assert np.allclose(cond.params.p, [0.3, 0.1, 0.5])
     assert cond.theta_flag == "cap" and cond.params.theta_at_cap
 
@@ -310,28 +322,28 @@ def test_fit_given_order_dominates_feasible_candidates():
         ds = random_dataset(rng, missing_scores=0.1, missing_rankings=0.2)
         stats = compute_stats(ds)
         order = tuple(int(v) for v in rng.permutation(ds.J))
-        cond = fit_given_order(stats, order, ds.M)
+        cond = fit_given_order(stats, order)
         cap = ds.J + 2
-        assert cond.f_value == pytest.approx(objective(stats, cond.params, ds.M), abs=1e-10)
+        assert cond.f_value == pytest.approx(objective(stats, cond.params), abs=1e-10)
         for _ in range(400):
             vals = np.sort(rng.uniform(size=ds.J))
             p = np.empty(ds.J)
             p[list(order)] = vals
             theta = float(rng.uniform(THETA_FLOOR, cap))
             cand = Parameters(p=p, theta=theta, consensus_order=order)
-            assert cond.f_value <= objective(stats, cand, ds.M) + 1e-9
+            assert cond.f_value <= objective(stats, cand) + 1e-9
 
 
 def test_fit_given_order_invariant_beyond_observed_distinctions():
     scores = np.array([[1.0, 3.0, np.nan, np.nan]])
     ds = Dataset(J=4, M=5, scores=scores, rankings=((0,),))
     stats = compute_stats(ds)
-    a = fit_given_order(stats, (0, 1, 2, 3), M=5)
-    b = fit_given_order(stats, (0, 1, 3, 2), M=5)
+    a = fit_given_order(stats, (0, 1, 2, 3))
+    b = fit_given_order(stats, (0, 1, 3, 2))
     assert a.f_value == pytest.approx(b.f_value, abs=1e-12)
 
 
 def test_fit_given_order_score_only_has_no_theta():
     ds = Dataset(J=2, M=3, scores=np.array([[1.0, 2.0]]), rankings=(None,))
-    cond = fit_given_order(compute_stats(ds), (0, 1), M=3)
+    cond = fit_given_order(compute_stats(ds), (0, 1))
     assert cond.params.theta is None and cond.theta_flag == "undefined"

@@ -239,6 +239,7 @@ def test_stats_invariants_random():
     for _ in range(20):
         ds = random_dataset(rng, missing_scores=0.2, missing_rankings=0.3)
         stats = compute_stats(ds)
+        assert stats.M == ds.M
         assert np.all(np.diag(stats.Q) == 0)
         assert np.all(stats.Q >= 0)
         assert np.all(stats.Q + stats.Q.T <= 1 + 1e-12)
@@ -268,6 +269,14 @@ def test_dataset_rejects_bad_rankings():
 def test_dataset_requires_some_data():
     with pytest.raises(ValueError):
         Dataset(J=2, M=3, scores=np.full((1, 2), np.nan), rankings=(None,))
+
+
+def test_dataset_rejects_bad_score_scale():
+    for M in (0, -1):
+        with pytest.raises(ValueError, match="score scale"):
+            Dataset(J=2, M=M, scores=np.full((1, 2), np.nan), rankings=((0, 1),))
+    with pytest.raises(TypeError):
+        Dataset(J=2, M=3.0, scores=np.array([[1.0, 2.0]]), rankings=(None,))
 
 
 def test_parameters_require_consistent_order():

@@ -29,7 +29,7 @@ def unanimous_dataset():
 
 def test_astar_unanimous():
     ds, order = unanimous_dataset()
-    result = astar(compute_stats(ds), ds.M)
+    result = astar(compute_stats(ds))
     assert result.params.consensus_order == order
     assert np.allclose(result.params.p, [0.4, 0.8, 0.2])
     assert result.theta_flag == "cap" and result.params.theta_at_cap
@@ -38,9 +38,20 @@ def test_astar_unanimous():
 
 def test_astar_single_object():
     ds = Dataset(J=1, M=3, scores=np.array([[2.0]]), rankings=(None,))
-    result = astar(compute_stats(ds), 3)
+    result = astar(compute_stats(ds))
     assert result.params.consensus_order == (0,)
     assert result.params.p[0] == pytest.approx(2 / 3)
+
+
+def test_fit_options_are_keyword_only():
+    # the score scale comes from the stats; a positional M must not become theta_max
+    ds, order = unanimous_dataset()
+    stats = compute_stats(ds)
+    for call in (lambda: astar(stats, 10), lambda: brute_force(stats, 10), lambda: greedy(stats, 10),
+                 lambda: greedy_local(stats, 10), lambda: fv(stats, ds, 10),
+                 lambda: fit_given_order(stats, order, 10)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_astar_matches_brute_force_random():
@@ -48,20 +59,20 @@ def test_astar_matches_brute_force_random():
     for _ in range(25):
         ds = random_dataset(rng, missing_scores=0.1, missing_rankings=0.2)
         stats = compute_stats(ds)
-        ref = brute_force(stats, ds.M)
+        ref = brute_force(stats)
         for heuristic in ("crude", "lp"):
-            result = astar(stats, ds.M, heuristic=heuristic)
+            result = astar(stats, heuristic=heuristic)
             assert result.f_value == pytest.approx(ref.f_value, abs=1e-8)
-            assert result.f_value == pytest.approx(objective(stats, result.params, ds.M), abs=1e-10)
+            assert result.f_value == pytest.approx(objective(stats, result.params), abs=1e-10)
 
 
 def test_astar_all_48_single_judge_outcomes():
     for scores, ranking in enumerate_outcomes(J=3, M=1, R=3):
         ds = Dataset(J=3, M=1, scores=scores.reshape(1, -1), rankings=(ranking,))
         stats = compute_stats(ds)
-        ref = brute_force(stats, 1, cap=3)
+        ref = brute_force(stats, cap=3)
         for heuristic in ("crude", "lp"):
-            result = astar(stats, 1, heuristic=heuristic)
+            result = astar(stats, heuristic=heuristic)
             assert result.f_value == pytest.approx(ref.f_value, abs=1e-10)
 
 
@@ -69,8 +80,8 @@ def test_astar_deterministic():
     rng = np.random.default_rng(4)
     ds = random_dataset(rng, J=5)
     stats = compute_stats(ds)
-    a = astar(stats, ds.M)
-    b = astar(stats, ds.M)
+    a = astar(stats)
+    b = astar(stats)
     assert a.params.consensus_order == b.params.consensus_order
     assert a.f_value == b.f_value
     assert a.nodes_expanded == b.nodes_expanded
@@ -81,9 +92,9 @@ def test_astar_budget_exhaustion_flags():
     rng = np.random.default_rng(6)
     ds = random_dataset(rng, J=6, theta=0.4)
     stats = compute_stats(ds)
-    limited = astar(stats, ds.M, node_budget=2)
+    limited = astar(stats, node_budget=2)
     assert limited.budget_exhausted and not limited.optimal
-    ref = brute_force(stats, ds.M)
+    ref = brute_force(stats)
     assert limited.f_value >= ref.f_value - 1e-10
 
 
@@ -92,7 +103,7 @@ def test_heuristic_admissibility_every_node():
     for _ in range(3):
         ds = random_dataset(rng, J=4, missing_rankings=0.2)
         stats = compute_stats(ds)
-        ctx = _SearchContext(stats, ds.M, None)
+        ctx = _SearchContext(stats, theta_max=None)
         J = ds.J
         for k in range(1, J):
             for prefix in itertools.permutations(range(J), k):
@@ -105,7 +116,7 @@ def test_heuristic_admissibility_every_node():
                 crude_b = ctx.bound(prefix, fixed, free_min, free, "crude")
                 lp_b = ctx.bound(prefix, fixed, free_min, free, "lp")
                 exact = min(
-                    fit_given_order(stats, prefix + tail, ds.M).f_value
+                    fit_given_order(stats, prefix + tail).f_value
                     for tail in itertools.permutations(free))
                 assert crude_b <= lp_b + 1e-9
                 assert lp_b <= exact + 1e-9
@@ -115,7 +126,7 @@ def test_child_bounds_never_decrease():
     rng = np.random.default_rng(23)
     ds = random_dataset(rng, J=5, missing_scores=0.1)
     stats = compute_stats(ds)
-    ctx = _SearchContext(stats, ds.M, None)
+    ctx = _SearchContext(stats, theta_max=None)
     J = ds.J
     for heuristic in ("crude", "lp"):
         stack = [((), 0.0, ctx.root_free_min, -np.inf)]
@@ -143,7 +154,7 @@ def test_theta_memo_cannot_change_a_search(monkeypatch):
     panels = []
     for _ in range(6):
         ds = random_dataset(rng, J=int(rng.integers(4, 9)), missing_scores=0.1, missing_rankings=0.2)
-        panels.append((compute_stats(ds), ds.M))
+        panels.append(compute_stats(ds))
     solves = []
     theta_cost = search._theta_cost
 
@@ -155,16 +166,16 @@ def test_theta_memo_cannot_change_a_search(monkeypatch):
 
     def run(heuristic):
         runs = []
-        for stats, M in panels:
+        for stats in panels:
             trace = []
-            result = astar(stats, M, heuristic=heuristic, trace=trace)
+            result = astar(stats, heuristic=heuristic, trace=trace)
             runs.append((trace, result.nodes_expanded, result.candidate_evaluations))
         return runs
 
     init = _SearchContext.__init__
 
-    def init_without_memo(self, *args):
-        init(self, *args)
+    def init_without_memo(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         self._theta_cache = _NeverStores()
 
     for heuristic in ("crude", "lp"):
@@ -183,26 +194,26 @@ def test_brute_force_cap():
     rng = np.random.default_rng(1)
     ds = random_dataset(rng, J=4)
     with pytest.raises(BruteForceCapExceeded):
-        brute_force(compute_stats(ds), ds.M, cap=3)
+        brute_force(compute_stats(ds), cap=3)
 
 
 def test_brute_force_single_object():
     ds = Dataset(J=1, M=4, scores=np.array([[1.0], [3.0]]), rankings=(None, None))
-    result = brute_force(compute_stats(ds), 4)
+    result = brute_force(compute_stats(ds))
     assert result.params.p[0] == pytest.approx(0.5)
 
 
 def test_greedy_unanimous_and_dominated_by_exact():
     ds, order = unanimous_dataset()
     stats = compute_stats(ds)
-    g = greedy(stats, ds.M)
+    g = greedy(stats)
     assert g.params.consensus_order == order
     rng = np.random.default_rng(31)
     for _ in range(15):
         ds = random_dataset(rng, missing_rankings=0.2)
         stats = compute_stats(ds)
-        g = greedy(stats, ds.M)
-        exact = astar(stats, ds.M)
+        g = greedy(stats)
+        exact = astar(stats)
         assert g.f_value >= exact.f_value - 1e-10
 
 
@@ -211,14 +222,14 @@ def test_greedy_local_improves_on_greedy():
     for _ in range(15):
         ds = random_dataset(rng, theta=0.5)
         stats = compute_stats(ds)
-        g = greedy(stats, ds.M)
-        gl = greedy_local(stats, ds.M)
+        g = greedy(stats)
+        gl = greedy_local(stats)
         assert gl.f_value <= g.f_value + 1e-12
 
 
 def test_greedy_local_single_round_when_greedy_optimal():
     ds, order = unanimous_dataset()
-    result = greedy_local(compute_stats(ds), ds.M)
+    result = greedy_local(compute_stats(ds))
     assert result.params.consensus_order == order
     assert result.local_rounds == 1 and not result.rounds_capped
 
@@ -228,22 +239,22 @@ def test_greedy_local_round_cap_flag():
     for _ in range(20):
         ds = random_dataset(rng, theta=0.3)
         stats = compute_stats(ds)
-        capped = greedy_local(stats, ds.M, max_rounds=0)
+        capped = greedy_local(stats, max_rounds=0)
         assert capped.rounds_capped
-        g = greedy(stats, ds.M)
+        g = greedy(stats)
         assert capped.f_value == pytest.approx(g.f_value, abs=1e-12)
 
 
 def test_fv_unanimous_recovers_mle():
     ds, order = unanimous_dataset()
-    result = fv(compute_stats(ds), ds, ds.M)
+    result = fv(compute_stats(ds), ds)
     assert result.params.consensus_order == order
 
 
 def test_fv_candidate_count_without_ties():
     scores = np.array([[1.0, 2.0, 3.0]])
     ds = Dataset(J=3, M=5, scores=scores, rankings=((1, 0, 2),))
-    result = fv(compute_stats(ds), ds, ds.M)
+    result = fv(compute_stats(ds), ds)
     # two distinct base orders plus at most four neighbors, deduplicated
     assert result.candidate_evaluations == 4
     assert not result.candidate_cap_hit
@@ -253,7 +264,7 @@ def test_fv_candidate_cap_warns():
     scores = np.array([[2.0, 2.0, 2.0, 2.0, 2.0]])
     ds = Dataset(J=5, M=4, scores=scores, rankings=(None,))
     with pytest.warns(RuntimeWarning, match="candidate cap"):
-        result = fv(compute_stats(ds), ds, ds.M, candidate_cap=8)
+        result = fv(compute_stats(ds), ds, candidate_cap=8)
     assert result.candidate_cap_hit
 
 
@@ -288,6 +299,6 @@ def test_fv_never_beats_exact():
     for _ in range(10):
         ds = random_dataset(rng)
         stats = compute_stats(ds)
-        approx = fv(stats, ds, ds.M)
-        exact = astar(stats, ds.M)
+        approx = fv(stats, ds)
+        exact = astar(stats)
         assert approx.f_value >= exact.f_value - 1e-10

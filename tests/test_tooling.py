@@ -33,6 +33,6 @@ def test_traced_theta_layer_is_reached(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(fitting, attr, counted)
     ds = random_dataset(np.random.default_rng(8), J=5, I=8)
-    astar(compute_stats(ds), ds.M)
+    astar(compute_stats(ds))
     # one solve is the final conditional fit, the others are search bounds
     assert calls["fit_theta"] > 1 and calls["_expected_distance_total"] > 0, calls
