@@ -141,14 +141,24 @@ def fit_theta(
     return float(theta), "interior"
 
 
-def _theta_cost(mean_distance, ranking_lengths, J, theta_max) -> float:
+def _length_profile(ranking_lengths: Sequence[int], J: int) -> tuple[int, ...]:
+    """The multiset of ranking lengths: entry R-1 counts the judges ranking exactly R objects."""
+    return tuple(np.bincount(np.asarray(ranking_lengths, dtype=int), minlength=J + 1)[1:].tolist())
+
+
+@lru_cache(maxsize=4096)
+def _theta_cost(mean_distance: float, profile: tuple[int, ...], theta_max: float) -> float:
     """Minimized scale-part value theta*total + log psi at the fitted theta;
-    0.0 when there are no rankings."""
-    if not ranking_lengths:
+    0.0 when there are no rankings. One memo serves every search; keyed on
+    the O(J) profile, not the judges, it holds at most 4096 * O(J) values,
+    and it is bitwise transparent because fit_theta ignores the lengths' order."""
+    J = len(profile)
+    lengths = tuple(np.repeat(np.arange(1, J + 1), profile).tolist())
+    if not lengths:
         return 0.0
-    theta, _ = fit_theta(mean_distance, ranking_lengths, J, theta_max)
-    total = mean_distance * len(ranking_lengths)
-    return float(theta * total + log_psi_total(theta, ranking_lengths, J))
+    theta, _ = fit_theta(mean_distance, lengths, J, theta_max)
+    total = mean_distance * len(lengths)
+    return float(theta * total + log_psi_total(theta, lengths, J))
 
 
 def _pava(values: list[float], weights: list[float]) -> list[float]:
@@ -278,8 +288,7 @@ def fit_given_order(
     order = tuple(int(o) for o in order)
     if sorted(order) != list(range(stats.J)):
         raise ValueError("order is not a permutation of the objects")
-    constraint = PrefixConstraint(J=stats.J, prefix=order)
-    p = fit_p_constrained(stats, constraint)
+    p = _fit_p_core(stats, order, ())
     if stats.n_rankers:
         d_mean = mean_kendall_distance(stats, order)
         theta, flag = fit_theta(d_mean, stats.ranking_lengths, stats.J, theta_max)

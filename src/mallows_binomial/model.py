@@ -50,7 +50,7 @@ class Dataset:
         scores = np.atleast_2d(np.asarray(self.scores, dtype=float))
         if scores.shape[1] != self.J:
             raise ValueError(f"scores have {scores.shape[1]} columns, expected J={self.J}")
-        observed = np.isfinite(scores)
+        observed = ~np.isnan(scores)  # an infinite score is out of range, not missing
         vals = scores[observed]
         if vals.size and (np.any(vals < 0) or np.any(vals > self.M) or np.any(vals != np.round(vals))):
             raise ValueError(f"scores must be integers in [0, {self.M}]")
@@ -244,21 +244,13 @@ def compute_stats(dataset: Dataset) -> SufficientStats:
     sums = np.where(observed, dataset.scores, 0.0).sum(axis=0)
     with np.errstate(invalid="ignore"):
         mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
-    wins = np.zeros((J, J))
-    lengths = []
-    for ranking in dataset.rankings:
-        if ranking is None:
-            continue
-        lengths.append(len(ranking))
-        ranked = np.zeros(J, dtype=bool)
-        for pos, u in enumerate(ranking):
-            ranked[u] = True
-            for v in ranking[pos + 1:]:
-                wins[u, v] += 1.0
-        unranked = np.flatnonzero(~ranked)
-        for u in ranking:
-            wins[u, unranked] += 1.0
-    n_rankers = len(lengths)
+    rankings = [r for r in dataset.rankings if r is not None]
+    n_rankers = len(rankings)
+    # Unranked objects share position J: below every ranked one, tied among themselves.
+    positions = np.full((n_rankers, J), J)
+    for i, ranking in enumerate(rankings):
+        positions[i, list(ranking)] = np.arange(len(ranking))
+    wins = (positions[:, :, None] < positions[:, None, :]).sum(axis=0, dtype=float)
     Q = wins / n_rankers if n_rankers else wins
     return SufficientStats(
         J=J,
@@ -267,5 +259,5 @@ def compute_stats(dataset: Dataset) -> SufficientStats:
         score_count=count,
         Q=Q,
         n_rankers=n_rankers,
-        ranking_lengths=tuple(lengths),
+        ranking_lengths=tuple(len(r) for r in rankings),
     )

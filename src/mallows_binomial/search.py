@@ -23,6 +23,7 @@ from .fitting import (
     ConditionalFit,
     _binomial_cost,
     _fit_p_core,
+    _length_profile,
     _score_weights,
     _theta_cost,
     default_theta_max,
@@ -87,8 +88,8 @@ class _SearchContext:
         self.mmin = np.minimum(stats.Q, stats.Q.T)
         self.root_free_min = float(self.mmin[np.triu_indices(self.J, k=1)].sum())
         self.a, self.b = _score_weights(stats)
+        self.profile = _length_profile(stats.ranking_lengths, stats.J)
         self._lp_cache: dict[tuple[int, ...], float] = {}
-        self._theta_cache: dict[float, float] = {}
 
     def child_costs(self, prefix: Ranking, fixed: float, free_min: float, child: int, free: Sequence[int]):
         fixed_c = fixed + float(self.col_total[child]) - float(self.Q[list(prefix), child].sum())
@@ -97,16 +98,13 @@ class _SearchContext:
 
     def bound(self, prefix: Ranking, fixed: float, free_min: float, free: tuple[int, ...], heuristic: str) -> float:
         # Below three free objects the LP has no triangle rows and equals the pairwise
-        # minimum sum. The LP part is memoized on the free set, the theta part on L,
-        # which many nodes share because Q holds multiples of 1/n_rankers.
+        # minimum sum.
         if heuristic == "lp" and len(free) >= 3:
             if free not in self._lp_cache:
                 self._lp_cache[free] = lp_free_cost(self.Q, free, free_min)
             free_min = self._lp_cache[free]
-        L = fixed + free_min
-        value = self._theta_cache.get(L)
-        if value is None:
-            value = self._theta_cache[L] = _theta_cost(L, self.stats.ranking_lengths, self.J, self.theta_max)
+        # L sums non-negative costs, but its incremental update can round a zero below it.
+        value = _theta_cost(max(fixed + free_min, 0.0), self.profile, self.theta_max)
         p = _fit_p_core(self.stats, prefix, free)
         return value + _binomial_cost(p, self.a, self.b)
 

@@ -34,6 +34,26 @@ def pairwise_distance_oracle(ranking, order) -> int:
     return d
 
 
+def pairwise_wins_oracle(dataset) -> np.ndarray:
+    """Win counts wins[u, v] of judges whose ranking puts u strictly above v,
+    one pair at a time: ranked objects beat later ranked ones and every
+    unranked one; unranked pairs add nothing."""
+    J = dataset.J
+    wins = np.zeros((J, J))
+    for ranking in dataset.rankings:
+        if ranking is None:
+            continue
+        ranked = np.zeros(J, dtype=bool)
+        for pos, u in enumerate(ranking):
+            ranked[u] = True
+            for v in ranking[pos + 1:]:
+                wins[u, v] += 1.0
+        unranked = np.flatnonzero(~ranked)
+        for u in ranking:
+            wins[u, unranked] += 1.0
+    return wins
+
+
 def all_partial_rankings(J, R):
     return itertools.permutations(range(J), R)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_psi, enumerate_outcomes
+from conftest import brute_psi, enumerate_outcomes, pairwise_wins_oracle, random_dataset
 from mallows_binomial import (
     Dataset,
     Parameters,
@@ -234,8 +234,6 @@ def test_stats_score_means_and_flags():
 
 def test_stats_invariants_random():
     rng = np.random.default_rng(5)
-    from conftest import random_dataset
-
     for _ in range(20):
         ds = random_dataset(rng, missing_scores=0.2, missing_rankings=0.3)
         stats = compute_stats(ds)
@@ -248,6 +246,19 @@ def test_stats_invariants_random():
         assert np.all(stats.mean_score[observed] <= ds.M)
 
 
+def test_stats_win_matrix_matches_pairwise_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        J = int(rng.integers(1, 13))
+        ds = random_dataset(rng, J=J, R=int(rng.integers(1, J + 1)), missing_rankings=0.3)
+        rankings = tuple(None if r is None else r[:int(rng.integers(1, len(r) + 1))] for r in ds.rankings)
+        ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=rankings)
+        wins = pairwise_wins_oracle(ds)
+        n = sum(r is not None for r in rankings)
+        Q = wins / n if n else wins
+        assert compute_stats(ds).Q.tobytes() == Q.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -257,6 +268,8 @@ def test_dataset_rejects_bad_scores():
         Dataset(J=2, M=3, scores=np.array([[1.0, 4.0]]), rankings=(None,))
     with pytest.raises(ValueError):
         Dataset(J=2, M=3, scores=np.array([[1.0, 1.5]]), rankings=(None,))
+    with pytest.raises(ValueError, match="integers"):  # infinite cells are not missing ones
+        Dataset(J=2, M=4, scores=np.array([[1.0, np.inf], [2.0, -np.inf]]), rankings=((0, 1), (1, 0)))
 
 
 def test_dataset_rejects_bad_rankings():

@@ -17,7 +17,7 @@ from mallows_binomial import (
     greedy_local,
     objective,
 )
-from mallows_binomial import search
+from mallows_binomial import fitting, search
 from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
 
 
@@ -144,9 +144,17 @@ def test_child_bounds_never_decrease():
                               bound if prefix else -np.inf))
 
 
-class _NeverStores(dict):
-    def __setitem__(self, key, value):
-        pass
+def _counting(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records each call; return the log."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_theta_memo_cannot_change_a_search(monkeypatch):
@@ -155,39 +163,73 @@ def test_theta_memo_cannot_change_a_search(monkeypatch):
     for _ in range(6):
         ds = random_dataset(rng, J=int(rng.integers(4, 9)), missing_scores=0.1, missing_rankings=0.2)
         panels.append(compute_stats(ds))
-    solves = []
-    theta_cost = search._theta_cost
-
-    def counted(*args):
-        solves.append(args)
-        return theta_cost(*args)
-
-    monkeypatch.setattr(search, "_theta_cost", counted)
+    solves = _counting(monkeypatch, fitting, "fit_theta")
 
     def run(heuristic):
         runs = []
         for stats in panels:
             trace = []
             result = astar(stats, heuristic=heuristic, trace=trace)
-            runs.append((trace, result.nodes_expanded, result.candidate_evaluations))
+            runs.append((trace, result.nodes_expanded, result.candidate_evaluations,
+                         result.params.consensus_order, result.f_value))
         return runs
 
-    init = _SearchContext.__init__
-
-    def init_without_memo(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self._theta_cache = _NeverStores()
-
     for heuristic in ("crude", "lp"):
+        fitting._theta_cost.cache_clear()
         solves.clear()
         memoized = run(heuristic)
         memo_solves = len(solves)
         with monkeypatch.context() as patch:
-            patch.setattr(_SearchContext, "__init__", init_without_memo)
+            patch.setattr(search, "_theta_cost", fitting._theta_cost.__wrapped__)
             solves.clear()
             plain = run(heuristic)
         assert memoized == plain
         assert memo_solves < len(solves)  # the memo was hit
+
+
+def test_theta_memo_is_shared_by_searches_on_one_length_profile(monkeypatch):
+    rng = np.random.default_rng(43)
+    ds = random_dataset(rng, J=6, I=9, R=6)
+    rankings = tuple(r[:2 + i % 5] for i, r in enumerate(ds.rankings))
+    first = Dataset(J=6, M=ds.M, scores=ds.scores, rankings=rankings)
+    # The same judges in another order: the lengths differ as a sequence and
+    # agree as a multiset, and Q holds the same bits.
+    shuffle = rng.permutation(ds.I)
+    second = Dataset(J=6, M=ds.M, scores=ds.scores[shuffle], rankings=tuple(rankings[i] for i in shuffle))
+    assert compute_stats(first).ranking_lengths != compute_stats(second).ranking_lengths
+    solves = _counting(monkeypatch, fitting, "fit_theta")
+    order_fits = _counting(monkeypatch, search, "fit_given_order")
+
+    fitting._theta_cost.cache_clear()
+    astar(compute_stats(first))
+    assert len(solves) > len(order_fits)
+    solves.clear()
+    order_fits.clear()
+    result = astar(compute_stats(second))
+    assert len(solves) == len(order_fits) == 1  # only the final conditional fit
+    assert result.params.consensus_order == astar(compute_stats(first)).params.consensus_order
+
+
+def test_theta_memo_has_a_fixed_size():
+    size = fitting._theta_cost.cache_info().maxsize
+    assert size is not None
+    fitting._theta_cost.cache_clear()
+    profile = fitting._length_profile((2, 2, 1), 2)
+    for k in range(size + 10):
+        fitting._theta_cost(0.01 * k, profile, 4.0)
+    assert fitting._theta_cost.cache_info().currsize == size
+    fitting._theta_cost.cache_clear()
+
+
+def test_searches_survive_a_zero_cost_rounded_below_zero():
+    # Every judge agrees with one order, and the incremental pair costs of
+    # some prefixes round to about -1e-17, below their true value 0.
+    rankings = ((3, 5, 2, 6, 4, 1, 0), (3, 5, 2), (3, 5, 2, 6), (3, 5, 2, 6, 4, 1, 0), (3,), None,
+                (3, 5), (3, 5), (3, 5), (3, 5), (3,))
+    stats = compute_stats(Dataset(J=7, M=2, scores=np.full((11, 7), np.nan), rankings=rankings))
+    for result in (astar(stats), astar(stats, heuristic="lp"), greedy(stats), greedy_local(stats)):
+        assert result.params.consensus_order[:4] == (3, 5, 2, 6)
+        assert result.theta_flag == "cap"
 
 
 def test_brute_force_cap():
