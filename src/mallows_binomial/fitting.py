@@ -162,33 +162,27 @@ def _theta_cost(mean_distance: float, profile: tuple[int, ...], theta_max: float
 
 
 def _pava(values: list[float], weights: list[float]) -> list[float]:
-    """Weighted pool-adjacent-violators on a chain; returns fitted values."""
+    """Weighted pool-adjacent-violators on a chain; returns fitted values.
+
+    Each incoming value is pooled with the blocks below it while they lie
+    above it; a pool of (v1, w1) below (v, w) is (w1*v1 + w*v) / (w1 + w)."""
     vals: list[float] = []
     wts: list[float] = []
     spans: list[int] = []
     for v, w in zip(values, weights):
+        span = 1
+        while vals and vals[-1] > v:
+            v1, w1 = vals.pop(), wts.pop()
+            span += spans.pop()
+            v = (w1 * v1 + w * v) / (w1 + w)
+            w = w1 + w
         vals.append(v)
         wts.append(w)
-        spans.append(1)
-        while len(vals) > 1 and vals[-2] > vals[-1]:
-            v2, w2, s2 = vals.pop(), wts.pop(), spans.pop()
-            w1 = wts[-1]
-            vals[-1] = (wts[-1] * vals[-1] + w2 * v2) / (w1 + w2)
-            wts[-1] += w2
-            spans[-1] += s2
+        spans.append(span)
     out = []
     for v, s in zip(vals, spans):
         out.extend([v] * s)
     return out
-
-
-def _score_weights(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray]:
-    """Binomial weights a = count * mean and b = count * (M - mean), zero for
-    objects with no observed score."""
-    count, mean_score = stats.score_count, stats.mean_score
-    a = count * np.where(count > 0, mean_score, 0.0)
-    b = count * np.where(count > 0, stats.M - mean_score, 0.0)
-    return a, b
 
 
 def _binomial_cost(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -217,32 +211,35 @@ def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint) -> n
 
 
 def _fit_p_core(stats: SufficientStats, prefix, free) -> np.ndarray:
-    mean_score, count, M = stats.mean_score, stats.score_count, stats.M
-    with np.errstate(invalid="ignore"):
-        q = np.where(count > 0, mean_score / M, 0.0)
-    weight = count * M
-
-    members = [j for j in prefix if count[j] > 0]
+    # Python floats from the stats' score view: the same IEEE operations as
+    # numpy scalars, without their per-operation cost.
+    q, weight, observed = stats.q, stats.q_weight, stats.observed
+    members = [j for j in prefix if observed[j]]
     n_chain = len(members)
-    members += sorted((j for j in free if count[j] > 0), key=lambda j: (q[j], j))
-    p = np.full(count.size, 0.5)
+    free_set = set(free)
+    members += [j for j in stats.by_q if j in free_set]
+    p = [0.5] * stats.J
     if not members:
-        return p
+        return np.array(p)
     fitted = _pava([q[j] for j in members], [weight[j] for j in members])
-    p[members] = fitted
+    for j, v in zip(members, fitted):
+        p[j] = v
 
     # Zero-count objects take the nearest feasible value: a chain gap the
     # value below it (the first observed value when it leads), an unobserved
     # chain min(lowest leaf, 0.5), a free object the top of the chain.
     prev = fitted[0] if n_chain else min(fitted[0], 0.5)
     for j in prefix:
-        if count[j] > 0:
+        if observed[j]:
             prev = p[j]
         else:
             p[j] = prev
     if prefix:
-        p[[j for j in free if count[j] == 0]] = p[prefix[-1]]
-    return p
+        top = p[prefix[-1]]
+        for j in free:
+            if not observed[j]:
+                p[j] = top
+    return np.array(p)
 
 
 def mean_kendall_distance(stats: SufficientStats, order: Sequence[int]) -> float:
@@ -262,7 +259,7 @@ def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None
     stats = compute_stats(data) if isinstance(data, Dataset) else data
     if M is not None and M != stats.M:
         raise ValueError(f"M={M} disagrees with the data's score scale M={stats.M}")
-    total = _binomial_cost(params.p, *_score_weights(stats))
+    total = _binomial_cost(params.p, stats.a, stats.b)
     if stats.n_rankers:
         if params.theta is None:
             raise ValueError("rankings present but parameters carry no theta")

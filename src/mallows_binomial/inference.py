@@ -17,10 +17,21 @@ import numpy as np
 
 from . import kendall, search
 from .fitting import fit_given_order
-from .model import Dataset, Parameters, _check_partial_shape, _check_scale, compute_stats, log_density, order_of, sample
+from .model import (
+    Dataset,
+    Parameters,
+    SufficientStats,
+    _check_partial_shape,
+    _check_scale,
+    compute_stats,
+    log_density,
+    order_of,
+    sample,
+)
 from .search import FitResult, astar, brute_force, fv, greedy, greedy_local
 
 CORE_METHODS = ("exact-crude", "exact-lp", "fv", "greedy", "greedy-local", "brute")
+STATS_METHODS = ("exact-crude", "exact-lp", "greedy", "greedy-local", "brute")
 COMPARISON_MODELS = ("converted-scores", "only-scores", "converted-rankings", "only-rankings")
 
 
@@ -37,12 +48,17 @@ def fit_method(
     if method in COMPARISON_MODELS:
         return comparison_fit(dataset, method, theta_max=theta_max, rng=rng, node_budget=node_budget)
     stats = compute_stats(dataset)
+    if method == "fv":
+        return fv(stats, dataset, theta_max=theta_max, candidate_cap=candidate_cap)
+    return _fit_stats(stats, method, theta_max=theta_max, node_budget=node_budget)
+
+
+def _fit_stats(stats: SufficientStats, method: str, *, theta_max: float | None, node_budget: int) -> FitResult:
+    """Fit with one of STATS_METHODS, which read nothing but the statistics."""
     if method == "exact-crude":
         return astar(stats, theta_max=theta_max, heuristic="crude", node_budget=node_budget)
     if method == "exact-lp":
         return astar(stats, theta_max=theta_max, heuristic="lp", node_budget=node_budget)
-    if method == "fv":
-        return fv(stats, dataset, theta_max=theta_max, candidate_cap=candidate_cap)
     if method == "greedy":
         return greedy(stats, theta_max=theta_max)
     if method == "greedy-local":
@@ -174,8 +190,8 @@ class BootstrapSummary:
     theta_undefined_count: int
 
 
-def _resample(dataset: Dataset, rng) -> Dataset:
-    idx = rng.integers(0, dataset.I, size=dataset.I)
+def _resample(dataset: Dataset, idx: np.ndarray) -> Dataset:
+    """The panel made of judge rows idx, repeats included."""
     return Dataset(
         J=dataset.J,
         M=dataset.M,
@@ -187,10 +203,15 @@ def _resample(dataset: Dataset, rng) -> Dataset:
 def _bootstrap_replicate(args):
     (dataset, method, theta_max, node_budget, candidate_cap, seed, rep) = args
     rng = np.random.default_rng([seed, rep])
+    idx = rng.integers(0, dataset.I, size=dataset.I)
     try:
-        resampled = _resample(dataset, rng)
-        result = fit_method(resampled, method, theta_max=theta_max, node_budget=node_budget,
-                            candidate_cap=candidate_cap, rng=rng)
+        if method in STATS_METHODS:
+            # judge weights on the panel's cached per-judge rows; no Dataset is rebuilt
+            result = _fit_stats(compute_stats(dataset, idx), method, theta_max=theta_max, node_budget=node_budget)
+        else:
+            # fv reads the judges, and converted-rankings draws from rng after the resample
+            result = fit_method(_resample(dataset, idx), method, theta_max=theta_max, node_budget=node_budget,
+                                candidate_cap=candidate_cap, rng=rng)
     except ValueError as err:
         # a resample with no scores or no rankings for the method, or more
         # objects than brute force allows; anything else is a bug and propagates

@@ -9,8 +9,9 @@ the ascending order of p with concentration theta > 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -76,6 +77,35 @@ class Dataset:
     def I(self) -> int:
         return self.scores.shape[0]
 
+    @cached_property
+    def _judge_table(self) -> "_JudgeTable":
+        """Per-judge rows compute_stats weights: built once per panel, O(I*J)."""
+        observed = ~np.isnan(self.scores)
+        rankers, positions = [], []
+        for i, ranking in enumerate(self.rankings):
+            if ranking is not None:
+                # Unranked objects share position J: below every ranked one, tied among themselves.
+                row = [self.J] * self.J
+                for place, obj in enumerate(ranking):
+                    row[obj] = place
+                rankers.append(i)
+                positions.append(row)
+        return _JudgeTable(
+            observed=observed.astype(float),
+            filled=np.where(observed, self.scores, 0.0),
+            rankers=np.array(rankers, dtype=int),
+            positions=np.array(positions, dtype=int).reshape(len(rankers), self.J),
+            lengths=np.array([0 if r is None else len(r) for r in self.rankings], dtype=int),
+        )
+
+
+class _JudgeTable(NamedTuple):
+    observed: np.ndarray   # (I, J) 1.0 where a score is observed
+    filled: np.ndarray     # (I, J) scores with missing cells set to 0
+    rankers: np.ndarray    # indices of the judges that rank
+    positions: np.ndarray  # (n_rankers, J) place of each object, J when unranked
+    lengths: np.ndarray    # (I,) ranking length, 0 without a ranking
+
 
 @dataclass(frozen=True)
 class Parameters:
@@ -93,7 +123,7 @@ class Parameters:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if np.any(p < 0) or np.any(p > 1):
+        if not np.all((p >= 0) & (p <= 1)):  # NaN fails both tests
             raise ValueError("quality values must lie in [0, 1]")
         order = tuple(int(o) for o in self.consensus_order)
         if sorted(order) != list(range(p.size)):
@@ -101,8 +131,8 @@ class Parameters:
         sorted_p = p[list(order)]
         if np.any(np.diff(sorted_p) < -1e-12):
             raise ValueError("p is not non-decreasing along consensus_order")
-        if self.theta is not None and not self.theta > 0:
-            raise ValueError("theta must be positive")
+        if self.theta is not None and not 0 < self.theta < np.inf:
+            raise ValueError("theta must be positive and finite")
         object.__setattr__(self, "p", _frozen_array(p))
         object.__setattr__(self, "consensus_order", order)
 
@@ -126,6 +156,11 @@ class SufficientStats:
     reads M from here. mean_score and score_count summarize observed cells
     per object; Q[u, v] is the fraction of ranking-providing judges placing u
     strictly above v.
+
+    The score view the p fits read is derived once, at construction: per
+    object q = mean/M and its isotonic weight count*M (Python floats), the
+    observed flags, the observed objects sorted by (q, j), and the Binomial
+    weights a = count*mean and b = count*(M - mean), zero where unobserved.
     """
 
     J: int
@@ -135,11 +170,27 @@ class SufficientStats:
     Q: np.ndarray
     n_rankers: int
     ranking_lengths: tuple[int, ...]
+    q: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    q_weight: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    observed: tuple[bool, ...] = field(init=False, repr=False, compare=False)
+    by_q: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_score", _frozen_array(self.mean_score))
-        object.__setattr__(self, "score_count", _frozen_array(self.score_count))
+        mean, count = _frozen_array(self.mean_score), _frozen_array(self.score_count)
+        object.__setattr__(self, "mean_score", mean)
+        object.__setattr__(self, "score_count", count)
         object.__setattr__(self, "Q", _frozen_array(self.Q))
+        seen = count > 0
+        q = tuple(np.where(seen, mean / self.M, 0.0).tolist())
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q_weight", tuple((count * self.M).tolist()))
+        object.__setattr__(self, "observed", tuple(seen.tolist()))
+        # a stable sort of ascending indices: ties in q keep j order
+        object.__setattr__(self, "by_q", tuple(sorted(np.flatnonzero(seen).tolist(), key=q.__getitem__)))
+        object.__setattr__(self, "a", _frozen_array(count * np.where(seen, mean, 0.0)))
+        object.__setattr__(self, "b", _frozen_array(count * np.where(seen, self.M - mean, 0.0)))
 
 
 def _check_partial_shape(R: int, J: int):
@@ -186,7 +237,7 @@ def log_density(scores_row: Sequence[float], ranking: Ranking | None, params: Pa
     row = np.asarray(scores_row, dtype=float)
     if row.size != params.J:
         raise ValueError("score row length does not match parameter dimension")
-    observed = np.isfinite(row)
+    observed = ~np.isnan(row)  # an infinite score is out of range, not missing
     total = 0.0
     if observed.any():
         x = row[observed]
@@ -230,28 +281,40 @@ def sample(params: Parameters, I: int, M: int, R: int, rng) -> Dataset:
     return Dataset(J=J, M=M, scores=scores, rankings=tuple(rankings))
 
 
-def compute_stats(dataset: Dataset) -> SufficientStats:
+def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> SufficientStats:
     """Sufficient statistics: per-object score means/counts and the pairwise
     preference matrix Q.
 
     Q's numerator counts judges whose ranking strictly implies u above v
     (unranked objects sit below all ranked ones; unranked pairs contribute
     nothing); the denominator is the number of ranking-providing judges.
+
+    judges, when given, selects the panel made of those judge rows, repeats
+    included (a bootstrap resample): each judge's row enters weighted by how
+    often it is drawn, and ranking_lengths follows the order of judges. Every
+    sum is of integer-valued floats, so the result is bitwise that of the
+    Dataset built from those rows. The per-judge rows are cached on the
+    dataset at the first call; they hold O(I*J) numbers.
     """
-    J = dataset.J
-    observed = np.isfinite(dataset.scores)
-    count = observed.sum(axis=0).astype(float)
-    sums = np.where(observed, dataset.scores, 0.0).sum(axis=0)
+    J, I, table = dataset.J, dataset.I, dataset._judge_table
+    rows = np.arange(I) if judges is None else np.asarray(judges, dtype=int).reshape(-1)
+    if rows.size and not (0 <= rows.min() and rows.max() < I):
+        raise ValueError(f"judge indices must lie in [0, {I})")
+    weights = np.bincount(rows, minlength=I).astype(float)
+    count = weights @ table.observed
+    sums = weights @ table.filled
     with np.errstate(invalid="ignore"):
         mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
-    rankings = [r for r in dataset.rankings if r is not None]
-    n_rankers = len(rankings)
-    # Unranked objects share position J: below every ranked one, tied among themselves.
-    positions = np.full((n_rankers, J), J)
-    for i, ranking in enumerate(rankings):
-        positions[i, list(ranking)] = np.arange(len(ranking))
-    wins = (positions[:, :, None] < positions[:, None, :]).sum(axis=0, dtype=float)
+    ranker_weights = weights[table.rankers]
+    drawn = ranker_weights > 0
+    positions = table.positions[drawn]
+    beats = (positions[:, :, None] < positions[:, None, :]).reshape(len(positions), J * J)
+    wins = (ranker_weights[drawn] @ beats).reshape(J, J)
+    n_rankers = int(ranker_weights.sum())
+    if not count.any() and not n_rankers:
+        raise ValueError("dataset holds neither scores nor rankings")
     Q = wins / n_rankers if n_rankers else wins
+    lengths = table.lengths[rows]
     return SufficientStats(
         J=J,
         M=dataset.M,
@@ -259,5 +322,5 @@ def compute_stats(dataset: Dataset) -> SufficientStats:
         score_count=count,
         Q=Q,
         n_rankers=n_rankers,
-        ranking_lengths=tuple(len(r) for r in rankings),
+        ranking_lengths=tuple(lengths[lengths > 0].tolist()),
     )

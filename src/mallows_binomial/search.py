@@ -24,7 +24,6 @@ from .fitting import (
     _binomial_cost,
     _fit_p_core,
     _length_profile,
-    _score_weights,
     _theta_cost,
     default_theta_max,
     fit_given_order,
@@ -87,7 +86,6 @@ class _SearchContext:
         self.col_total = stats.Q.sum(axis=0)
         self.mmin = np.minimum(stats.Q, stats.Q.T)
         self.root_free_min = float(self.mmin[np.triu_indices(self.J, k=1)].sum())
-        self.a, self.b = _score_weights(stats)
         self.profile = _length_profile(stats.ranking_lengths, stats.J)
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
@@ -106,7 +104,7 @@ class _SearchContext:
         # L sums non-negative costs, but its incremental update can round a zero below it.
         value = _theta_cost(max(fixed + free_min, 0.0), self.profile, self.theta_max)
         p = _fit_p_core(self.stats, prefix, free)
-        return value + _binomial_cost(p, self.a, self.b)
+        return value + _binomial_cost(p, self.stats.a, self.stats.b)
 
     def children(self, prefix: Ranking, fixed: float, free_min: float, heuristic: str):
         """Yield (bound, child_prefix, fixed, free_min, free) for every child
@@ -144,10 +142,11 @@ def astar(
 ) -> FitResult:
     """Exact MLE by best-first search over prefix orderings.
 
-    Nodes are expanded by lowest admissible total-cost bound (ties: insertion
-    order, then lexicographic prefix); the first terminal dequeued carries the
-    exact conditional optimum and is the global MLE. heuristic selects the
-    crude pairwise-minimum bound or the tighter Kemeny LP bound. If the node
+    Nodes are expanded by lowest admissible total-cost bound, ties by
+    insertion order (the heap's counter is unique, so prefixes are never
+    compared); the first terminal dequeued carries the exact conditional
+    optimum and is the global MLE. heuristic selects the crude
+    pairwise-minimum bound or the tighter Kemeny LP bound. If the node
     budget runs out, the best terminal generated so far is returned with
     optimal=False (falling back to the greedy order when none exists yet).
     When trace is a list it receives the bound of every generated node.

@@ -228,6 +228,59 @@ def sweep_fit_p(mean, count, M, prefix, free):
     return p
 
 
+# The p fit as it ran on numpy arrays, sorting the free objects at every
+# call; the search's fit on the stats' cached score view must match it bit
+# for bit.
+
+def reference_pava(values, weights):
+    vals = []
+    wts = []
+    spans = []
+    for v, w in zip(values, weights):
+        vals.append(v)
+        wts.append(w)
+        spans.append(1)
+        while len(vals) > 1 and vals[-2] > vals[-1]:
+            v2, w2, s2 = vals.pop(), wts.pop(), spans.pop()
+            w1 = wts[-1]
+            vals[-1] = (wts[-1] * vals[-1] + w2 * v2) / (w1 + w2)
+            wts[-1] += w2
+            spans[-1] += s2
+    out = []
+    for v, s in zip(vals, spans):
+        out.extend([v] * s)
+    return out
+
+
+def reference_fit_p_core(stats, prefix, free) -> np.ndarray:
+    mean_score, count, M = stats.mean_score, stats.score_count, stats.M
+    with np.errstate(invalid="ignore"):
+        q = np.where(count > 0, mean_score / M, 0.0)
+    weight = count * M
+
+    members = [j for j in prefix if count[j] > 0]
+    n_chain = len(members)
+    members += sorted((j for j in free if count[j] > 0), key=lambda j: (q[j], j))
+    p = np.full(count.size, 0.5)
+    if not members:
+        return p
+    fitted = reference_pava([q[j] for j in members], [weight[j] for j in members])
+    p[members] = fitted
+
+    # Zero-count objects take the nearest feasible value: a chain gap the
+    # value below it (the first observed value when it leads), an unobserved
+    # chain min(lowest leaf, 0.5), a free object the top of the chain.
+    prev = fitted[0] if n_chain else min(fitted[0], 0.5)
+    for j in prefix:
+        if count[j] > 0:
+            prev = p[j]
+        else:
+            p[j] = prev
+    if prefix:
+        p[[j for j in free if count[j] == 0]] = p[prefix[-1]]
+    return p
+
+
 # Kendall ranking-cost oracles at a search node, recomputed from scratch;
 # the search keeps the same quantities incrementally.
 

@@ -307,6 +307,21 @@ def test_bad_score_scale_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bias_demo_rejects_nan_quality(capsys):
+    assert main(["bias-demo", "--M", "1", "--R", "1", "--p0", "nan,0.4"]) == EXIT_INPUT
+    assert "[0, 1]" in capsys.readouterr().err
+
+
+def test_simulate_rejects_infinite_theta(tmp_path, capsys):
+    for theta in ("inf", "nan"):
+        out = tmp_path / f"sim-{theta}"
+        code = main(["simulate", "--I", "4", "--J", "3", "--R", "3", "--M", "2", "--theta", theta,
+                     "--out-dir", str(out)])
+        assert code == EXIT_INPUT
+        assert "theta must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bias_demo_deterministic(tmp_path, capsys):
     assert main(["bias-demo"]) == EXIT_OK
     first = capsys.readouterr().out

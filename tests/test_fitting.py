@@ -9,6 +9,7 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 from conftest import (
     random_dataset,
+    reference_fit_p_core,
     reference_distance_variance_total,
     reference_expected_distance_total,
     reference_fit_theta,
@@ -28,7 +29,7 @@ from mallows_binomial import (
     moments,
     objective,
 )
-from mallows_binomial.fitting import THETA_FLOOR, _level_weights, mean_kendall_distance
+from mallows_binomial.fitting import THETA_FLOOR, _fit_p_core, _level_weights, mean_kendall_distance
 
 
 def make_score_stats(mean, count, M):
@@ -203,6 +204,35 @@ def test_fit_p_matches_sweep_oracle():
                 assert np.max(np.abs(p - oracle)) <= 1e-12
             else:
                 assert np.array_equal(p, oracle)
+
+
+def test_fit_p_core_matches_reference_bitwise():
+    # the p fit on the stats' cached score view (Python floats, presorted
+    # free objects) makes the numpy reference's IEEE operations in its order:
+    # 1,200 panels with J <= 20 and zero-count objects, each at an empty, a
+    # random and a full prefix, with free objects in object or shuffled order
+    rng = np.random.default_rng(7117)
+    cases = 0
+    for _ in range(1200):
+        J = int(rng.integers(1, 21))
+        M = int(rng.integers(1, 11))
+        count = rng.integers(0, 6, size=J).astype(float)
+        sums = np.floor(rng.random(J) * (count * M + 1))
+        with np.errstate(invalid="ignore"):
+            mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
+        stats = make_score_stats(mean, count, M)
+        assert stats.a.tobytes() == (count * np.where(count > 0, mean, 0.0)).tobytes()
+        assert stats.b.tobytes() == (count * np.where(count > 0, M - mean, 0.0)).tobytes()
+        perm = [int(v) for v in rng.permutation(J)]
+        for k in (0, int(rng.integers(0, J + 1)), J):
+            prefix, free = tuple(perm[:k]), sorted(perm[k:])
+            if rng.random() < 0.5:
+                rng.shuffle(free)
+            got = _fit_p_core(stats, prefix, tuple(free))
+            assert got.dtype == np.float64
+            assert got.tobytes() == reference_fit_p_core(stats, prefix, tuple(free)).tobytes()
+            cases += 1
+    assert cases >= 3000
 
 
 def test_fit_p_beats_random_feasible_points():

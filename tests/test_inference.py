@@ -45,6 +45,22 @@ def test_bootstrap_deterministic_and_schedule_independent():
     assert np.array_equal(a.rank_intervals, b.rank_intervals)
 
 
+def test_bootstrap_replicates_equal_fits_of_resampled_panels():
+    # a statistics-only replicate fits the weighted judge rows; it must be
+    # bitwise the fit of the Dataset resampled from the same (seed, rep) draw
+    rng = np.random.default_rng(31)
+    ds = random_dataset(rng, J=5, I=9, missing_scores=0.3, missing_rankings=0.3)
+    for method in ("exact-crude", "greedy-local"):
+        summary = bootstrap(ds, method=method, B=12, seed=4)
+        assert summary.n_failed == 0
+        for rep in range(12):
+            idx = np.random.default_rng([4, rep]).integers(0, ds.I, size=ds.I)
+            fit = fit_method(inference._resample(ds, idx), method)
+            assert summary.replicate_p[rep].tobytes() == fit.params.p.tobytes()
+            assert summary.replicate_theta[rep] == fit.params.theta
+            assert summary.replicate_ranks[rep].tolist() == fit.params.rank_places().tolist()
+
+
 def test_bootstrap_rank_intervals_contain_point_rank():
     rng = np.random.default_rng(13)
     ds = random_dataset(rng, J=5, I=6, theta=0.8)
@@ -68,20 +84,23 @@ def test_bootstrap_records_failures():
 
 
 def test_bootstrap_replicate_bug_propagates(monkeypatch):
-    # only degenerate resamples (ValueError) count as failed replicates
+    # only degenerate resamples (ValueError) count as failed replicates; an
+    # exact-crude replicate fits its weighted stats, an fv one its resample
     ds = identical_judges_dataset()
-    real = inference.fit_method
-    calls = []
+    for method, fitter in (("exact-crude", "_fit_stats"), ("fv", "fit_method")):
+        real = getattr(inference, fitter)
+        calls = []
 
-    def buggy_after_point_fit(*args, **kwargs):
-        calls.append(args)
-        if len(calls) > 1:
-            raise ZeroDivisionError("bug inside a replicate")
-        return real(*args, **kwargs)
+        def buggy_after_point_fit(*args, _real=real, _calls=calls, **kwargs):
+            _calls.append(args)
+            if len(_calls) > 1:
+                raise ZeroDivisionError("bug inside a replicate")
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "fit_method", buggy_after_point_fit)
-    with pytest.raises(ZeroDivisionError):
-        bootstrap(ds, B=5, n_jobs=1)
+        monkeypatch.setattr(inference, fitter, buggy_after_point_fit)
+        with pytest.raises(ZeroDivisionError):
+            bootstrap(ds, method, B=5, n_jobs=1)
+        monkeypatch.undo()
 
 
 def test_bootstrap_validates_inputs():

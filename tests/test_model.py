@@ -114,6 +114,15 @@ def test_log_density_missing_cells_skipped():
     assert ranking_part == pytest.approx(-log_psi(2.0, 2, 2), abs=1e-12)
 
 
+def test_log_density_rejects_infinite_scores():
+    # only NaN marks a missing cell, as in Dataset; an infinite score is out of range
+    params = Parameters(p=np.array([0.3, 0.5, 0.8]), theta=2.0, consensus_order=(0, 1, 2))
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="integers"):
+            log_density([bad, 3.0, 4.0], (0, 1), params, M=5)
+    assert math.isfinite(log_density([np.nan, 3.0, 4.0], (0, 1), params, M=5))
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -259,6 +268,61 @@ def test_stats_win_matrix_matches_pairwise_oracle():
         assert compute_stats(ds).Q.tobytes() == Q.tobytes()
 
 
+def _judge_rows(ds, idx):
+    return Dataset(J=ds.J, M=ds.M, scores=ds.scores[idx], rankings=tuple(ds.rankings[i] for i in idx))
+
+
+def _assert_stats_bitwise_equal(got, want):
+    assert (got.J, got.M, got.n_rankers, got.ranking_lengths) == (want.J, want.M, want.n_rankers, want.ranking_lengths)
+    assert type(got.n_rankers) is int
+    for name in ("mean_score", "score_count", "Q"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_stats_of_judge_rows_match_the_panel_built_from_them():
+    # judge weights on the cached per-judge rows give bitwise the statistics
+    # of the resampled Dataset, ranking_lengths in the drawn order included
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        J = int(rng.integers(1, 11))
+        I = int(rng.integers(1, 15))
+        ds = random_dataset(rng, J=J, I=I, R=int(rng.integers(1, J + 1)),
+                            missing_scores=float(rng.choice([0.0, 0.3, 0.9])),
+                            missing_rankings=float(rng.choice([0.0, 0.4, 0.9])))
+        # partial rankings of mixed lengths
+        rankings = tuple(None if r is None else r[:int(rng.integers(1, len(r) + 1))] for r in ds.rankings)
+        ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=rankings)
+        _assert_stats_bitwise_equal(compute_stats(ds, np.arange(I)), compute_stats(ds))
+        for _ in range(4):
+            idx = rng.integers(0, I, size=int(rng.integers(1, 2 * I + 1)))
+            try:
+                panel = _judge_rows(ds, idx)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    compute_stats(ds, idx)
+                continue
+            got = compute_stats(ds, idx)
+            _assert_stats_bitwise_equal(got, compute_stats(panel))
+            assert got.ranking_lengths == tuple(len(r) for r in panel.rankings if r is not None)
+
+
+def test_stats_of_an_empty_draw_raise_like_the_dataset():
+    # judge 0 has neither scores nor a ranking: a draw of only that judge is
+    # an empty panel, with the Dataset's error
+    scores = np.array([[np.nan, np.nan], [1.0, 2.0]])
+    ds = Dataset(J=2, M=3, scores=scores, rankings=(None, (1, 0)))
+    with pytest.raises(ValueError) as from_dataset:
+        _judge_rows(ds, [0, 0])
+    with pytest.raises(ValueError) as from_stats:
+        compute_stats(ds, [0, 0])
+    assert str(from_stats.value) == str(from_dataset.value) == "dataset holds neither scores nor rankings"
+    with pytest.raises(ValueError, match="neither"):
+        compute_stats(ds, [])
+    for bad in ([2], [-1, 0]):
+        with pytest.raises(ValueError, match="judge indices"):
+            compute_stats(ds, bad)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -297,6 +361,15 @@ def test_parameters_require_consistent_order():
         Parameters(p=np.array([0.2, 0.1]), theta=1.0, consensus_order=(0, 1))
     with pytest.raises(ValueError):
         Parameters(p=np.array([0.1, 0.2]), theta=-1.0, consensus_order=(0, 1))
+
+
+def test_parameters_reject_nan_quality_and_infinite_theta():
+    for p in ([np.nan, 0.4], [0.1, np.inf]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Parameters(p=np.array(p), theta=1.0, consensus_order=(0, 1))
+    for theta in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="theta"):
+            Parameters(p=np.array([0.1, 0.4]), theta=theta, consensus_order=(0, 1))
 
 
 def test_parameters_rank_places():

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
+import pytest
+
 from conftest import random_dataset
-from mallows_binomial import astar, compute_stats, fitting
+from mallows_binomial import astar, compute_stats, fitting, inference
+from mallows_binomial.cli import EXIT_OK, main
 
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
 
@@ -36,3 +39,27 @@ def test_traced_theta_layer_is_reached(monkeypatch):
     astar(compute_stats(ds))
     # one solve is the final conditional fit, the others are search bounds
     assert calls["fit_theta"] > 1 and calls["_expected_distance_total"] > 0, calls
+
+
+@pytest.mark.parametrize("method", ["exact-crude", "fv"])
+def test_bootstrap_command_computes_stats_b_plus_one_times(tmp_path, monkeypatch, method):
+    # The traced benchmark checks B+1 compute_stats calls per bootstrap
+    # command, patched on inference as here: one for the point fit and one
+    # per replicate, whether the replicate weights the judge rows
+    # (exact-crude) or fits a resampled Dataset (fv).
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--I", "12", "--J", "4", "--R", "3", "--M", "5", "--theta", "1.5",
+                 "--seed", "4", "--out-dir", str(sim)]) == EXIT_OK
+    real, calls = inference.compute_stats, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "compute_stats", counted)
+    B = 7
+    code = main(["bootstrap", "--scores", str(sim / "scores.csv"), "--rankings", str(sim / "rankings.csv"),
+                 "--scale-min", "0", "--scale-max", "5", "--scale-step", "1", "--method", method,
+                 "--B", str(B), "--seed", "3", "--out", str(tmp_path / "boot.json")])
+    assert code == EXIT_OK
+    assert len(calls) == B + 1
