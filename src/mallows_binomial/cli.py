@@ -44,6 +44,9 @@ class ScoreScale:
     higher_is_better: bool = False
 
     def __post_init__(self):
+        for flag, value in (("--scale-min", self.min), ("--scale-max", self.max), ("--scale-step", self.step)):
+            if not np.isfinite(value):
+                raise IngestError(f"score scale {flag} must be finite, got {value}")
         if self.step <= 0 or self.max <= self.min:
             raise IngestError("score scale needs step > 0 and max > min")
         span = (self.max - self.min) / self.step
@@ -55,7 +58,7 @@ class ScoreScale:
         return int(round((self.max - self.min) / self.step))
 
     def to_integer(self, raw: float, where: str = "") -> int:
-        if raw < self.min - 1e-9 or raw > self.max + 1e-9:
+        if not self.min - 1e-9 <= raw <= self.max + 1e-9:  # also rejects nan
             raise IngestError(f"score {raw} outside [{self.min}, {self.max}]{where}")
         k = (raw - self.min) / self.step
         if abs(k - round(k)) > 1e-6:
@@ -71,31 +74,6 @@ class ScoreScale:
     def expected_raw(self, p: float) -> float:
         """Expected raw score implied by a quality value."""
         return self.to_raw(self.M * p)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the fitting commands."""
-
-    method: str = "exact-crude"
-    B: int = 200
-    level: float = 0.90
-    seed: int = 0
-    theta_max: float | None = None
-    node_budget: int = search.DEFAULT_NODE_BUDGET
-    candidate_cap: int = search.DEFAULT_CANDIDATE_CAP
-
-    def __post_init__(self):
-        if self.B < 1:
-            raise IngestError("--B must be at least 1")
-        if not 0 < self.level < 1:
-            raise IngestError("--level must lie strictly between 0 and 1")
-        if self.theta_max is not None and not 0 < self.theta_max < np.inf:
-            raise IngestError("--theta-max must be positive and finite")
-        if self.node_budget < 1 or self.candidate_cap < 1:
-            raise IngestError("--node-budget and --candidate-cap must be positive")
-        if self.seed < 0:
-            raise IngestError("--seed must be non-negative")
 
 
 def _read_csv(path: str) -> list[list[str]]:
@@ -224,21 +202,28 @@ def _dump_json(doc, out: str | None):
         print(text)
 
 
-def _fit_doc(result: FitResult, labels: list[str], scale: ScoreScale, dataset: Dataset) -> dict:
+def _params_doc(result: FitResult, labels: list[str], scale: ScoreScale) -> dict:
+    """The fitted-parameter fields of every fit and bootstrap document."""
     params = result.params
-    doc = {
-        "J": dataset.J,
-        "M": dataset.M,
-        "I": dataset.I,
+    return {
         "labels": labels,
         "method": result.algorithm,
         "p": [float(v) for v in params.p],
         "expected_score": [scale.expected_raw(float(v)) for v in params.p],
         "consensus_order": [labels[j] for j in params.consensus_order],
         "theta": None if params.theta is None else float(params.theta),
-        "theta_flag": result.theta_flag,
-        "theta_at_cap": params.theta_at_cap,
         "f_value": float(result.f_value),
+    }
+
+
+def _fit_doc(result: FitResult, labels: list[str], scale: ScoreScale, dataset: Dataset) -> dict:
+    return {
+        **_params_doc(result, labels, scale),
+        "J": dataset.J,
+        "M": dataset.M,
+        "I": dataset.I,
+        "theta_flag": result.theta_flag,
+        "theta_at_cap": result.params.theta_at_cap,
         "nodes_expanded": result.nodes_expanded,
         "candidate_evaluations": result.candidate_evaluations,
         "elapsed_seconds": result.elapsed,
@@ -246,40 +231,40 @@ def _fit_doc(result: FitResult, labels: list[str], scale: ScoreScale, dataset: D
         "optimal": result.optimal,
         "budget_exhausted": result.budget_exhausted,
     }
-    return doc
 
 
-def _scale_from_args(args) -> ScoreScale:
-    return ScoreScale(
-        min=args.scale_min,
-        max=args.scale_max,
-        step=args.scale_step,
-        higher_is_better=args.higher_is_better,
-    )
+# Range checks on the run options, in the order they are reported; each runs
+# only for a command that has the option, whose default argparse holds.
+_RUN_OPTION_CHECKS = (
+    ("jobs", lambda v: v >= 1, "--jobs must be at least 1"),
+    ("B", lambda v: v >= 1, "--B must be at least 1"),
+    ("level", lambda v: 0 < v < 1, "--level must lie strictly between 0 and 1"),
+    ("theta_max", lambda v: v is None or 0 < v < np.inf, "--theta-max must be positive and finite"),
+    ("node_budget", lambda v: v >= 1, "--node-budget and --candidate-cap must be positive"),
+    ("candidate_cap", lambda v: v >= 1, "--node-budget and --candidate-cap must be positive"),
+    ("seed", lambda v: v >= 0, "--seed must be non-negative"),
+)
 
 
-def _config_from_args(args) -> RunConfig:
-    if getattr(args, "jobs", 1) < 1:
-        raise IngestError("--jobs must be at least 1")
-    return RunConfig(
-        method=getattr(args, "method", "exact-crude"),
-        B=getattr(args, "B", 200),
-        level=getattr(args, "level", 0.90),
-        seed=getattr(args, "seed", 0),
-        theta_max=getattr(args, "theta_max", None),
-        node_budget=getattr(args, "node_budget", search.DEFAULT_NODE_BUDGET),
-        candidate_cap=getattr(args, "candidate_cap", search.DEFAULT_CANDIDATE_CAP),
-    )
+def _check_run_options(args):
+    options = vars(args)
+    for name, valid, message in _RUN_OPTION_CHECKS:
+        if name in options and not valid(options[name]):
+            raise IngestError(message)
+
+
+def _ingest_args(args) -> tuple[ScoreScale, Dataset, list[str]]:
+    scale = ScoreScale(args.scale_min, args.scale_max, args.scale_step, args.higher_is_better)
+    dataset, labels, _ = ingest(args.scores, args.rankings, scale)
+    return scale, dataset, labels
 
 
 def cmd_fit(args) -> int:
-    scale = _scale_from_args(args)
-    config = _config_from_args(args)
-    dataset, labels, _ = ingest(args.scores, args.rankings, scale)
+    scale, dataset, labels = _ingest_args(args)
     result = inference.fit_method(
-        dataset, config.method,
-        theta_max=config.theta_max, node_budget=config.node_budget,
-        candidate_cap=config.candidate_cap, rng=np.random.default_rng(config.seed),
+        dataset, args.method,
+        theta_max=args.theta_max, node_budget=args.node_budget,
+        candidate_cap=args.candidate_cap, rng=np.random.default_rng(args.seed),
     )
     _dump_json(_fit_doc(result, labels, scale, dataset), args.out)
     return EXIT_BUDGET if result.budget_exhausted else EXIT_OK
@@ -294,40 +279,34 @@ def _rank_csv_rows(labels, summary) -> list[list]:
     return rows
 
 
+def _bootstrap(args, dataset: Dataset, method: str):
+    return inference.bootstrap(
+        dataset, method, B=args.B, level=args.level, seed=args.seed,
+        theta_max=args.theta_max, node_budget=args.node_budget,
+        candidate_cap=args.candidate_cap, n_jobs=args.jobs,
+    )
+
+
 def _bootstrap_doc(summary, labels, scale) -> dict:
-    point = summary.point
-    doc = {
+    return {
+        **_params_doc(summary.point, labels, scale),
         "B": summary.B,
         "level": summary.level,
-        "method": point.algorithm,
-        "labels": labels,
-        "p": [float(v) for v in point.params.p],
         "p_intervals": [[float(a), float(b)] for a, b in summary.p_intervals],
-        "expected_score": [scale.expected_raw(float(v)) for v in point.params.p],
-        "consensus_order": [labels[j] for j in point.params.consensus_order],
-        "point_rank": [int(r) for r in point.params.rank_places()],
+        "point_rank": [int(r) for r in summary.point.params.rank_places()],
         "rank_intervals": [[int(a), int(b)] for a, b in summary.rank_intervals],
-        "theta": None if point.params.theta is None else float(point.params.theta),
         "theta_interval": None if summary.theta_interval is None else list(summary.theta_interval),
         "theta_cap_proportion": summary.theta_cap_proportion,
         "theta_undefined_count": summary.theta_undefined_count,
         "n_failed": summary.n_failed,
-        "f_value": float(point.f_value),
     }
-    return doc
 
 
 def cmd_bootstrap(args) -> int:
-    scale = _scale_from_args(args)
-    config = _config_from_args(args)
     if not args.out:
         raise IngestError("bootstrap requires --out (JSON path; rank CSV lands beside it)")
-    dataset, labels, _ = ingest(args.scores, args.rankings, scale)
-    summary = inference.bootstrap(
-        dataset, config.method, B=config.B, level=config.level, seed=config.seed,
-        theta_max=config.theta_max, node_budget=config.node_budget,
-        candidate_cap=config.candidate_cap, n_jobs=args.jobs,
-    )
+    scale, dataset, labels = _ingest_args(args)
+    summary = _bootstrap(args, dataset, args.method)
     _dump_json(_bootstrap_doc(summary, labels, scale), args.out)
     csv_path = Path(args.out).with_suffix(Path(args.out).suffix + ".ranks.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -336,10 +315,9 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _config_from_args(args)
     if args.R > args.J:
         raise IngestError("--R cannot exceed --J")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     if args.p == "uniform":
         p = rng.uniform(size=args.J)
     else:
@@ -367,7 +345,7 @@ def cmd_simulate(args) -> int:
             writer.writerow([judge] + cells + [""] * (args.R - len(cells)))
     _dump_json(
         {
-            "I": args.I, "J": args.J, "R": args.R, "M": args.M, "seed": config.seed,
+            "I": args.I, "J": args.J, "R": args.R, "M": args.M, "seed": args.seed,
             "theta": args.theta,
             "p": [float(v) for v in truth.p],
             "consensus_order": [labels[j] for j in truth.consensus_order],
@@ -393,7 +371,6 @@ BENCHMARK_COLUMNS = [
 
 
 def cmd_benchmark(args) -> int:
-    config = _config_from_args(args)
     if not args.out:
         raise IngestError("benchmark requires --out (CSV path)")
     rows = inference.benchmark_grid(
@@ -404,9 +381,9 @@ def cmd_benchmark(args) -> int:
         theta_values=_float_list(args.grid_theta),
         trials=args.trials,
         algorithms=tuple(args.algorithms.split(",")),
-        seed=config.seed,
-        theta_max=config.theta_max,
-        node_budget=config.node_budget,
+        seed=args.seed,
+        theta_max=args.theta_max,
+        node_budget=args.node_budget,
     )
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=BENCHMARK_COLUMNS)
@@ -417,50 +394,33 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scale = _scale_from_args(args)
-    config = _config_from_args(args)
-    dataset, labels, _ = ingest(args.scores, args.rankings, scale)
+    scale, dataset, labels = _ingest_args(args)
     models = ["mallows-binomial"] + list(inference.COMPARISON_MODELS)
-    doc = {"labels": labels, "B": config.B, "level": config.level, "models": {}}
+    doc = {"labels": labels, "B": args.B, "level": args.level, "models": {}}
     for model in models:
-        method = config.method if model == "mallows-binomial" else model
         try:
-            summary = inference.bootstrap(
-                dataset, method, B=config.B, level=config.level, seed=config.seed,
-                theta_max=config.theta_max, node_budget=config.node_budget,
-                candidate_cap=config.candidate_cap, n_jobs=args.jobs,
-            )
+            summary = _bootstrap(args, dataset, args.method if model == "mallows-binomial" else model)
         except ValueError as err:
             doc["models"][model] = {"error": str(err)}
             continue
-        point = summary.point
-        entry = {
-            "point_rank": [int(r) for r in point.params.rank_places()],
-            "rank_intervals": [[int(a), int(b)] for a, b in summary.rank_intervals],
-            "consensus_order": [labels[j] for j in point.params.consensus_order],
-            "n_failed": summary.n_failed,
-        }
-        identified = len(point.non_identified) < dataset.J
+        fields = _bootstrap_doc(summary, labels, scale)
+        keys = ["point_rank", "rank_intervals", "consensus_order", "n_failed"]
+        identified = len(summary.point.non_identified) < dataset.J
         if model not in ("converted-rankings", "only-rankings") and identified:
-            entry["p"] = [float(v) for v in point.params.p]
-            entry["p_intervals"] = [[float(a), float(b)] for a, b in summary.p_intervals]
-            entry["expected_score"] = [scale.expected_raw(float(v)) for v in point.params.p]
-        if point.params.theta is not None:
-            entry["theta"] = float(point.params.theta)
-            entry["theta_interval"] = None if summary.theta_interval is None else list(summary.theta_interval)
-            entry["theta_cap_proportion"] = summary.theta_cap_proportion
-        doc["models"][model] = entry
+            keys += ["p", "p_intervals", "expected_score"]
+        if fields["theta"] is not None:
+            keys += ["theta", "theta_interval", "theta_cap_proportion"]
+        doc["models"][model] = {key: fields[key] for key in keys}
     _dump_json(doc, args.out)
     return EXIT_OK
 
 
 def cmd_bias_demo(args) -> int:
-    theta_max = _config_from_args(args).theta_max  # rejects a non-positive --theta-max
     p0 = [float(v) for v in args.p0.split(",")]
     J = len(p0)
     table = inference.bias_enumeration(
         p0, args.theta0, M=args.M, J=J, R=J if args.R is None else args.R,
-        theta_max=50.0 if theta_max is None else theta_max,
+        theta_max=50.0 if args.theta_max is None else args.theta_max,
     )
     print(f"exact bias over {table.n_outcomes} outcomes "
           f"(M={table.M}, J={table.J}, R={table.R}, theta0={table.theta0})")
@@ -484,26 +444,24 @@ def cmd_bias_demo(args) -> int:
     return EXIT_OK
 
 
-def _add_scale_flags(sub):
-    sub.add_argument("--scale-min", type=float, default=0.0)
-    sub.add_argument("--scale-max", type=float, default=None, required=False)
-    sub.add_argument("--scale-step", type=float, default=1.0)
-    sub.add_argument("--higher-is-better", action="store_true")
-
-
-def _add_data_flags(sub):
+def _add_fit_flags(sub, *, resampled=False):
+    """Data, score-scale and run flags of fit; resampled adds bootstrap's."""
     sub.add_argument("--scores", default=None)
     sub.add_argument("--rankings", default=None)
-    _add_scale_flags(sub)
-
-
-def _add_run_flags(sub, methods):
-    sub.add_argument("--method", default="exact-crude", choices=methods)
+    sub.add_argument("--scale-min", type=float, default=0.0)
+    sub.add_argument("--scale-max", type=float, required=True)
+    sub.add_argument("--scale-step", type=float, default=1.0)
+    sub.add_argument("--higher-is-better", action="store_true")
+    sub.add_argument("--method", default="exact-crude", choices=list(inference.CORE_METHODS))
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--theta-max", type=float, default=None)
     sub.add_argument("--node-budget", type=int, default=search.DEFAULT_NODE_BUDGET)
     sub.add_argument("--candidate-cap", type=int, default=search.DEFAULT_CANDIDATE_CAP)
     sub.add_argument("--out", default=None)
+    if resampled:
+        sub.add_argument("--B", type=int, default=200)
+        sub.add_argument("--level", type=float, default=0.90)
+        sub.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,19 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    core = list(inference.CORE_METHODS)
-
     p_fit = subs.add_parser("fit", help="point fit")
-    _add_data_flags(p_fit)
-    _add_run_flags(p_fit, core)
+    _add_fit_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_boot = subs.add_parser("bootstrap", help="bootstrap intervals for p, theta, and rank places")
-    _add_data_flags(p_boot)
-    _add_run_flags(p_boot, core)
-    p_boot.add_argument("--B", type=int, default=200)
-    p_boot.add_argument("--level", type=float, default=0.90)
-    p_boot.add_argument("--jobs", type=int, default=1)
+    _add_fit_flags(p_boot, resampled=True)
     p_boot.set_defaults(func=cmd_bootstrap)
 
     p_sim = subs.add_parser("simulate", help="write a synthetic panel in the ingest format")
@@ -554,11 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_cmp = subs.add_parser("compare", help="joint model plus the four conversion baselines")
-    _add_data_flags(p_cmp)
-    _add_run_flags(p_cmp, core)
-    p_cmp.add_argument("--B", type=int, default=200)
-    p_cmp.add_argument("--level", type=float, default=0.90)
-    p_cmp.add_argument("--jobs", type=int, default=1)
+    _add_fit_flags(p_cmp, resampled=True)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_bias = subs.add_parser("bias-demo", help="exact single-judge bias enumeration")
@@ -574,18 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "scale_max") and args.scale_max is None and args.command in ("fit", "bootstrap", "compare"):
-        parser.error(f"{args.command} requires --scale-max")
+    args = build_parser().parse_args(argv)
     try:
+        _check_run_options(args)
         return args.func(args)
     except BruteForceCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except IngestError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -207,17 +207,18 @@ def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint) -> n
     """
     if constraint.J != stats.J:
         raise ValueError("constraint dimension does not match stats")
-    return _fit_p_core(stats, constraint.prefix, constraint.free)
+    return _fit_p_core(stats, constraint.prefix)
 
 
-def _fit_p_core(stats: SufficientStats, prefix, free) -> np.ndarray:
+def _fit_p_core(stats: SufficientStats, prefix) -> np.ndarray:
     # Python floats from the stats' score view: the same IEEE operations as
-    # numpy scalars, without their per-operation cost.
+    # numpy scalars, without their per-operation cost. Every object outside
+    # the prefix is free.
     q, weight, observed = stats.q, stats.q_weight, stats.observed
     members = [j for j in prefix if observed[j]]
     n_chain = len(members)
-    free_set = set(free)
-    members += [j for j in stats.by_q if j in free_set]
+    fixed = set(prefix)
+    members += [j for j in stats.by_q if j not in fixed]
     p = [0.5] * stats.J
     if not members:
         return np.array(p)
@@ -236,8 +237,8 @@ def _fit_p_core(stats: SufficientStats, prefix, free) -> np.ndarray:
             p[j] = prev
     if prefix:
         top = p[prefix[-1]]
-        for j in free:
-            if not observed[j]:
+        for j in stats.unobserved:
+            if j not in fixed:
                 p[j] = top
     return np.array(p)
 
@@ -285,7 +286,7 @@ def fit_given_order(
     order = tuple(int(o) for o in order)
     if sorted(order) != list(range(stats.J)):
         raise ValueError("order is not a permutation of the objects")
-    p = _fit_p_core(stats, order, ())
+    p = _fit_p_core(stats, order)
     if stats.n_rankers:
         d_mean = mean_kendall_distance(stats, order)
         theta, flag = fit_theta(d_mean, stats.ranking_lengths, stats.J, theta_max)

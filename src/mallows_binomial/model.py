@@ -159,8 +159,9 @@ class SufficientStats:
 
     The score view the p fits read is derived once, at construction: per
     object q = mean/M and its isotonic weight count*M (Python floats), the
-    observed flags, the observed objects sorted by (q, j), and the Binomial
-    weights a = count*mean and b = count*(M - mean), zero where unobserved.
+    observed flags, the observed objects sorted by (q, j), the unobserved
+    objects in index order, and the Binomial weights a = count*mean and
+    b = count*(M - mean), zero where unobserved.
     """
 
     J: int
@@ -174,6 +175,7 @@ class SufficientStats:
     q_weight: tuple[float, ...] = field(init=False, repr=False, compare=False)
     observed: tuple[bool, ...] = field(init=False, repr=False, compare=False)
     by_q: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    unobserved: tuple[int, ...] = field(init=False, repr=False, compare=False)
     a: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -189,6 +191,7 @@ class SufficientStats:
         object.__setattr__(self, "observed", tuple(seen.tolist()))
         # a stable sort of ascending indices: ties in q keep j order
         object.__setattr__(self, "by_q", tuple(sorted(np.flatnonzero(seen).tolist(), key=q.__getitem__)))
+        object.__setattr__(self, "unobserved", tuple(np.flatnonzero(~seen).tolist()))
         object.__setattr__(self, "a", _frozen_array(count * np.where(seen, mean, 0.0)))
         object.__setattr__(self, "b", _frozen_array(count * np.where(seen, self.M - mean, 0.0)))
 

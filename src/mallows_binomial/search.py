@@ -103,7 +103,7 @@ class _SearchContext:
             free_min = self._lp_cache[free]
         # L sums non-negative costs, but its incremental update can round a zero below it.
         value = _theta_cost(max(fixed + free_min, 0.0), self.profile, self.theta_max)
-        p = _fit_p_core(self.stats, prefix, free)
+        p = _fit_p_core(self.stats, prefix)
         return value + _binomial_cost(p, self.stats.a, self.stats.b)
 
     def children(self, prefix: Ranking, fixed: float, free_min: float, heuristic: str):

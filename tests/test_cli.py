@@ -186,6 +186,61 @@ def test_run_commands_reject_jobs_below_one(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+RUN_OPTION_ERRORS = {
+    "--B": (["0"], "--B must be at least 1"),
+    "--level": (["0", "1", "nan"], "--level must lie strictly between 0 and 1"),
+    "--theta-max": (["0"], "--theta-max must be positive and finite"),
+    "--node-budget": (["0"], "--node-budget and --candidate-cap must be positive"),
+    "--candidate-cap": (["0"], "--node-budget and --candidate-cap must be positive"),
+    "--seed": (["-1"], "--seed must be non-negative"),
+}
+COMMAND_RUN_OPTIONS = {
+    "fit": ("--theta-max", "--node-budget", "--candidate-cap", "--seed"),
+    "bootstrap": tuple(RUN_OPTION_ERRORS),
+    "compare": tuple(RUN_OPTION_ERRORS),
+    "simulate": ("--seed",),
+    "benchmark": ("--theta-max", "--node-budget", "--seed"),
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value)
+    for command, flags in COMMAND_RUN_OPTIONS.items()
+    for flag in flags
+    for value in RUN_OPTION_ERRORS[flag][0]
+])
+def test_run_commands_reject_out_of_range_options(tmp_path, capsys, command, flag, value):
+    # every range check on a run option fires before any file is read or written
+    out = tmp_path / "x.json"
+    base = {
+        "simulate": ["--I", "4", "--J", "3", "--R", "3", "--M", "2", "--theta", "1",
+                     "--out-dir", str(tmp_path / "sim")],
+        "benchmark": ["--out", str(out)],
+    }.get(command, ["--scores", str(tmp_path / "absent.csv"), "--scale-max", "5", "--out", str(out)])
+    assert main([command, *base, flag, value]) == EXIT_INPUT
+    assert RUN_OPTION_ERRORS[flag][1] in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--scale-max", "inf"], "--scale-max"),
+    (["--scale-min=-inf", "--scale-max", "inf"], "--scale-min"),
+    (["--scale-max", "nan"], "--scale-max"),
+    (["--scale-max", "5", "--scale-step", "nan"], "--scale-step"),
+])
+def test_non_finite_score_scale_exits_2(tmp_path, capsys, flags, named):
+    scores = write(tmp_path / "s.csv", "judge,a,b\nj1,1,2\n")
+    assert main(["fit", "--scores", scores, *flags]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_non_finite_score_cell_names_row_and_column(tmp_path, capsys):
+    scores = write(tmp_path / "s.csv", "judge,a,b\nj1,1,2\nj2,nan,3\n")
+    assert main(["fit", "--scores", scores, "--scale-max", "5"]) == EXIT_INPUT
+    assert "row 3 column 2" in capsys.readouterr().err
+
+
 def test_solver_failure_exits_4(tmp_path, monkeypatch):
     from mallows_binomial import SimplexError, inference
 

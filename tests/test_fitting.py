@@ -228,7 +228,7 @@ def test_fit_p_core_matches_reference_bitwise():
             prefix, free = tuple(perm[:k]), sorted(perm[k:])
             if rng.random() < 0.5:
                 rng.shuffle(free)
-            got = _fit_p_core(stats, prefix, tuple(free))
+            got = _fit_p_core(stats, prefix)
             assert got.dtype == np.float64
             assert got.tobytes() == reference_fit_p_core(stats, prefix, tuple(free)).tobytes()
             cases += 1

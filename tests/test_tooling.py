@@ -1,7 +1,8 @@
-"""The traced benchmark run patches package functions by name; a rename
+"""The benchmark patches and calls package functions by name; a rename
 would break it without any other test noticing."""
 import importlib
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from mallows_binomial import astar, compute_stats, fitting, inference
+from mallows_binomial import Parameters, astar, cli, compute_stats, fitting, inference
 from mallows_binomial.cli import EXIT_OK, main
 
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
@@ -39,6 +40,25 @@ def test_traced_theta_layer_is_reached(monkeypatch):
     astar(compute_stats(ds))
     # one solve is the final conditional fit, the others are search bounds
     assert calls["fit_theta"] > 1 and calls["_expected_distance_total"] > 0, calls
+
+
+def test_benchmark_checker_api_recomputes_a_fit(tmp_path):
+    # The benchmark's checker recomputes each fit's f_value through these
+    # names; a CLI change that broke them would only show as failed ops.
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--I", "8", "--J", "5", "--R", "3", "--M", "6", "--theta", "1.5",
+                 "--seed", "2", "--out-dir", str(sim)]) == EXIT_OK
+    scores, rankings, out = str(sim / "scores.csv"), str(sim / "rankings.csv"), tmp_path / "fit.json"
+    assert main(["fit", "--scores", scores, "--rankings", rankings, "--scale-max", "6",
+                 "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    dataset, labels, _ = cli.ingest(scores, rankings, cli.ScoreScale(0, 6, 1))
+    stats = inference.compute_stats(dataset)
+    index = {label: j for j, label in enumerate(labels)}
+    params = Parameters(p=doc["p"], theta=doc["theta"],
+                        consensus_order=[index[label] for label in doc["consensus_order"]])
+    f = fitting.objective(stats, params, dataset.M)
+    assert abs(f - doc["f_value"]) / max(1.0, abs(f)) <= 1e-9
 
 
 @pytest.mark.parametrize("method", ["exact-crude", "fv"])
