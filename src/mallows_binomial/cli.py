@@ -243,6 +243,7 @@ _RUN_OPTION_CHECKS = (
     ("node_budget", lambda v: v >= 1, "--node-budget and --candidate-cap must be positive"),
     ("candidate_cap", lambda v: v >= 1, "--node-budget and --candidate-cap must be positive"),
     ("seed", lambda v: v >= 0, "--seed must be non-negative"),
+    ("trials", lambda v: v >= 1, "--trials must be at least 1"),
 )
 
 
@@ -373,12 +374,12 @@ BENCHMARK_COLUMNS = [
 def cmd_benchmark(args) -> int:
     if not args.out:
         raise IngestError("benchmark requires --out (CSV path)")
+    grid = (_int_list(args.grid_I), _int_list(args.grid_M), _int_list(args.grid_J), _int_list(args.grid_R),
+            _float_list(args.grid_theta))
+    if not inference.grid_cells(*grid):
+        raise IngestError("--grid-I, --grid-M, --grid-J, --grid-R and --grid-theta give no cell with R <= J")
     rows = inference.benchmark_grid(
-        I_values=_int_list(args.grid_I),
-        M_values=_int_list(args.grid_M),
-        J_values=_int_list(args.grid_J),
-        R_values=_int_list(args.grid_R),
-        theta_values=_float_list(args.grid_theta),
+        *grid,
         trials=args.trials,
         algorithms=tuple(args.algorithms.split(",")),
         seed=args.seed,

@@ -13,11 +13,12 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
 from .model import Dataset, Parameters, Ranking, SufficientStats, _check_partial_shape, compute_stats
+from .special import xlog1py, xlogy
 
 THETA_FLOOR = 1e-8
+_TERM_MEMO_SIZE = 4096  # Binomial terms a SufficientStats keeps per object
 
 
 def default_theta_max(J: int) -> float:
@@ -39,11 +40,6 @@ class PrefixConstraint:
         if len(set(prefix)) != len(prefix) or any(not 0 <= o < self.J for o in prefix):
             raise ValueError("prefix must list distinct objects in [0, J)")
         object.__setattr__(self, "prefix", prefix)
-
-    @property
-    def free(self) -> tuple[int, ...]:
-        fixed = set(self.prefix)
-        return tuple(o for o in range(self.J) if o not in fixed)
 
 
 @lru_cache(maxsize=4096)
@@ -185,10 +181,26 @@ def _pava(values: list[float], weights: list[float]) -> list[float]:
     return out
 
 
-def _binomial_cost(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Negative Binomial loglikelihood terms: a = count * mean,
-    b = count * (M - mean); boundary terms use the 0*log(0) = 0 convention."""
-    return float(-np.sum(xlogy(a, p) + xlog1py(b, -p)))
+def _binomial_costs(stats: SufficientStats, fits: Sequence[np.ndarray]) -> list[float]:
+    """Negative Binomial loglikelihood, less its coefficients, of each quality
+    vector in fits: minus the row sum of its per-object terms
+    xlogy(a, p) + xlog1py(b, -p), where a = count * mean and b = count * (M - mean),
+    so 0*log(0) = 0 at the boundary. The rows of one matrix are summed as
+    numpy sums one vector. A term depends on its object and p value only, and
+    the stats remember up to _TERM_MEMO_SIZE of them per object, so the fits
+    of one search seldom compute a log."""
+    rows = []
+    for p in fits:
+        row = []
+        for j, (memo, p_j) in enumerate(zip(stats.binomial_terms, p.tolist())):
+            term = memo.get(p_j)
+            if term is None:
+                term = xlogy(stats.a.item(j), p_j) + xlog1py(stats.b.item(j), -p_j)
+                if len(memo) < _TERM_MEMO_SIZE:
+                    memo[p_j] = term
+            row.append(term)
+        rows.append(row)
+    return (-np.array(rows).sum(axis=1)).tolist()
 
 
 def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint) -> np.ndarray:
@@ -260,7 +272,7 @@ def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None
     stats = compute_stats(data) if isinstance(data, Dataset) else data
     if M is not None and M != stats.M:
         raise ValueError(f"M={M} disagrees with the data's score scale M={stats.M}")
-    total = _binomial_cost(params.p, stats.a, stats.b)
+    total = _binomial_costs(stats, [params.p])[0]
     if stats.n_rankers:
         if params.theta is None:
             raise ValueError("rankings present but parameters carry no theta")

@@ -381,7 +381,8 @@ def bias_enumeration(
 # Simulation harnesses
 # ---------------------------------------------------------------------------
 
-def _grid_cells(I_values, M_values, J_values, R_values, theta_values):
+def grid_cells(I_values, M_values, J_values, R_values, theta_values) -> list[tuple]:
+    """Every (I, M, J, R, theta) of the grid with R <= J, in product order."""
     cells = []
     for I, M, J, R, theta in product(I_values, M_values, J_values, R_values, theta_values):
         if R <= J:
@@ -416,7 +417,7 @@ def consistency_experiment(
     summaries).
     """
     rows = []
-    cells = _grid_cells(I_values, M_values, J_values, R_values, theta_values)
+    cells = grid_cells(I_values, M_values, J_values, R_values, theta_values)
     for cell_idx, (I, M, J, R, theta) in enumerate(cells):
         for trial in range(trials):
             rng = np.random.default_rng([seed, cell_idx, trial])
@@ -456,7 +457,7 @@ def benchmark_grid(
     distance.
     """
     rows = []
-    cells = _grid_cells(I_values, M_values, J_values, R_values, theta_values)
+    cells = grid_cells(I_values, M_values, J_values, R_values, theta_values)
     for cell_idx, (I, M, J, R, theta) in enumerate(cells):
         for trial in range(trials):
             rng = np.random.default_rng([seed, cell_idx, trial])

@@ -14,9 +14,9 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from . import kendall
+from .special import gammaln, xlog1py, xlogy
 
 Ranking = tuple[int, ...]
 
@@ -161,7 +161,9 @@ class SufficientStats:
     object q = mean/M and its isotonic weight count*M (Python floats), the
     observed flags, the observed objects sorted by (q, j), the unobserved
     objects in index order, and the Binomial weights a = count*mean and
-    b = count*(M - mean), zero where unobserved.
+    b = count*(M - mean), zero where unobserved. binomial_terms holds, per
+    object, its Binomial term at each p value the fits have met; the fitting
+    module fills it.
     """
 
     J: int
@@ -178,6 +180,7 @@ class SufficientStats:
     unobserved: tuple[int, ...] = field(init=False, repr=False, compare=False)
     a: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
+    binomial_terms: tuple[dict[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean, count = _frozen_array(self.mean_score), _frozen_array(self.score_count)
@@ -194,6 +197,7 @@ class SufficientStats:
         object.__setattr__(self, "unobserved", tuple(np.flatnonzero(~seen).tolist()))
         object.__setattr__(self, "a", _frozen_array(count * np.where(seen, mean, 0.0)))
         object.__setattr__(self, "b", _frozen_array(count * np.where(seen, self.M - mean, 0.0)))
+        object.__setattr__(self, "binomial_terms", tuple({} for _ in range(self.J)))
 
 
 def _check_partial_shape(R: int, J: int):
@@ -246,9 +250,10 @@ def log_density(scores_row: Sequence[float], ranking: Ranking | None, params: Pa
         x = row[observed]
         if np.any(x < 0) or np.any(x > M) or np.any(x != np.round(x)):
             raise ValueError(f"scores must be integers in [0, {M}]")
-        p = params.p[observed]
-        binom_coef = gammaln(M + 1) - gammaln(x + 1) - gammaln(M - x + 1)
-        total += float(np.sum(binom_coef + xlogy(x, p) + xlog1py(M - x, -p)))
+        log_m = gammaln(M + 1)
+        terms = [log_m - gammaln(int(k) + 1) - gammaln(M - int(k) + 1) + xlogy(k, q) + xlog1py(M - k, -q)
+                 for k, q in zip(x.tolist(), params.p[observed].tolist())]
+        total += float(np.sum(terms))
     if ranking is not None and len(ranking) > 0:
         if params.theta is None:
             raise ValueError("ranking present but parameters carry no theta")

@@ -21,7 +21,7 @@ import numpy as np
 from . import kendall
 from .fitting import (
     ConditionalFit,
-    _binomial_cost,
+    _binomial_costs,
     _fit_p_core,
     _length_profile,
     _theta_cost,
@@ -83,39 +83,48 @@ class _SearchContext:
         self.J = stats.J
         self.theta_max = default_theta_max(stats.J) if theta_max is None else float(theta_max)
         self.Q = stats.Q
+        self.QT = np.ascontiguousarray(stats.Q.T)
         self.col_total = stats.Q.sum(axis=0)
         self.mmin = np.minimum(stats.Q, stats.Q.T)
         self.root_free_min = float(self.mmin[np.triu_indices(self.J, k=1)].sum())
         self.profile = _length_profile(stats.ranking_lengths, stats.J)
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
-    def child_costs(self, prefix: Ranking, fixed: float, free_min: float, child: int, free: Sequence[int]):
-        fixed_c = fixed + float(self.col_total[child]) - float(self.Q[list(prefix), child].sum())
-        drop = float(self.mmin[list(free), child].sum())  # mmin[child, child] = 0
-        return fixed_c, free_min - drop
-
-    def bound(self, prefix: Ranking, fixed: float, free_min: float, free: tuple[int, ...], heuristic: str) -> float:
-        # Below three free objects the LP has no triangle rows and equals the pairwise
-        # minimum sum.
-        if heuristic == "lp" and len(free) >= 3:
-            if free not in self._lp_cache:
-                self._lp_cache[free] = lp_free_cost(self.Q, free, free_min)
-            free_min = self._lp_cache[free]
-        # L sums non-negative costs, but its incremental update can round a zero below it.
-        value = _theta_cost(max(fixed + free_min, 0.0), self.profile, self.theta_max)
-        p = _fit_p_core(self.stats, prefix)
-        return value + _binomial_cost(p, self.stats.a, self.stats.b)
+    def bounds(self, prefixes: Sequence[Ranking], fixed: Sequence[float], free_min: Sequence[float],
+               frees: Sequence[tuple[int, ...]], heuristic: str) -> list[float]:
+        """Admissible total-cost bound of each node (prefix, fixed, free_min,
+        free): its theta part plus the Binomial cost of its p fit, the latter
+        for all the nodes in one batch."""
+        theta_parts = []
+        for fixed_c, free_min_c, free in zip(fixed, free_min, frees):
+            # Below three free objects the LP has no triangle rows and equals the
+            # pairwise minimum sum.
+            if heuristic == "lp" and len(free) >= 3:
+                if free not in self._lp_cache:
+                    self._lp_cache[free] = lp_free_cost(self.Q, free, free_min_c)
+                free_min_c = self._lp_cache[free]
+            # L sums non-negative costs, but its incremental update can round a zero below it.
+            theta_parts.append(_theta_cost(max(fixed_c + free_min_c, 0.0), self.profile, self.theta_max))
+        binomial = _binomial_costs(self.stats, [_fit_p_core(self.stats, prefix) for prefix in prefixes])
+        return [value + cost for value, cost in zip(theta_parts, binomial)]
 
     def children(self, prefix: Ranking, fixed: float, free_min: float, heuristic: str):
         """Yield (bound, child_prefix, fixed, free_min, free) for every child
-        of a node, in object order."""
+        of a node, in object order.
+
+        A child adds its column of Q, less the prefix rows, to the fixed cost and
+        drops its free pairs' minima from the free cost. Both are row sums of
+        C-contiguous child x object blocks, which numpy sums row by row as it
+        sums each row alone."""
         free = tuple(o for o in range(self.J) if o not in prefix)
-        for child in free:
-            fixed_c, free_min_c = self.child_costs(prefix, fixed, free_min, child, free)
-            free_c = tuple(o for o in free if o != child)
-            child_prefix = prefix + (child,)
-            yield (self.bound(child_prefix, fixed_c, free_min_c, free_c, heuristic),
-                   child_prefix, fixed_c, free_min_c, free_c)
+        children = np.array(free)
+        rows = children[:, None]
+        fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
+        free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()  # mmin[c, c] = 0
+        prefixes = [prefix + (child,) for child in free]
+        frees = [free[:i] + free[i + 1:] for i in range(len(free))]
+        bounds = self.bounds(prefixes, fixed_c, free_min_c, frees, heuristic)
+        yield from zip(bounds, prefixes, fixed_c, free_min_c, frees)
 
 
 def _non_identified(stats: SufficientStats) -> tuple[int, ...]:

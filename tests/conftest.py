@@ -5,9 +5,10 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import xlog1py, xlogy
 
 from mallows_binomial import Dataset, Parameters, order_of, sample
-from mallows_binomial.fitting import THETA_FLOOR, _level_weights, _pava, default_theta_max
+from mallows_binomial.fitting import THETA_FLOOR, _fit_p_core, _level_weights, _pava, _theta_cost, default_theta_max
 from mallows_binomial.kemeny_lp import lp_free_cost
 
 
@@ -105,8 +106,6 @@ def enumerate_outcomes(J, M, R):
 
 
 def binomial_cost(p, mean, count, M):
-    from scipy.special import xlog1py, xlogy
-
     a = count * np.where(count > 0, mean, 0.0)
     b = count * np.where(count > 0, M - mean, 0.0)
     return float(-np.sum(xlogy(a, p) + xlog1py(b, -p)))
@@ -310,14 +309,54 @@ def min_pair_cost(Q, free) -> float:
 def crude_cost(stats, constraint) -> float:
     """Admissible mean ranking cost L at a node: fixed pairs plus pairwise
     minima over free pairs."""
-    return fixed_pair_cost(stats.Q, constraint.prefix) + min_pair_cost(stats.Q, constraint.free)
+    free = tuple(o for o in range(constraint.J) if o not in constraint.prefix)
+    return fixed_pair_cost(stats.Q, constraint.prefix) + min_pair_cost(stats.Q, free)
 
 
 def lp_bound(stats, constraint) -> float:
     """Tight admissible mean ranking cost L_LP at a node: fixed-pair cost
     plus the Kemeny LP optimum over free pairs."""
-    free = constraint.free
+    free = tuple(o for o in range(constraint.J) if o not in constraint.prefix)
     return fixed_pair_cost(stats.Q, constraint.prefix) + lp_free_cost(stats.Q, free, min_pair_cost(stats.Q, free))
+
+
+# The search's child loop as it ran one child at a time, with scipy's Binomial
+# terms; the node kernel must give every bound bit for bit. ctx is a
+# search._SearchContext.
+
+def reference_binomial_cost(p, a, b) -> float:
+    return float(-np.sum(xlogy(a, p) + xlog1py(b, -p)))
+
+
+def reference_child_costs(ctx, prefix, fixed, free_min, child, free):
+    fixed_c = fixed + float(ctx.col_total[child]) - float(ctx.Q[list(prefix), child].sum())
+    drop = float(ctx.mmin[list(free), child].sum())  # mmin[child, child] = 0
+    return fixed_c, free_min - drop
+
+
+def reference_bound(ctx, prefix, fixed, free_min, free, heuristic) -> float:
+    # Below three free objects the LP has no triangle rows and equals the pairwise
+    # minimum sum.
+    if heuristic == "lp" and len(free) >= 3:
+        if free not in ctx._lp_cache:
+            ctx._lp_cache[free] = lp_free_cost(ctx.Q, free, free_min)
+        free_min = ctx._lp_cache[free]
+    # L sums non-negative costs, but its incremental update can round a zero below it.
+    value = _theta_cost(max(fixed + free_min, 0.0), ctx.profile, ctx.theta_max)
+    p = _fit_p_core(ctx.stats, prefix)
+    return value + reference_binomial_cost(p, ctx.stats.a, ctx.stats.b)
+
+
+def reference_children(ctx, prefix, fixed, free_min, heuristic):
+    """Yield (bound, child_prefix, fixed, free_min, free) for every child
+    of a node, in object order."""
+    free = tuple(o for o in range(ctx.J) if o not in prefix)
+    for child in free:
+        fixed_c, free_min_c = reference_child_costs(ctx, prefix, fixed, free_min, child, free)
+        free_c = tuple(o for o in free if o != child)
+        child_prefix = prefix + (child,)
+        yield (reference_bound(ctx, child_prefix, fixed_c, free_min_c, free_c, heuristic),
+               child_prefix, fixed_c, free_min_c, free_c)
 
 
 # Scale solver before its slope and curvature passes were fused and its

@@ -193,13 +193,14 @@ RUN_OPTION_ERRORS = {
     "--node-budget": (["0"], "--node-budget and --candidate-cap must be positive"),
     "--candidate-cap": (["0"], "--node-budget and --candidate-cap must be positive"),
     "--seed": (["-1"], "--seed must be non-negative"),
+    "--trials": (["0", "-2"], "--trials must be at least 1"),
 }
 COMMAND_RUN_OPTIONS = {
     "fit": ("--theta-max", "--node-budget", "--candidate-cap", "--seed"),
-    "bootstrap": tuple(RUN_OPTION_ERRORS),
-    "compare": tuple(RUN_OPTION_ERRORS),
+    "bootstrap": tuple(flag for flag in RUN_OPTION_ERRORS if flag != "--trials"),
+    "compare": tuple(flag for flag in RUN_OPTION_ERRORS if flag != "--trials"),
     "simulate": ("--seed",),
-    "benchmark": ("--theta-max", "--node-budget", "--seed"),
+    "benchmark": ("--theta-max", "--node-budget", "--seed", "--trials"),
 }
 
 
@@ -281,6 +282,15 @@ def test_benchmark_csv(tmp_path):
         if ",exact-" in line:
             cells = line.split(",")
             assert cells[11] == "1" and cells[12] == "0"  # exact_match, kendall distance
+
+
+@pytest.mark.parametrize("grid", [["--grid-J", "3", "--grid-R", "5"], ["--grid-I", ""]])
+def test_benchmark_rejects_an_empty_grid(tmp_path, capsys, grid):
+    path = tmp_path / "bench.csv"
+    assert main(["benchmark", *grid, "--out", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--grid-J" in err and "--grid-R" in err and "Traceback" not in err
+    assert not path.exists()
 
 
 def compare_fixture(tmp_path):
@@ -385,10 +395,16 @@ def test_bias_demo_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_cli_import_loads_no_scipy_stats_or_optimize():
-    code = ("import sys, mallows_binomial.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+@pytest.mark.parametrize("module", ["mallows_binomial", "mallows_binomial.cli"])
+def test_import_loads_no_scipy(module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(mallows_binomial.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env).stdout
     assert out.strip() == "[]"
+    # -X importtime lists every module the import loads, one per line, with its name last
+    listed = subprocess.run([sys.executable, "-X", "importtime", "-c", f"import {module}"], capture_output=True,
+                            text=True, check=True, env=env).stderr
+    names = [line.rsplit("|", 1)[-1].strip() for line in listed.splitlines() if "|" in line]
+    assert module in names
+    assert [name for name in names if name.split(".")[0] == "scipy"] == []

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import crude_cost, enumerate_outcomes, random_dataset
+from conftest import crude_cost, enumerate_outcomes, random_dataset, reference_children
 from mallows_binomial import (
     Dataset,
     PrefixConstraint,
@@ -18,6 +18,7 @@ from mallows_binomial import (
     objective,
 )
 from mallows_binomial import fitting, search
+from mallows_binomial.inference import simulate_cell
 from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
 
 
@@ -113,8 +114,8 @@ def test_heuristic_admissibility_every_node():
                     min(stats.Q[u, v], stats.Q[v, u])
                     for u, v in itertools.combinations(free, 2))
                 free_min = crude_cost(stats, node) - fixed
-                crude_b = ctx.bound(prefix, fixed, free_min, free, "crude")
-                lp_b = ctx.bound(prefix, fixed, free_min, free, "lp")
+                crude_b = ctx.bounds([prefix], [fixed], [free_min], [free], "crude")[0]
+                lp_b = ctx.bounds([prefix], [fixed], [free_min], [free], "lp")[0]
                 exact = min(
                     fit_given_order(stats, prefix + tail).f_value
                     for tail in itertools.permutations(free))
@@ -127,21 +128,61 @@ def test_child_bounds_never_decrease():
     ds = random_dataset(rng, J=5, missing_scores=0.1)
     stats = compute_stats(ds)
     ctx = _SearchContext(stats, theta_max=None)
-    J = ds.J
     for heuristic in ("crude", "lp"):
         stack = [((), 0.0, ctx.root_free_min, -np.inf)]
         while stack:
             prefix, fixed, free_min, parent_bound = stack.pop()
-            free = tuple(o for o in range(J) if o not in prefix)
-            bound = ctx.bound(prefix, fixed, free_min, free, heuristic) if prefix else parent_bound
-            if prefix:
-                assert bound >= parent_bound - 1e-9
-            if len(prefix) >= 2:  # keep the walk small
+            if len(prefix) > 2:  # keep the walk small
                 continue
-            for child in free:
-                fixed_c, free_min_c = ctx.child_costs(prefix, fixed, free_min, child, free)
-                stack.append((prefix + (child,), fixed_c, free_min_c,
-                              bound if prefix else -np.inf))
+            for bound, child_prefix, fixed_c, free_min_c, _ in ctx.children(prefix, fixed, free_min, heuristic):
+                assert bound >= parent_bound - 1e-9
+                stack.append((child_prefix, fixed_c, free_min_c, bound))
+
+
+def node_bits(children):
+    return [np.array([bound, fixed, free_min]).tobytes() + repr((prefix, free)).encode()
+            for bound, prefix, fixed, free_min, free in children]
+
+
+def test_node_kernel_matches_the_per_child_loop_bitwise(monkeypatch):
+    # every bound astar generates, as the one-child-at-a-time loop with
+    # scipy's Binomial terms computed it
+    rng = np.random.default_rng(61)
+    panels = []
+    for case in range(24):
+        J = int(rng.integers(3, 10))
+        R = J if case % 2 else int(rng.integers(2, J))
+        _, data = simulate_cell(int(rng.integers(3, 16)), int(rng.choice([2, 5, 10])), J, R,
+                                float(rng.uniform(0.2, 2.5)), rng)
+        panels.append(compute_stats(data))
+
+    def run():
+        runs = []
+        for stats in panels:
+            for heuristic in ("crude", "lp"):
+                trace = []
+                result = astar(stats, heuristic=heuristic, trace=trace)
+                runs.append((np.array(trace).tobytes(), result.nodes_expanded, result.params.consensus_order,
+                             result.f_value.hex()))
+        return runs
+
+    kernel = run()
+    monkeypatch.setattr(search._SearchContext, "children", reference_children)
+    assert kernel == run()
+
+
+def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
+    # rows of up to 19 fixed pairs take numpy's pairwise sum; every child on
+    # greedy's path must still match the 1-D sums bit for bit
+    for R in (5, 20):
+        stats = compute_stats(simulate_cell(10, 10, 20, R, 0.4, np.random.default_rng([62, R]))[1])
+        ctx, reference = _SearchContext(stats, theta_max=None), _SearchContext(stats, theta_max=None)
+        node = ((), 0.0, ctx.root_free_min)
+        while len(node[0]) < stats.J - 1:
+            children = list(ctx.children(*node, "crude"))
+            assert node_bits(children) == node_bits(reference_children(reference, *node, "crude"))
+            _, prefix, fixed, free_min, _ = min(children, key=lambda child: child[0])
+            node = (prefix, fixed, free_min)
 
 
 def _counting(monkeypatch, module, name):
