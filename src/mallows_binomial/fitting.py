@@ -8,6 +8,7 @@ full fits.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -42,26 +43,32 @@ class PrefixConstraint:
         object.__setattr__(self, "prefix", prefix)
 
 
+def _length_profile(ranking_lengths: Sequence[int], J: int) -> tuple[int, ...]:
+    """The multiset of ranking lengths: entry R-1 counts the judges ranking exactly R objects."""
+    return tuple(np.bincount(np.asarray(ranking_lengths, dtype=int), minlength=J + 1)[1:].tolist())
+
+
 @lru_cache(maxsize=4096)
-def _level_weights(lengths: tuple[int, ...], J: int):
-    """w[j-1] = number of judges ranking at least j objects, for j = 1..J."""
-    w = np.zeros(J)
-    for R in lengths:
-        w[:R] += 1.0
+def _level_weights(profile: tuple[int, ...]):
+    """w[j-1] = number of judges ranking at least j objects, for j = 1..J,
+    from the length profile (J = len(profile)). The counts are integers, so
+    any lengths with this profile give the same bits."""
+    J = len(profile)
+    w = np.cumsum(np.array(profile[::-1], dtype=float))[::-1].copy()
     k = np.arange(J, 0, -1, dtype=float)  # Mallows level sizes J-j+1
-    return w, k, float(sum(lengths))
+    return w, k, float(sum(R * count for R, count in enumerate(profile, 1)))
 
 
 @lru_cache(maxsize=4096)
-def _distance_at_floor_and_cap(lengths: tuple[int, ...], J: int, theta_max: float) -> tuple[float, float]:
+def _distance_at_floor_and_cap(profile: tuple[int, ...], theta_max: float) -> tuple[float, float]:
     """Summed E[d] at THETA_FLOOR and at theta_max: fit_theta's floor and cap tests."""
-    weights = _level_weights(lengths, J)
+    weights = _level_weights(profile)
     return _expected_distance_total(THETA_FLOOR, *weights)[0], _expected_distance_total(theta_max, *weights)[0]
 
 
 def log_psi_total(theta: float, lengths: Sequence[int], J: int) -> float:
     """Sum of log normalizing constants over judges with lengths R_i."""
-    w, k, sum_r = _level_weights(tuple(lengths), J)
+    w, k, sum_r = _level_weights(_length_profile(lengths, J))
     return float(np.sum(w * np.log(-np.expm1(-theta * k))) - sum_r * np.log(-np.expm1(-theta)))
 
 
@@ -83,7 +90,7 @@ def moments(theta: float, R: int, J: int) -> tuple[float, float]:
     _check_partial_shape(R, J)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    return _expected_distance_total(theta, *_level_weights((R,), J))
+    return _expected_distance_total(theta, *_level_weights(_length_profile((R,), J)))
 
 
 def fit_theta(
@@ -100,17 +107,17 @@ def fit_theta(
     (distance at or above the uniform-limit mean, no interior minimizer), or
     "undefined" when no rankings exist. Interior solves are safeguarded Newton
     steps, each taking E[d] and Var[d] from one pass; the floor and cap tests
-    read E[d] at both ends from a cache keyed on (lengths, J, theta_max).
+    read E[d] at both ends from a cache keyed on (length profile, theta_max).
     """
-    lengths = tuple(int(r) for r in ranking_lengths)
-    if not lengths:
+    if not len(ranking_lengths):
         return None, "undefined"
     if mean_distance < 0:
         raise ValueError("mean distance must be non-negative")
     theta_max = default_theta_max(J) if theta_max is None else theta_max
-    w, k, sum_r = _level_weights(lengths, J)
-    total = mean_distance * len(lengths)
-    at_floor, at_cap = _distance_at_floor_and_cap(lengths, J, theta_max)
+    profile = _length_profile(ranking_lengths, J)
+    w, k, sum_r = _level_weights(profile)
+    total = mean_distance * len(ranking_lengths)
+    at_floor, at_cap = _distance_at_floor_and_cap(profile, theta_max)
     if total - at_floor >= 0:
         return THETA_FLOOR, "floor"
     if total - at_cap <= 0:
@@ -137,11 +144,6 @@ def fit_theta(
     return float(theta), "interior"
 
 
-def _length_profile(ranking_lengths: Sequence[int], J: int) -> tuple[int, ...]:
-    """The multiset of ranking lengths: entry R-1 counts the judges ranking exactly R objects."""
-    return tuple(np.bincount(np.asarray(ranking_lengths, dtype=int), minlength=J + 1)[1:].tolist())
-
-
 @lru_cache(maxsize=4096)
 def _theta_cost(mean_distance: float, profile: tuple[int, ...], theta_max: float) -> float:
     """Minimized scale-part value theta*total + log psi at the fitted theta;
@@ -157,48 +159,92 @@ def _theta_cost(mean_distance: float, profile: tuple[int, ...], theta_max: float
     return float(theta * total + log_psi_total(theta, lengths, J))
 
 
-def _pava(values: list[float], weights: list[float]) -> list[float]:
-    """Weighted pool-adjacent-violators on a chain; returns fitted values.
+def _pava(stack: list[tuple[float, float, int]], v: float, w: float) -> int:
+    """Push the value v of weight w onto a pool-adjacent-violators stack of
+    blocks (value, weight, member count) and return the number of blocks
+    below it.
 
-    Each incoming value is pooled with the blocks below it while they lie
-    above it; a pool of (v1, w1) below (v, w) is (w1*v1 + w*v) / (w1 + w)."""
-    vals: list[float] = []
-    wts: list[float] = []
-    spans: list[int] = []
-    for v, w in zip(values, weights):
-        span = 1
-        while vals and vals[-1] > v:
-            v1, w1 = vals.pop(), wts.pop()
-            span += spans.pop()
-            v = (w1 * v1 + w * v) / (w1 + w)
-            w = w1 + w
-        vals.append(v)
-        wts.append(w)
-        spans.append(span)
-    out = []
-    for v, s in zip(vals, spans):
-        out.extend([v] * s)
-    return out
+    The value is pooled with the blocks below it while they lie above it; a
+    pool of (v1, w1) below (v, w) is (w1*v1 + w*v) / (w1 + w)."""
+    span = 1
+    while stack and stack[-1][0] > v:
+        v1, w1, span1 = stack.pop()
+        v, w, span = (w1 * v1 + w * v) / (w1 + w), w1 + w, span + span1
+    stack.append((v, w, span))
+    return len(stack) - 1
+
+
+def _binomial_term(stats: SufficientStats, j: int, p_j: float) -> float:
+    """xlogy(a, p) + xlog1py(b, -p) of object j at p_j, where a = count * mean
+    and b = count * (M - mean), so 0*log(0) = 0 at the boundary and an
+    unobserved object's term is 0. The term depends on the object and p value
+    only, and the stats remember up to _TERM_MEMO_SIZE of them per object, so
+    the fits of one search seldom compute a log."""
+    memo = stats.binomial_terms[j]
+    term = memo.get(p_j)
+    if term is None:
+        term = xlogy(stats.a.item(j), p_j) + xlog1py(stats.b.item(j), -p_j)
+        if len(memo) < _TERM_MEMO_SIZE:
+            memo[p_j] = term
+    return term
 
 
 def _binomial_costs(stats: SufficientStats, fits: Sequence[np.ndarray]) -> list[float]:
     """Negative Binomial loglikelihood, less its coefficients, of each quality
-    vector in fits: minus the row sum of its per-object terms
-    xlogy(a, p) + xlog1py(b, -p), where a = count * mean and b = count * (M - mean),
-    so 0*log(0) = 0 at the boundary. The rows of one matrix are summed as
-    numpy sums one vector. A term depends on its object and p value only, and
-    the stats remember up to _TERM_MEMO_SIZE of them per object, so the fits
-    of one search seldom compute a log."""
+    vector in fits: minus the row sum of its per-object terms. The rows of one
+    matrix are summed as numpy sums one vector."""
+    rows = [[_binomial_term(stats, j, p_j) for j, p_j in enumerate(p.tolist())] for p in fits]
+    return (-np.array(rows).sum(axis=1)).tolist()
+
+
+def _node_binomial_costs(stats: SufficientStats, prefix: Ranking, extensions: Sequence[Ranking]) -> list[float]:
+    """The Binomial cost of the p fit of each node prefix + ext, bit for bit
+    _binomial_costs(stats, [_fit_p_core(stats, prefix + ext) for ext in extensions]).
+
+    The PAVA stack of the prefix chain is built once. A node resumes from it,
+    pushes its extension, then pushes the q-sorted free tail only until a
+    value pools with nothing: that value and every later one stays a
+    singleton at its own q, because the tail is sorted. Each node's row is
+    the prefix's template (chain terms at the stack's values, tail terms at
+    their own q, 0 for unobserved objects) with only the entries of re-pooled
+    blocks replaced."""
+    q, weight, observed = stats.q, stats.q_weight, stats.observed
+    fixed = set(prefix)
+    chain = [j for j in prefix if observed[j]]
+    tail = [j for j in stats.by_q if j not in fixed]
+    stack: list[tuple[float, float, int]] = []
+    for j in chain:
+        _pava(stack, q[j], weight[j])
+    starts = list(itertools.accumulate((span for _, _, span in stack), initial=0))
+    template = [0.0] * stats.J
+    for (v, _, span), start in zip(stack, starts):
+        for j in chain[start:start + span]:
+            template[j] = _binomial_term(stats, j, v)
+    for j in tail:
+        template[j] = _binomial_term(stats, j, q[j])
+
     rows = []
-    for p in fits:
-        row = []
-        for j, (memo, p_j) in enumerate(zip(stats.binomial_terms, p.tolist())):
-            term = memo.get(p_j)
-            if term is None:
-                term = xlogy(stats.a.item(j), p_j) + xlog1py(stats.b.item(j), -p_j)
-                if len(memo) < _TERM_MEMO_SIZE:
-                    memo[p_j] = term
-            row.append(term)
+    for ext in extensions:
+        blocks, depth, pushed = stack[:], len(stack), []
+        for j in ext:
+            if observed[j]:
+                depth = min(depth, _pava(blocks, q[j], weight[j]))
+                pushed.append(j)
+        for j in tail:
+            if j not in ext:
+                below = _pava(blocks, q[j], weight[j])
+                if blocks[-1][2] == 1:  # pooled with nothing
+                    blocks.pop()
+                    break
+                pushed.append(j)
+                depth = min(depth, below)
+        row = template[:]
+        members = chain[starts[depth]:] + pushed
+        start = 0
+        for v, _, span in blocks[depth:]:
+            for j in members[start:start + span]:
+                row[j] = _binomial_term(stats, j, v)
+            start += span
         rows.append(row)
     return (-np.array(rows).sum(axis=1)).tolist()
 
@@ -234,7 +280,10 @@ def _fit_p_core(stats: SufficientStats, prefix) -> np.ndarray:
     p = [0.5] * stats.J
     if not members:
         return np.array(p)
-    fitted = _pava([q[j] for j in members], [weight[j] for j in members])
+    stack: list[tuple[float, float, int]] = []
+    for j in members:
+        _pava(stack, q[j], weight[j])
+    fitted = [v for v, _, span in stack for _ in range(span)]
     for j, v in zip(members, fitted):
         p[j] = v
 
@@ -272,11 +321,18 @@ def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None
     stats = compute_stats(data) if isinstance(data, Dataset) else data
     if M is not None and M != stats.M:
         raise ValueError(f"M={M} disagrees with the data's score scale M={stats.M}")
-    total = _binomial_costs(stats, [params.p])[0]
+    d_mean = None
     if stats.n_rankers:
         if params.theta is None:
             raise ValueError("rankings present but parameters carry no theta")
         d_mean = mean_kendall_distance(stats, params.consensus_order)
+    return _objective(stats, params, d_mean)
+
+
+def _objective(stats: SufficientStats, params: Parameters, d_mean: float | None) -> float:
+    # objective, given the mean Kendall distance of the rankings to params' order
+    total = _binomial_costs(stats, [params.p])[0]
+    if stats.n_rankers:
         total += params.theta * d_mean * stats.n_rankers
         total += log_psi_total(params.theta, stats.ranking_lengths, stats.J)
     return float(total)
@@ -299,10 +355,9 @@ def fit_given_order(
     if sorted(order) != list(range(stats.J)):
         raise ValueError("order is not a permutation of the objects")
     p = _fit_p_core(stats, order)
+    d_mean, theta, flag = None, None, "undefined"
     if stats.n_rankers:
         d_mean = mean_kendall_distance(stats, order)
         theta, flag = fit_theta(d_mean, stats.ranking_lengths, stats.J, theta_max)
-    else:
-        theta, flag = None, "undefined"
     params = Parameters(p=p, theta=theta, consensus_order=order, theta_at_cap=flag == "cap")
-    return ConditionalFit(params, objective(stats, params), flag)
+    return ConditionalFit(params, _objective(stats, params, d_mean), flag)

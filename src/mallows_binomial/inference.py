@@ -8,7 +8,6 @@ consistency and speed/accuracy studies.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import permutations, product
 from typing import Sequence
@@ -247,6 +246,8 @@ def bootstrap(
                        candidate_cap=candidate_cap, rng=np.random.default_rng([seed, B]))
     tasks = [(dataset, method, theta_max, node_budget, candidate_cap, seed, rep) for rep in range(B)]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only when a pool runs
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             raw = list(pool.map(_bootstrap_replicate, tasks, chunksize=max(1, B // (4 * n_jobs))))
     else:

@@ -24,9 +24,11 @@ from .fitting import (
     _binomial_costs,
     _fit_p_core,
     _length_profile,
+    _node_binomial_costs,
     _theta_cost,
     default_theta_max,
     fit_given_order,
+    mean_kendall_distance,
 )
 from .kemeny_lp import lp_free_cost
 from .model import Dataset, Parameters, Ranking, SufficientStats
@@ -90,11 +92,12 @@ class _SearchContext:
         self.profile = _length_profile(stats.ranking_lengths, stats.J)
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
-    def bounds(self, prefixes: Sequence[Ranking], fixed: Sequence[float], free_min: Sequence[float],
-               frees: Sequence[tuple[int, ...]], heuristic: str) -> list[float]:
-        """Admissible total-cost bound of each node (prefix, fixed, free_min,
-        free): its theta part plus the Binomial cost of its p fit, the latter
-        for all the nodes in one batch."""
+    def bounds(self, prefix: Ranking, extensions: Sequence[Ranking], fixed: Sequence[float],
+               free_min: Sequence[float], frees: Sequence[tuple[int, ...]], heuristic: str) -> list[float]:
+        """Admissible total-cost bound of each node prefix + ext with its
+        (fixed, free_min, free): its theta part plus the Binomial cost of its
+        p fit, the latter priced for all the nodes from one PAVA stack of the
+        prefix."""
         theta_parts = []
         for fixed_c, free_min_c, free in zip(fixed, free_min, frees):
             # Below three free objects the LP has no triangle rows and equals the
@@ -105,7 +108,7 @@ class _SearchContext:
                 free_min_c = self._lp_cache[free]
             # L sums non-negative costs, but its incremental update can round a zero below it.
             theta_parts.append(_theta_cost(max(fixed_c + free_min_c, 0.0), self.profile, self.theta_max))
-        binomial = _binomial_costs(self.stats, [_fit_p_core(self.stats, prefix) for prefix in prefixes])
+        binomial = _node_binomial_costs(self.stats, prefix, extensions)
         return [value + cost for value, cost in zip(theta_parts, binomial)]
 
     def children(self, prefix: Ranking, fixed: float, free_min: float, heuristic: str):
@@ -121,9 +124,10 @@ class _SearchContext:
         rows = children[:, None]
         fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
         free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()  # mmin[c, c] = 0
-        prefixes = [prefix + (child,) for child in free]
+        extensions = [(child,) for child in free]
         frees = [free[:i] + free[i + 1:] for i in range(len(free))]
-        bounds = self.bounds(prefixes, fixed_c, free_min_c, frees, heuristic)
+        bounds = self.bounds(prefix, extensions, fixed_c, free_min_c, frees, heuristic)
+        prefixes = [prefix + ext for ext in extensions]
         yield from zip(bounds, prefixes, fixed_c, free_min_c, frees)
 
 
@@ -133,11 +137,38 @@ def _non_identified(stats: SufficientStats) -> tuple[int, ...]:
 
 def _best_fit(stats, orders, *, theta_max, best: ConditionalFit | None = None) -> ConditionalFit | None:
     """Conditional fit of each order in turn; the first one with a strictly
-    smaller f than the best so far (starting from best) wins."""
+    smaller f than the best so far (starting from best) wins.
+
+    An order is fitted only if a lower bound on its f does not exceed the best
+    f: its exact Binomial part plus a bound on its theta part g(d) =
+    _theta_cost(d) at its mean distance d. g is a minimum over theta of
+    functions affine in d with positive slope, so it is concave and
+    non-decreasing: g(d) >= g(d_best) for d >= d_best, and below d_best g lies
+    above its chord from 0. A skipped order is not strictly better, so the
+    winner is the same; the margin of 1e-9 f covers the rounding of g against
+    the objective's theta part."""
+    cap = default_theta_max(stats.J) if theta_max is None else float(theta_max)
+    profile = _length_profile(stats.ranking_lengths, stats.J)
+    g_zero = _theta_cost(0.0, profile, cap)
+
+    def screen(fit: ConditionalFit) -> tuple[float, float, float]:
+        # d_best, g(d_best) and the bound above which an order is skipped
+        d = mean_kendall_distance(stats, fit.params.consensus_order)
+        return d, _theta_cost(d, profile, cap), fit.f_value + 1e-9 * abs(fit.f_value)
+
+    if best is not None:
+        d_best, g_best, cutoff = screen(best)
     for order in orders:
+        if best is not None:
+            d = mean_kendall_distance(stats, order)
+            bound = _binomial_costs(stats, [_fit_p_core(stats, order)])[0]
+            bound += g_best if d >= d_best else g_zero + (g_best - g_zero) * (d / d_best)
+            if bound > cutoff:
+                continue
         cond = fit_given_order(stats, order, theta_max=theta_max)
         if best is None or cond.f_value < best.f_value:
             best = cond
+            d_best, g_best, cutoff = screen(best)
     return best
 
 

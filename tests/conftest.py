@@ -7,8 +7,8 @@ import math
 import numpy as np
 from scipy.special import xlog1py, xlogy
 
-from mallows_binomial import Dataset, Parameters, order_of, sample
-from mallows_binomial.fitting import THETA_FLOOR, _fit_p_core, _level_weights, _pava, _theta_cost, default_theta_max
+from mallows_binomial import Dataset, Parameters, order_of, sample, search
+from mallows_binomial.fitting import THETA_FLOOR, _binomial_costs, _fit_p_core, _theta_cost, default_theta_max
 from mallows_binomial.kemeny_lp import lp_free_cost
 
 
@@ -192,7 +192,7 @@ def sweep_fit_p(mean, count, M, prefix, free):
             if extra_w:
                 vals[-1] = (cw[-1] * cv[-1] + extra_v) / (cw[-1] + extra_w)
                 wts[-1] = cw[-1] + extra_w
-            fitted = _pava(vals, wts)
+            fitted = reference_pava(vals, wts)
             top_val = fitted[-1]
             cand = fitted + [top_val] * t + [max(v, top_val) for v in leaf_v[t:]]
             cost = binomial_cost(np.array(cand), mean[idx], count[idx], M)
@@ -359,8 +359,34 @@ def reference_children(ctx, prefix, fixed, free_min, heuristic):
                child_prefix, fixed_c, free_min_c, free_c)
 
 
+def reference_node_binomial_costs(stats, prefix, extensions):
+    """The Binomial part of each node's bound as the search priced it before
+    a node's children shared one PAVA stack: a full p fit per node, one matrix."""
+    return _binomial_costs(stats, [_fit_p_core(stats, tuple(prefix) + tuple(ext)) for ext in extensions])
+
+
+def reference_best_fit(stats, orders, *, theta_max, best=None):
+    """The order scan without its screen: every order gets its conditional
+    fit, and the first strictly smaller f wins. The fits go through
+    search.fit_given_order, where tests count them."""
+    for order in orders:
+        cond = search.fit_given_order(stats, order, theta_max=theta_max)
+        if best is None or cond.f_value < best.f_value:
+            best = cond
+    return best
+
+
 # Scale solver before its slope and curvature passes were fused and its
 # floor/cap tests cached; kept verbatim so the fitted bits can be compared.
+
+def reference_level_weights(lengths, J):
+    """Mallows level weights from the judges' lengths one at a time:
+    w[j-1] = judges ranking at least j objects, the level sizes, sum of R."""
+    w = np.zeros(J)
+    for R in lengths:
+        w[:R] += 1.0
+    return w, np.arange(J, 0, -1, dtype=float), float(sum(lengths))
+
 
 def reference_expected_distance_total(theta, w, k, sum_r) -> float:
     with np.errstate(over="ignore"):
@@ -382,7 +408,7 @@ def reference_fit_theta(mean_distance, ranking_lengths, J, theta_max=None):
         raise ValueError("mean distance must be non-negative")
     if theta_max is None:
         theta_max = default_theta_max(J)
-    w, k, sum_r = _level_weights(lengths, J)
+    w, k, sum_r = reference_level_weights(lengths, J)
     total = mean_distance * len(lengths)
 
     def slope(theta):

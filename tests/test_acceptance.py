@@ -140,8 +140,8 @@ def test_criterion_3_admissibility_chain():
                             for a, v in enumerate(prefix))
                 free_min = sum(min(stats.Q[u, v], stats.Q[v, u])
                                for u, v in itertools.combinations(free, 2))
-                crude_b = ctx.bounds([prefix], [fixed], [free_min], [free], "crude")[0]
-                lp_b = ctx.bounds([prefix], [fixed], [free_min], [free], "lp")[0]
+                crude_b = ctx.bounds(prefix, [()], [fixed], [free_min], [free], "crude")[0]
+                lp_b = ctx.bounds(prefix, [()], [fixed], [free_min], [free], "lp")[0]
                 exact = tail_cost[prefix]
                 nodes_checked += 1
                 if crude_b > lp_b + 1e-9 or lp_b > exact + 1e-9:

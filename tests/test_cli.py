@@ -408,3 +408,12 @@ def test_import_loads_no_scipy(module):
     names = [line.rsplit("|", 1)[-1].strip() for line in listed.splitlines() if "|" in line]
     assert module in names
     assert [name for name in names if name.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # concurrent.futures pulls in multiprocessing, which only bootstrap --jobs > 1 uses
+    code = ("import sys, mallows_binomial.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mallows_binomial.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

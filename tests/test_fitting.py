@@ -13,6 +13,7 @@ from conftest import (
     reference_distance_variance_total,
     reference_expected_distance_total,
     reference_fit_theta,
+    reference_level_weights,
     structural_oracle,
     sweep_fit_p,
 )
@@ -29,7 +30,8 @@ from mallows_binomial import (
     moments,
     objective,
 )
-from mallows_binomial.fitting import THETA_FLOOR, _fit_p_core, _level_weights, mean_kendall_distance
+from mallows_binomial import fitting
+from mallows_binomial.fitting import THETA_FLOOR, _fit_p_core, log_psi_total, mean_kendall_distance
 
 
 def make_score_stats(mean, count, M):
@@ -94,7 +96,7 @@ def test_fit_theta_matches_reference_solver_bitwise():
         J = int(rng.integers(2, 25))
         n = int(rng.integers(1, 9))
         lengths = [J if rng.random() < 0.5 else int(rng.integers(1, J + 1)) for _ in range(n)]
-        w, k, sum_r = _level_weights(tuple(lengths), J)
+        w, k, sum_r = reference_level_weights(lengths, J)
         uniform_mean = reference_expected_distance_total(THETA_FLOOR, w, k, sum_r) / n
         D = 0.0 if case % 7 == 0 else float(rng.uniform(0.0, 1.2)) * uniform_mean
         if case % 3 == 0:
@@ -106,10 +108,31 @@ def test_fit_theta_matches_reference_solver_bitwise():
     assert min(flags[f] for f in ("floor", "cap", "interior")) >= 100, flags
 
 
+def test_scale_fit_reads_lengths_as_a_multiset():
+    # A bootstrap replicate lists the drawn judges' lengths in drawn order:
+    # every order of one multiset must give the same bits and hit the caches
+    # its first order filled.
+    rng = np.random.default_rng(5)
+    for J in (3, 8, 20):
+        lengths = [int(rng.integers(1, J + 1)) for _ in range(40)]
+        fitting._level_weights.cache_clear()
+        fitting._distance_at_floor_and_cap.cache_clear()
+        D = 0.3 * reference_expected_distance_total(1.0, *reference_level_weights(lengths, J)) / len(lengths)
+        first = fit_theta(D, lengths, J), log_psi_total(0.7, lengths, J)
+        misses = fitting._level_weights.cache_info().misses, fitting._distance_at_floor_and_cap.cache_info().misses
+        for _ in range(5):
+            shuffled = [lengths[i] for i in rng.permutation(len(lengths))]
+            again = fit_theta(D, shuffled, J), log_psi_total(0.7, shuffled, J)
+            assert repr(again) == repr(first)
+        assert first[0] == reference_fit_theta(D, lengths, J)
+        assert (fitting._level_weights.cache_info().misses,
+                fitting._distance_at_floor_and_cap.cache_info().misses) == misses
+
+
 def test_moments_match_reference_pair_bitwise():
     for J in range(1, 25):
         for R in range(1, J + 1):
-            w, k, sum_r = _level_weights((R,), J)
+            w, k, sum_r = reference_level_weights((R,), J)
             for theta in (THETA_FLOOR, 0.1, 1.0, 5.0, 60.0, 800.0):
                 expected = (reference_expected_distance_total(theta, w, k, sum_r),
                             reference_distance_variance_total(theta, w, k, sum_r))

@@ -4,7 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import crude_cost, enumerate_outcomes, random_dataset, reference_children
+from conftest import (
+    crude_cost,
+    enumerate_outcomes,
+    random_dataset,
+    reference_best_fit,
+    reference_node_binomial_costs,
+    reference_children,
+)
 from mallows_binomial import (
     Dataset,
     PrefixConstraint,
@@ -114,8 +121,8 @@ def test_heuristic_admissibility_every_node():
                     min(stats.Q[u, v], stats.Q[v, u])
                     for u, v in itertools.combinations(free, 2))
                 free_min = crude_cost(stats, node) - fixed
-                crude_b = ctx.bounds([prefix], [fixed], [free_min], [free], "crude")[0]
-                lp_b = ctx.bounds([prefix], [fixed], [free_min], [free], "lp")[0]
+                crude_b = ctx.bounds(prefix, [()], [fixed], [free_min], [free], "crude")[0]
+                lp_b = ctx.bounds(prefix, [()], [fixed], [free_min], [free], "lp")[0]
                 exact = min(
                     fit_given_order(stats, prefix + tail).f_value
                     for tail in itertools.permutations(free))
@@ -196,6 +203,101 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+
+def pricer_panels():
+    """Seeded panels with missing cells, wholly unobserved objects and ties in q."""
+    rng = np.random.default_rng(71)
+    for case in range(36):
+        J = int(rng.integers(2, 11))
+        ds = random_dataset(rng, J=J, M=int(rng.choice([1, 2, 10])),
+                            missing_scores=(0.0, 0.3, 0.6)[case % 3], missing_rankings=0.2)
+        scores = np.array(ds.scores)
+        if case % 4 == 0:
+            scores[:, rng.choice(J, size=max(1, J // 3), replace=False)] = np.nan
+        if case % 4 == 1:
+            scores[:, J - 1] = scores[:, 0]  # equal q, so the tail holds a tie
+        if case % 4 == 2:
+            scores[:] = np.nan
+        yield compute_stats(Dataset(J=J, M=ds.M, scores=scores, rankings=ds.rankings))
+
+
+def test_node_pricer_matches_per_node_fits_bitwise():
+    # every child of a node, a shuffled subset of them, the node itself and
+    # two-object extensions, at empty to near-full prefixes
+    rng = np.random.default_rng(72)
+    checked = 0
+    for stats in pricer_panels():
+        J = stats.J
+        perm = tuple(int(o) for o in rng.permutation(J))
+        for k in sorted({0, 1, J // 2, max(J - 2, 0), J - 1}):
+            prefix = perm[:k]
+            free = [o for o in range(J) if o not in prefix]
+            shuffled = [int(c) for c in rng.permutation(free)]
+            for extensions in ([(c,) for c in free], [(c,) for c in shuffled[:max(1, len(free) // 2)]],
+                               [(), *zip(shuffled, shuffled[1:])]):
+                got = fitting._node_binomial_costs(stats, prefix, extensions)
+                expected = reference_node_binomial_costs(stats, prefix, extensions)
+                assert [v.hex() for v in got] == [v.hex() for v in expected], (prefix, extensions)
+                checked += len(extensions)
+    assert checked >= 500, checked
+
+
+def screen_panels():
+    """Panels for the order scan: some with no rankings, some whose theta
+    sits at the cap (unanimous rankings) or at the floor (two opposite
+    judges), the rest random."""
+    rng = np.random.default_rng(73)
+    panels = []
+    for case in range(12):
+        J = int(rng.integers(3, 8))
+        ds = random_dataset(rng, J=J, I=int(rng.integers(3, 9)), missing_scores=0.2, theta=0.4)
+        rankings = ds.rankings
+        if case % 4 == 1:
+            rankings = (None,) * ds.I
+        elif case % 4 == 2:
+            rankings = (tuple(rng.permutation(J).tolist()),) * ds.I
+        elif case % 4 == 3:
+            order = tuple(rng.permutation(J).tolist())
+            rankings = tuple(order if i % 2 else order[::-1] for i in range(ds.I))
+        panels.append(Dataset(J=J, M=ds.M, scores=ds.scores, rankings=rankings))
+    return panels
+
+
+def test_order_screen_returns_the_unscreened_fit(monkeypatch):
+    def run():
+        results = []
+        for ds in screen_panels():
+            stats = compute_stats(ds)
+            for theta_max in (None, 0.5):
+                for result in (greedy_local(stats, theta_max=theta_max), fv(stats, ds, theta_max=theta_max),
+                               brute_force(stats, theta_max=theta_max)):
+                    results.append((result.algorithm, result.params.consensus_order, result.f_value.hex(),
+                                    repr(result.params.theta), result.theta_flag, result.params.p.tobytes(),
+                                    result.candidate_evaluations, result.local_rounds))
+        return results
+
+    screened = run()
+    flags = {entry[4] for entry in screened}
+    assert {"interior", "cap", "floor", "undefined"} <= flags, flags
+    monkeypatch.setattr(search, "_best_fit", reference_best_fit)
+    assert screened == run()
+
+
+def test_order_screen_skips_order_fits(monkeypatch):
+    # A screen that stopped skipping would leave every result unchanged;
+    # only the number of conditional fits shows it.
+    _, data = simulate_cell(10, 10, 12, 12, 0.4, np.random.default_rng(74))
+    stats = compute_stats(data)
+    fits = _counting(monkeypatch, search, "fit_given_order")
+    screened = greedy_local(stats), fv(stats, data)
+    screened_fits = len(fits)
+    fits.clear()
+    monkeypatch.setattr(search, "_best_fit", reference_best_fit)
+    unscreened = greedy_local(stats), fv(stats, data)
+    assert [r.f_value for r in screened] == [r.f_value for r in unscreened]
+    assert screened_fits < 0.8 * len(fits), (screened_fits, len(fits))
 
 
 def test_theta_memo_cannot_change_a_search(monkeypatch):

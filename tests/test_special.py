@@ -11,9 +11,10 @@ from conftest import (
     reference_binomial_cost,
     reference_distance_variance_total,
     reference_expected_distance_total,
+    reference_level_weights,
 )
 from mallows_binomial import compute_stats, fit_given_order, kendall, log_density, log_psi, moments, objective, special
-from mallows_binomial.fitting import _level_weights, log_psi_total, mean_kendall_distance
+from mallows_binomial.fitting import log_psi_total, mean_kendall_distance
 
 
 def bits(values) -> bytes:
@@ -97,7 +98,7 @@ def test_likelihood_formulas_match_scipy_bitwise():
                 assert bits(log_density(row, ranking, params, ds.M)) == bits(
                     scipy_log_density(row, ranking, params, ds.M))
             for R in set(stats.ranking_lengths):
-                weights = _level_weights((R,), ds.J)
+                weights = reference_level_weights((R,), ds.J)
                 assert moments(params.theta, R, ds.J) == (reference_expected_distance_total(params.theta, *weights),
                                                           reference_distance_variance_total(params.theta, *weights))
     for J in range(1, 30):
