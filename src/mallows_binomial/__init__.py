@@ -1,15 +1,12 @@
 """Joint consensus modeling of integer scores and top-R partial rankings."""
 
 from .fitting import (
-    PrefixConstraint,
     default_theta_max,
     fit_given_order,
-    fit_p_constrained,
     fit_theta,
     moments,
     objective,
 )
-from .kemeny_lp import PairLP, SimplexError, build_pair_lp, solve_dense_lp
 from .model import (
     Dataset,
     Parameters,
@@ -28,18 +25,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "FitResult",
-    "PairLP",
     "Parameters",
-    "PrefixConstraint",
-    "SimplexError",
     "SufficientStats",
     "astar",
     "brute_force",
-    "build_pair_lp",
     "compute_stats",
     "default_theta_max",
     "fit_given_order",
-    "fit_p_constrained",
     "fit_theta",
     "fv",
     "greedy",
@@ -51,5 +43,4 @@ __all__ = [
     "order_of",
     "psi",
     "sample",
-    "solve_dense_lp",
 ]

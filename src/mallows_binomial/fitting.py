@@ -9,7 +9,6 @@ full fits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -28,19 +27,15 @@ def default_theta_max(J: int) -> float:
     return float(J + 2)
 
 
-@dataclass(frozen=True)
-class PrefixConstraint:
-    """Prefix ordering n_1..n_k: encodes p_{n_1} <= ... <= p_{n_k} and
-    p_{n_k} <= p_l for every object l outside the prefix."""
-
-    J: int
-    prefix: Ranking
-
-    def __post_init__(self):
-        prefix = tuple(int(o) for o in self.prefix)
-        if len(set(prefix)) != len(prefix) or any(not 0 <= o < self.J for o in prefix):
-            raise ValueError("prefix must list distinct objects in [0, J)")
-        object.__setattr__(self, "prefix", prefix)
+def _theta_cap(J: int, theta_max: float | None) -> float:
+    """The scale cap of a fit: default_theta_max(J) when theta_max is None,
+    else theta_max, which must lie strictly between THETA_FLOOR and inf."""
+    if theta_max is None:
+        return default_theta_max(J)
+    theta_max = float(theta_max)
+    if not THETA_FLOOR < theta_max < np.inf:
+        raise ValueError(f"theta_max must lie strictly between {THETA_FLOOR} and inf, got {theta_max}")
+    return theta_max
 
 
 def _length_profile(ranking_lengths: Sequence[int], J: int) -> tuple[int, ...]:
@@ -108,12 +103,14 @@ def fit_theta(
     "undefined" when no rankings exist. Interior solves are safeguarded Newton
     steps, each taking E[d] and Var[d] from one pass; the floor and cap tests
     read E[d] at both ends from a cache keyed on (length profile, theta_max).
+    A cap outside (THETA_FLOOR, inf) or a negative or non-finite distance
+    raises ValueError.
     """
+    theta_max = _theta_cap(J, theta_max)
     if not len(ranking_lengths):
         return None, "undefined"
-    if mean_distance < 0:
-        raise ValueError("mean distance must be non-negative")
-    theta_max = default_theta_max(J) if theta_max is None else theta_max
+    if not 0 <= mean_distance < np.inf:
+        raise ValueError(f"mean distance must be finite and non-negative, got {mean_distance}")
     profile = _length_profile(ranking_lengths, J)
     w, k, sum_r = _level_weights(profile)
     total = mean_distance * len(ranking_lengths)
@@ -249,29 +246,26 @@ def _node_binomial_costs(stats: SufficientStats, prefix: Ranking, extensions: Se
     return (-np.array(rows).sum(axis=1)).tolist()
 
 
-def fit_p_constrained(stats: SufficientStats, constraint: PrefixConstraint) -> np.ndarray:
+def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:
     """Exact order-constrained Binomial MLE of the quality vector.
 
     Minimizes sum_j count_j * [mean_j log(1/p_j) + (M - mean_j) log(1/(1-p_j))]
-    subject to the chain-plus-star partial order. Appending the star leaves to
-    the chain in ascending order of their mean score gives a total order whose
-    isotonic regression is already star-feasible, hence optimal under the
-    partial order too. Isotonic regression minimizes every Bregman loss at
-    once, the Binomial one included (Robertson, Wright & Dykstra 1988), so one
-    chain PAVA gives the constrained MLE.
+    subject to the chain-plus-star partial order of the prefix n_1..n_k:
+    p_{n_1} <= ... <= p_{n_k}, and p_{n_k} <= p_l for every object l outside
+    it. Appending the star leaves to the chain in ascending order of their
+    mean score gives a total order whose isotonic regression is already
+    star-feasible, hence optimal under the partial order too. Isotonic
+    regression minimizes every Bregman loss at once, the Binomial one
+    included (Robertson, Wright & Dykstra 1988), so one chain PAVA gives the
+    constrained MLE.
 
     Objects with no observed scores contribute no term; they take the nearest
     feasible value (the top chain value when free) and are non-identified.
+    The prefix must list distinct objects in [0, J); callers pass search
+    nodes and permutations, so it is not checked.
     """
-    if constraint.J != stats.J:
-        raise ValueError("constraint dimension does not match stats")
-    return _fit_p_core(stats, constraint.prefix)
-
-
-def _fit_p_core(stats: SufficientStats, prefix) -> np.ndarray:
     # Python floats from the stats' score view: the same IEEE operations as
-    # numpy scalars, without their per-operation cost. Every object outside
-    # the prefix is free.
+    # numpy scalars, without their per-operation cost.
     q, weight, observed = stats.q, stats.q_weight, stats.observed
     members = [j for j in prefix if observed[j]]
     n_chain = len(members)

@@ -119,7 +119,6 @@ def comparison_fit(
     *,
     theta_max: float | None = None,
     rng=None,
-    method: str = "exact-crude",
     node_budget: int = search.DEFAULT_NODE_BUDGET,
 ) -> FitResult:
     """Fit one of the four single-data-type comparison models.
@@ -131,7 +130,8 @@ def comparison_fit(
     become a ranking by ascending score (uniform random tie-breaks, rng
     required) pooled with the real rankings into a rankings-only fit; object
     qualities are not identified. only-rankings: the rankings-only fit on the
-    original rankings.
+    original rankings. Rankings-only fits are exact-crude searches relabelled
+    with the model name.
     """
     M = dataset.M
     if model == "converted-scores":
@@ -154,7 +154,7 @@ def comparison_fit(
             raise ValueError(f"{model} requires at least one ranking")
         blank = np.full((len(rankings), dataset.J), np.nan)
         ranks_only = Dataset(J=dataset.J, M=M, scores=blank, rankings=tuple(rankings))
-        result = fit_method(ranks_only, method, theta_max=theta_max, node_budget=node_budget)
+        result = astar(compute_stats(ranks_only), theta_max=theta_max, node_budget=node_budget)
         return replace(result, algorithm=model)
     raise ValueError(f"unknown comparison model {model!r}")
 

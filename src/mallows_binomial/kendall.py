@@ -50,11 +50,6 @@ def distance(ranking: Sequence[int], order: Sequence[int]) -> int:
     return int(v_decompose(ranking, order).sum())
 
 
-def max_distance(R: int, J: int) -> int:
-    """Largest achievable distance for a top-R ranking of J objects."""
-    return R * J - R * (R + 1) // 2
-
-
 def adjacent_neighbors(order: Sequence[int]) -> list[tuple[int, ...]]:
     """All J-1 permutations one adjacent transposition away from `order`."""
     order = tuple(order)

@@ -25,8 +25,8 @@ from .fitting import (
     _fit_p_core,
     _length_profile,
     _node_binomial_costs,
+    _theta_cap,
     _theta_cost,
-    default_theta_max,
     fit_given_order,
     mean_kendall_distance,
 )
@@ -36,6 +36,7 @@ from .model import Dataset, Parameters, Ranking, SufficientStats
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_CANDIDATE_CAP = 1024
 BRUTE_CAP = 7
+MAX_LOCAL_ROUNDS = 100  # greedy_local's cap on improvement rounds
 
 
 class BruteForceCapExceeded(ValueError):
@@ -54,11 +55,16 @@ class FitResult:
     elapsed: float
     theta_flag: str
     non_identified: tuple[int, ...] = ()
-    optimal: bool = True
     budget_exhausted: bool = False
     local_rounds: int = 0
     rounds_capped: bool = False
     candidate_cap_hit: bool = False
+
+    @property
+    def optimal(self) -> bool:
+        """Whether an exact search proved its order optimal: it did unless
+        the node budget ran out."""
+        return not self.budget_exhausted
 
     @classmethod
     def from_fit(cls, stats: SufficientStats, cond: ConditionalFit, algorithm: str, t0: float,
@@ -83,7 +89,7 @@ class _SearchContext:
     def __init__(self, stats: SufficientStats, *, theta_max: float | None):
         self.stats = stats
         self.J = stats.J
-        self.theta_max = default_theta_max(stats.J) if theta_max is None else float(theta_max)
+        self.theta_max = _theta_cap(stats.J, theta_max)
         self.Q = stats.Q
         self.QT = np.ascontiguousarray(stats.Q.T)
         self.col_total = stats.Q.sum(axis=0)
@@ -147,7 +153,7 @@ def _best_fit(stats, orders, *, theta_max, best: ConditionalFit | None = None) -
     above its chord from 0. A skipped order is not strictly better, so the
     winner is the same; the margin of 1e-9 f covers the rounding of g against
     the objective's theta part."""
-    cap = default_theta_max(stats.J) if theta_max is None else float(theta_max)
+    cap = _theta_cap(stats.J, theta_max)
     profile = _length_profile(stats.ranking_lengths, stats.J)
     g_zero = _theta_cost(0.0, profile, cap)
 
@@ -178,7 +184,6 @@ def astar(
     theta_max: float | None = None,
     heuristic: str = "crude",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    trace: list | None = None,
 ) -> FitResult:
     """Exact MLE by best-first search over prefix orderings.
 
@@ -188,8 +193,8 @@ def astar(
     optimum and is the global MLE. heuristic selects the crude
     pairwise-minimum bound or the tighter Kemeny LP bound. If the node
     budget runs out, the best terminal generated so far is returned with
-    optimal=False (falling back to the greedy order when none exists yet).
-    When trace is a list it receives the bound of every generated node.
+    budget_exhausted=True, so optimal=False (falling back to the greedy order
+    when none exists yet).
     """
     if heuristic not in ("crude", "lp"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
@@ -210,8 +215,6 @@ def astar(
         nonlocal candidate_evals, best_terminal
         for bound, child_prefix, fixed_c, free_min_c, free_c in ctx.children(prefix, fixed, free_min, heuristic):
             candidate_evals += 1
-            if trace is not None:
-                trace.append(bound)
             heapq.heappush(heap, (bound, next(counter), child_prefix, fixed_c, free_min_c))
             if len(child_prefix) == J - 1:
                 if best_terminal is None or bound < best_terminal[0]:
@@ -236,7 +239,7 @@ def astar(
     else:
         order = best_terminal[1]
     return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), algorithm, t0,
-                              nodes_expanded, candidate_evals, optimal=False, budget_exhausted=True)
+                              nodes_expanded, candidate_evals, budget_exhausted=True)
 
 
 def brute_force(stats: SufficientStats, *, theta_max: float | None = None, cap: int = BRUTE_CAP) -> FitResult:
@@ -275,23 +278,19 @@ def greedy(stats: SufficientStats, *, theta_max: float | None = None) -> FitResu
                               max(stats.J - 1, 0), evals)
 
 
-def greedy_local(
-    stats: SufficientStats,
-    *,
-    theta_max: float | None = None,
-    max_rounds: int = 100,
-) -> FitResult:
+def greedy_local(stats: SufficientStats, *, theta_max: float | None = None) -> FitResult:
     """Greedy followed by steepest-descent local search over adjacent swaps.
 
     Each round evaluates every adjacent-transposition neighbor of the
     incumbent and moves to the best strictly improving one; stops when no
-    neighbor improves (that final sweep counts as a round) or at max_rounds.
+    neighbor improves (that final sweep counts as a round) or after
+    MAX_LOCAL_ROUNDS rounds.
     """
     t0 = time.perf_counter()
     order, evals = _greedy_order(_SearchContext(stats, theta_max=theta_max))
     incumbent = fit_given_order(stats, order, theta_max=theta_max)
     rounds, capped = 0, True
-    while rounds < max_rounds:
+    while rounds < MAX_LOCAL_ROUNDS:
         rounds += 1
         neighbors = kendall.adjacent_neighbors(incumbent.params.consensus_order)
         evals += len(neighbors)
@@ -342,8 +341,10 @@ def fv(
     Base orders come from average rank positions computed from rankings alone
     and from scores alone (all tie-break permutations, capped); the candidate
     set is expanded with every adjacent-transposition neighbor of every base
-    order, and the best conditional fit wins.
+    order, and the best conditional fit wins. candidate_cap must be positive.
     """
+    if candidate_cap < 1:
+        raise ValueError(f"candidate_cap must be positive, got {candidate_cap}")
     t0 = time.perf_counter()
     from_rankings, from_scores = kendall.average_ranks(dataset)
     bases: list[Ranking] = []

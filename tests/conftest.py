@@ -306,18 +306,18 @@ def min_pair_cost(Q, free) -> float:
     return float(lower[np.triu_indices(free.size, k=1)].sum())
 
 
-def crude_cost(stats, constraint) -> float:
-    """Admissible mean ranking cost L at a node: fixed pairs plus pairwise
-    minima over free pairs."""
-    free = tuple(o for o in range(constraint.J) if o not in constraint.prefix)
-    return fixed_pair_cost(stats.Q, constraint.prefix) + min_pair_cost(stats.Q, free)
+def crude_cost(stats, prefix) -> float:
+    """Admissible mean ranking cost L at the node of a prefix: fixed pairs
+    plus pairwise minima over free pairs."""
+    free = tuple(o for o in range(stats.J) if o not in prefix)
+    return fixed_pair_cost(stats.Q, prefix) + min_pair_cost(stats.Q, free)
 
 
-def lp_bound(stats, constraint) -> float:
-    """Tight admissible mean ranking cost L_LP at a node: fixed-pair cost
-    plus the Kemeny LP optimum over free pairs."""
-    free = tuple(o for o in range(constraint.J) if o not in constraint.prefix)
-    return fixed_pair_cost(stats.Q, constraint.prefix) + lp_free_cost(stats.Q, free, min_pair_cost(stats.Q, free))
+def lp_bound(stats, prefix) -> float:
+    """Tight admissible mean ranking cost L_LP at the node of a prefix:
+    fixed-pair cost plus the Kemeny LP optimum over free pairs."""
+    free = tuple(o for o in range(stats.J) if o not in prefix)
+    return fixed_pair_cost(stats.Q, prefix) + lp_free_cost(stats.Q, free, min_pair_cost(stats.Q, free))
 
 
 # The search's child loop as it ran one child at a time, with scipy's Binomial
@@ -357,6 +357,25 @@ def reference_children(ctx, prefix, fixed, free_min, heuristic):
         child_prefix = prefix + (child,)
         yield (reference_bound(ctx, child_prefix, fixed_c, free_min_c, free_c, heuristic),
                child_prefix, fixed_c, free_min_c, free_c)
+
+
+def astar_bounds(monkeypatch, stats, **options):
+    """Run astar and return (the bound of every node it generated, in order,
+    its result); a budget cut before any terminal adds the greedy fallback's
+    bounds. They are read by wrapping _SearchContext.children as installed
+    at the call, so a test may patch in reference_children first."""
+    bounds = []
+    children = search._SearchContext.children
+
+    def recorded(ctx, *args):
+        for child in children(ctx, *args):
+            bounds.append(child[0])
+            yield child
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search._SearchContext, "children", recorded)
+        result = search.astar(stats, **options)
+    return bounds, result
 
 
 def reference_node_binomial_costs(stats, prefix, extensions):

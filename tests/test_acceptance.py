@@ -13,16 +13,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import brute_psi, pairwise_distance_oracle, structural_oracle, binomial_cost
+from conftest import astar_bounds, brute_psi, pairwise_distance_oracle, structural_oracle, binomial_cost
 from mallows_binomial import (
     Dataset,
     Parameters,
-    PrefixConstraint,
     astar,
     brute_force,
     compute_stats,
     fit_given_order,
-    fit_p_constrained,
     moments,
     order_of,
     psi,
@@ -34,6 +32,7 @@ from mallows_binomial.inference import (
     bootstrap,
     simulate_cell,
 )
+from mallows_binomial.fitting import _fit_p_core
 from mallows_binomial.kendall import distance
 from mallows_binomial.search import _SearchContext, fv, greedy, greedy_local
 
@@ -212,7 +211,7 @@ def test_criterion_5_isotonic_exactness():
         count = rng.integers(1, 6, size=J).astype(float)
         stats = SufficientStats(J=J, M=M, mean_score=mean, score_count=count,
                                 Q=np.zeros((J, J)), n_rankers=0, ranking_lengths=())
-        p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix))
+        p = _fit_p_core(stats, prefix)
         cost = binomial_cost(p, mean, count, M)
         oracle_cost, _ = structural_oracle(mean, count, M, prefix, free)
         if abs(cost - oracle_cost) > 1e-6:
@@ -351,7 +350,7 @@ def test_criterion_8_bootstrap_behavior(tmp_path):
 # 9. node-count instrumentation
 # ---------------------------------------------------------------------------
 
-def test_criterion_9_node_instrumentation():
+def test_criterion_9_node_instrumentation(monkeypatch):
     rows = benchmark_grid(I_values=(5, 10), M_values=(10,), J_values=(4, 5),
                           R_values=(3,), theta_values=(1.0, 2.0), trials=2,
                           algorithms=("exact-crude", "exact-lp"), seed=NODE_SEED)
@@ -371,9 +370,8 @@ def test_criterion_9_node_instrumentation():
         R = int(rng.integers(2, J + 1))
         _, data = simulate_cell(I, 10, J, R, theta, rng)
         stats = compute_stats(data)
-        trace_c, trace_l = [], []
-        res_c = astar(stats, heuristic="crude", trace=trace_c)
-        res_l = astar(stats, heuristic="lp", trace=trace_l)
+        trace_c, res_c = astar_bounds(monkeypatch, stats, heuristic="crude")
+        trace_l, res_l = astar_bounds(monkeypatch, stats, heuristic="lp")
         if (len(set(trace_c)) == len(trace_c)) and (len(set(trace_l)) == len(trace_l)):
             distinct_cases += 1
             if res_l.nodes_expanded > res_c.nodes_expanded:

@@ -243,7 +243,8 @@ def test_non_finite_score_cell_names_row_and_column(tmp_path, capsys):
 
 
 def test_solver_failure_exits_4(tmp_path, monkeypatch):
-    from mallows_binomial import SimplexError, inference
+    from mallows_binomial import inference
+    from mallows_binomial.kemeny_lp import SimplexError
 
     def fail(*args, **kwargs):
         raise SimplexError("pivot budget exceeded")

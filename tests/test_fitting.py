@@ -20,11 +20,9 @@ from conftest import (
 from mallows_binomial import (
     Dataset,
     Parameters,
-    PrefixConstraint,
     SufficientStats,
     compute_stats,
     fit_given_order,
-    fit_p_constrained,
     fit_theta,
     log_density,
     moments,
@@ -139,32 +137,40 @@ def test_moments_match_reference_pair_bitwise():
                 assert moments(theta, R, J) == expected, (theta, R, J)
 
 
+@pytest.mark.parametrize("mean_distance, theta_max", [
+    (np.nan, None), (np.inf, None), (-0.5, None),
+    (0.5, np.nan), (0.5, -1.0), (0.5, 0.0), (0.5, THETA_FLOOR), (0.5, np.inf),
+])
+def test_fit_theta_rejects_invalid_input(mean_distance, theta_max):
+    with pytest.raises(ValueError):
+        fit_theta(mean_distance, [3, 3], 3, theta_max=theta_max)
+
+
 # ---------------------------------------------------------------------------
-# fit_p_constrained
+# _fit_p_core: the order-constrained p fit
 # ---------------------------------------------------------------------------
 
 def test_fit_p_unconstrained_optimum_feasible():
     stats = make_score_stats([1.0, 2.0, 4.0], [3, 3, 3], M=10)
-    constraint = PrefixConstraint(J=3, prefix=(0, 1, 2))
-    assert fit_p_constrained(stats, constraint).tolist() == [0.1, 0.2, 0.4]
+    assert _fit_p_core(stats, (0, 1, 2)).tolist() == [0.1, 0.2, 0.4]
 
 
 def test_fit_p_chain_pooling():
     stats = make_score_stats([3.0, 1.0], [2, 2], M=10)
-    p = fit_p_constrained(stats, PrefixConstraint(J=2, prefix=(0, 1)))
+    p = _fit_p_core(stats, (0, 1))
     assert p.tolist() == [0.2, 0.2]
 
 
 def test_fit_p_prefix_star():
     stats = make_score_stats([5.0, 2.0, 9.0], [1, 1, 1], M=10)
-    p = fit_p_constrained(stats, PrefixConstraint(J=3, prefix=(0,)))
+    p = _fit_p_core(stats, (0,))
     assert np.allclose(p, [0.35, 0.35, 0.9], atol=1e-12)
 
 
 def test_fit_p_weighted_pooling():
     # unequal counts: pooled value is (sum count*mean) / (sum count*M)
     stats = make_score_stats([4.0, 1.0], [1, 3], M=4)
-    p = fit_p_constrained(stats, PrefixConstraint(J=2, prefix=(0, 1)))
+    p = _fit_p_core(stats, (0, 1))
     pooled = (1 * 4.0 + 3 * 1.0) / ((1 + 3) * 4)
     assert np.allclose(p, [pooled, pooled], atol=1e-12)
 
@@ -172,12 +178,12 @@ def test_fit_p_weighted_pooling():
 def test_fit_p_zero_count_conventions():
     mean = np.array([2.0, np.nan, 6.0, np.nan])
     stats = make_score_stats(mean, [2, 0, 2, 0], M=10)
-    p = fit_p_constrained(stats, PrefixConstraint(J=4, prefix=(0, 1, 2)))
+    p = _fit_p_core(stats, (0, 1, 2))
     assert p[0] == 0.2 and p[2] == 0.6
     assert p[1] == p[0]         # chain gap takes the preceding value
     assert p[3] == p[2]         # free zero-count leaf takes the top chain value
     all_zero = make_score_stats(np.full(2, np.nan), [0, 0], M=3)
-    assert fit_p_constrained(all_zero, PrefixConstraint(J=2, prefix=(1,))).tolist() == [0.5, 0.5]
+    assert _fit_p_core(all_zero, (1,)).tolist() == [0.5, 0.5]
 
 
 @given(st.data())
@@ -194,7 +200,7 @@ def test_fit_p_matches_structural_oracle(data):
                      for _ in range(J)], dtype=float)
     count = np.array([data.draw(st.integers(1, 5)) for _ in range(J)], dtype=float)
     stats = make_score_stats(mean, count, M)
-    p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix))
+    p = _fit_p_core(stats, prefix)
     cost = binomial_cost(p, mean, count, M)
     oracle_cost, _ = structural_oracle(mean, count, M, prefix, free)
     assert cost <= oracle_cost + 1e-6
@@ -221,7 +227,7 @@ def test_fit_p_matches_sweep_oracle():
         stats = make_score_stats(mean, count, M)
         for k in {0, int(rng.integers(0, J + 1)), J}:
             prefix, free = tuple(perm[:k]), tuple(sorted(perm[k:]))
-            p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix))
+            p = _fit_p_core(stats, prefix)
             oracle = sweep_fit_p(mean, count, M, prefix, free)
             if free:
                 assert np.max(np.abs(p - oracle)) <= 1e-12
@@ -270,7 +276,7 @@ def test_fit_p_beats_random_feasible_points():
         mean = rng.integers(0, M + 1, size=J).astype(float)
         count = rng.integers(1, 6, size=J).astype(float)
         stats = make_score_stats(mean, count, M)
-        p_hat = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=prefix))
+        p_hat = _fit_p_core(stats, prefix)
         best = binomial_cost(p_hat, mean, count, M)
         for _ in range(2000):
             cand = np.empty(J)
@@ -294,7 +300,7 @@ def test_fit_p_constraint_monotonicity():
         perm = [int(v) for v in rng.permutation(J)]
         prev_cost = -np.inf
         for k in range(J + 1):
-            p = fit_p_constrained(stats, PrefixConstraint(J=J, prefix=tuple(perm[:k])))
+            p = _fit_p_core(stats, tuple(perm[:k]))
             cost = binomial_cost(p, mean, count, M)
             assert cost >= prev_cost - 1e-9
             prev_cost = cost

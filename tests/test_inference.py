@@ -196,9 +196,12 @@ def test_only_rankings_unanimous():
     assert result.params.consensus_order == order
     assert result.theta_flag == "cap"
     assert set(result.non_identified) == {0, 1, 2}
-    # the relabelled result keeps the inner method's diagnostics
-    local = comparison_fit(ds, model="only-rankings", method="greedy-local")
-    assert local.algorithm == "only-rankings" and local.local_rounds == 1
+    # the relabelled result keeps the exact-crude search's diagnostics
+    ranks_only = Dataset(J=3, M=5, scores=np.full((3, 3), np.nan), rankings=(order,) * 3)
+    exact = fit_method(ranks_only, "exact-crude")
+    assert result.algorithm == "only-rankings" and exact.algorithm == "exact-crude"
+    assert result.nodes_expanded == exact.nodes_expanded > 0
+    assert result.candidate_evaluations == exact.candidate_evaluations
 
 
 def test_converted_rankings_requires_rng_and_pools():

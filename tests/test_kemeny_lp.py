@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import crude_cost, lp_bound, min_pair_cost, random_dataset
-from mallows_binomial import PrefixConstraint, build_pair_lp, compute_stats, solve_dense_lp
-from mallows_binomial.kemeny_lp import SimplexError
+from mallows_binomial import compute_stats
+from mallows_binomial.kemeny_lp import SimplexError, build_pair_lp, solve_dense_lp
 from mallows_binomial.model import Dataset
 
 
@@ -48,9 +48,8 @@ def test_condorcet_cycle_lp_value():
 
 def test_condorcet_cycle_bounds():
     stats = condorcet_stats()
-    root = PrefixConstraint(J=3, prefix=())
-    assert crude_cost(stats, root) == pytest.approx(1.0, abs=1e-12)
-    assert lp_bound(stats, root) == pytest.approx(4 / 3, abs=1e-9)
+    assert crude_cost(stats, ()) == pytest.approx(1.0, abs=1e-12)
+    assert lp_bound(stats, ()) == pytest.approx(4 / 3, abs=1e-9)
     # every total order of the cycle costs 4/3, so the LP relaxation is tight here
     costs = []
     for order in itertools.permutations(range(3)):
@@ -63,7 +62,7 @@ def test_condorcet_cycle_bounds():
 def test_unanimous_judges_root_bound_zero():
     ds = Dataset(J=4, M=1, scores=np.full((3, 4), np.nan), rankings=((0, 1, 2, 3),) * 3)
     stats = compute_stats(ds)
-    assert lp_bound(stats, PrefixConstraint(J=4, prefix=())) == pytest.approx(0.0, abs=1e-12)
+    assert lp_bound(stats, ()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solver_deterministic_bit_identical():
@@ -114,8 +113,7 @@ def test_crude_never_exceeds_lp():
         stats = compute_stats(ds)
         k = int(rng.integers(0, ds.J))
         prefix = tuple(int(v) for v in rng.permutation(ds.J)[:k])
-        node = PrefixConstraint(J=ds.J, prefix=prefix)
-        assert crude_cost(stats, node) <= lp_bound(stats, node) + 1e-9
+        assert crude_cost(stats, prefix) <= lp_bound(stats, prefix) + 1e-9
 
 
 def test_admissibility_chain_exhaustive():
@@ -126,9 +124,8 @@ def test_admissibility_chain_exhaustive():
         J = ds.J
         for k in range(0, J):
             for prefix in itertools.permutations(range(J), k):
-                node = PrefixConstraint(J=J, prefix=prefix)
-                crude = crude_cost(stats, node)
-                lp = lp_bound(stats, node)
+                crude = crude_cost(stats, prefix)
+                lp = lp_bound(stats, prefix)
                 exact = np.inf
                 free = [o for o in range(J) if o not in prefix]
                 for tail in itertools.permutations(free):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    astar_bounds,
     crude_cost,
     enumerate_outcomes,
     random_dataset,
@@ -14,7 +15,6 @@ from conftest import (
 )
 from mallows_binomial import (
     Dataset,
-    PrefixConstraint,
     astar,
     brute_force,
     compute_stats,
@@ -25,7 +25,8 @@ from mallows_binomial import (
     objective,
 )
 from mallows_binomial import fitting, search
-from mallows_binomial.inference import simulate_cell
+from mallows_binomial.fitting import THETA_FLOOR
+from mallows_binomial.inference import bootstrap, simulate_cell
 from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
 
 
@@ -116,11 +117,10 @@ def test_heuristic_admissibility_every_node():
         for k in range(1, J):
             for prefix in itertools.permutations(range(J), k):
                 free = tuple(o for o in range(J) if o not in prefix)
-                node = PrefixConstraint(J=J, prefix=prefix)
-                fixed = crude_cost(stats, node) - sum(
+                fixed = crude_cost(stats, prefix) - sum(
                     min(stats.Q[u, v], stats.Q[v, u])
                     for u, v in itertools.combinations(free, 2))
-                free_min = crude_cost(stats, node) - fixed
+                free_min = crude_cost(stats, prefix) - fixed
                 crude_b = ctx.bounds(prefix, [()], [fixed], [free_min], [free], "crude")[0]
                 lp_b = ctx.bounds(prefix, [()], [fixed], [free_min], [free], "lp")[0]
                 exact = min(
@@ -167,9 +167,8 @@ def test_node_kernel_matches_the_per_child_loop_bitwise(monkeypatch):
         runs = []
         for stats in panels:
             for heuristic in ("crude", "lp"):
-                trace = []
-                result = astar(stats, heuristic=heuristic, trace=trace)
-                runs.append((np.array(trace).tobytes(), result.nodes_expanded, result.params.consensus_order,
+                bounds, result = astar_bounds(monkeypatch, stats, heuristic=heuristic)
+                runs.append((np.array(bounds).tobytes(), result.nodes_expanded, result.params.consensus_order,
                              result.f_value.hex()))
         return runs
 
@@ -311,9 +310,8 @@ def test_theta_memo_cannot_change_a_search(monkeypatch):
     def run(heuristic):
         runs = []
         for stats in panels:
-            trace = []
-            result = astar(stats, heuristic=heuristic, trace=trace)
-            runs.append((trace, result.nodes_expanded, result.candidate_evaluations,
+            bounds, result = astar_bounds(monkeypatch, stats, heuristic=heuristic)
+            runs.append((bounds, result.nodes_expanded, result.candidate_evaluations,
                          result.params.consensus_order, result.f_value))
         return runs
 
@@ -419,15 +417,38 @@ def test_greedy_local_single_round_when_greedy_optimal():
     assert result.local_rounds == 1 and not result.rounds_capped
 
 
-def test_greedy_local_round_cap_flag():
+def test_greedy_local_round_cap_flag(monkeypatch):
+    monkeypatch.setattr(search, "MAX_LOCAL_ROUNDS", 0)
     rng = np.random.default_rng(33)
     for _ in range(20):
         ds = random_dataset(rng, theta=0.3)
         stats = compute_stats(ds)
-        capped = greedy_local(stats, max_rounds=0)
+        capped = greedy_local(stats)
         assert capped.rounds_capped
         g = greedy(stats)
         assert capped.f_value == pytest.approx(g.f_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta_max", [0.0, -1.0, THETA_FLOOR, np.nan, np.inf])
+def test_every_fit_rejects_an_invalid_theta_cap(theta_max):
+    # a cap at or below THETA_FLOOR would put an "interior" theta below the floor
+    _, data = simulate_cell(6, 5, 5, 5, 1.0, np.random.default_rng(1))
+    stats = compute_stats(data)
+    fits = (astar, brute_force, greedy, greedy_local, lambda s, **options: fv(s, data, **options),
+            lambda s, **options: fit_given_order(s, range(s.J), **options))
+    for fit in fits:
+        with pytest.raises(ValueError, match="theta_max"):
+            fit(stats, theta_max=theta_max)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_fv_rejects_a_non_positive_candidate_cap(cap):
+    # a cap below 1 leaves no candidate order to fit
+    ds, _ = unanimous_dataset()
+    with pytest.raises(ValueError, match="candidate_cap"):
+        fv(compute_stats(ds), ds, candidate_cap=cap)
+    with pytest.raises(ValueError, match="candidate_cap"):
+        bootstrap(ds, method="fv", B=2, candidate_cap=cap)
 
 
 def test_fv_unanimous_recovers_mle():

@@ -1,8 +1,11 @@
 """The benchmark patches and calls package functions by name; a rename
-would break it without any other test noticing."""
+would break it without any other test noticing. The public API is held to
+what the package, its scripts and its benchmark reach."""
+import ast
 import importlib
 import importlib.util
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -10,11 +13,16 @@ import numpy as np
 
 import pytest
 
+import mallows_binomial
 from conftest import random_dataset
 from mallows_binomial import Parameters, astar, cli, compute_stats, fitting, inference
 from mallows_binomial.cli import EXIT_OK, main
 
-TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE = ROOT / "perfbench" / "trace.py"
+
+# Exported though only tests call them: the paper defines these quantities.
+PAPER_QUANTITIES = {"moments", "psi", "log_psi"}
 
 
 def test_traced_names_resolve():
@@ -83,3 +91,38 @@ def test_bootstrap_command_computes_stats_b_plus_one_times(tmp_path, monkeypatch
                  "--B", str(B), "--seed", "3", "--out", str(tmp_path / "boot.json")])
     assert code == EXIT_OK
     assert len(calls) == B + 1
+
+
+def _reached_names(path: Path) -> set[str]:
+    """Identifiers a Python file's code names, plus string literals that are
+    one identifier (perfbench/trace.py names what it wraps by string).
+    Comments and docstrings do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    # A name in __all__ must be reached by a package module other than the
+    # one defining it and __init__, by scripts/ or perfbench/, or be
+    # documented in README.md; otherwise only tests use it and it belongs
+    # in its module, not in the public API.
+    package = ROOT / "src" / "mallows_binomial"
+    readme = (ROOT / "README.md").read_text()
+    reached = {path: _reached_names(path) for path in [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                                                       *(ROOT / "perfbench").glob("*.py")]}
+    assert PAPER_QUANTITIES <= set(mallows_binomial.__all__)
+    unused = []
+    for name in mallows_binomial.__all__:
+        home = package / f"{getattr(mallows_binomial, name).__module__.rpartition('.')[2]}.py"
+        users = [path for path, names in reached.items()
+                 if name in names and path not in (home, package / "__init__.py")]
+        if not users and not re.search(rf"\b{name}\b", readme) and name not in PAPER_QUANTITIES:
+            unused.append(name)
+    assert not unused, f"exported but used only by tests: {unused}"
