@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import inference, search
+from .fitting import THETA_FLOOR
 from .model import Dataset, Parameters, order_of, sample
 from .search import BruteForceCapExceeded, FitResult
 
@@ -239,7 +240,8 @@ _RUN_OPTION_CHECKS = (
     ("jobs", lambda v: v >= 1, "--jobs must be at least 1"),
     ("B", lambda v: v >= 1, "--B must be at least 1"),
     ("level", lambda v: 0 < v < 1, "--level must lie strictly between 0 and 1"),
-    ("theta_max", lambda v: v is None or 0 < v < np.inf, "--theta-max must be positive and finite"),
+    ("theta_max", lambda v: v is None or THETA_FLOOR < v < np.inf,
+     f"--theta-max must be positive and finite, above the scale floor {THETA_FLOOR}"),
     ("node_budget", lambda v: v >= 1, "--node-budget and --candidate-cap must be positive"),
     ("candidate_cap", lambda v: v >= 1, "--node-budget and --candidate-cap must be positive"),
     ("seed", lambda v: v >= 0, "--seed must be non-negative"),

@@ -43,36 +43,53 @@ def _length_profile(ranking_lengths: Sequence[int], J: int) -> tuple[int, ...]:
     return tuple(np.bincount(np.asarray(ranking_lengths, dtype=int), minlength=J + 1)[1:].tolist())
 
 
+class _Levels(NamedTuple):
+    """Mallows level weights of a length profile: w[j-1] = number of judges
+    ranking at least j objects and k[j-1] = J-j+1 the level size, for
+    j = 1..J, sum_r the summed lengths; wk = w*k, wkk = w*k*k and
+    signed_k = [k, -k] are the Newton step's constants."""
+    w: np.ndarray
+    k: np.ndarray
+    sum_r: float
+    wk: np.ndarray
+    wkk: np.ndarray
+    signed_k: np.ndarray
+
+
 @lru_cache(maxsize=4096)
-def _level_weights(profile: tuple[int, ...]):
-    """w[j-1] = number of judges ranking at least j objects, for j = 1..J,
-    from the length profile (J = len(profile)). The counts are integers, so
-    any lengths with this profile give the same bits."""
+def _level_weights(profile: tuple[int, ...]) -> _Levels:
+    """The level weights of a length profile (J = len(profile)). The counts
+    are integers, so any lengths with this profile give the same bits."""
     J = len(profile)
     w = np.cumsum(np.array(profile[::-1], dtype=float))[::-1].copy()
-    k = np.arange(J, 0, -1, dtype=float)  # Mallows level sizes J-j+1
-    return w, k, float(sum(R * count for R, count in enumerate(profile, 1)))
+    k = np.arange(J, 0, -1, dtype=float)
+    wk = w * k
+    return _Levels(w, k, float(sum(R * count for R, count in enumerate(profile, 1))), wk, wk * k, np.array([k, -k]))
 
 
 @lru_cache(maxsize=4096)
 def _distance_at_floor_and_cap(profile: tuple[int, ...], theta_max: float) -> tuple[float, float]:
     """Summed E[d] at THETA_FLOOR and at theta_max: fit_theta's floor and cap tests."""
-    weights = _level_weights(profile)
-    return _expected_distance_total(THETA_FLOOR, *weights)[0], _expected_distance_total(theta_max, *weights)[0]
+    levels = _level_weights(profile)
+    with np.errstate(over="ignore"):
+        return _expected_distance_total(THETA_FLOOR, levels)[0], _expected_distance_total(theta_max, levels)[0]
 
 
 def log_psi_total(theta: float, lengths: Sequence[int], J: int) -> float:
     """Sum of log normalizing constants over judges with lengths R_i."""
-    w, k, sum_r = _level_weights(_length_profile(lengths, J))
+    w, k, sum_r, *_ = _level_weights(_length_profile(lengths, J))
     return float(np.sum(w * np.log(-np.expm1(-theta * k))) - sum_r * np.log(-np.expm1(-theta)))
 
 
-def _expected_distance_total(theta: float, w, k, sum_r) -> tuple[float, float]:
-    # Sums over judges of the mean and variance of d_{R_i,J}, from one expm1 pass.
-    with np.errstate(over="ignore"):
-        e1, ek, wk = np.expm1(theta), np.expm1(theta * k), w * k
-        mean = sum_r / e1 - np.sum(wk / ek)
-        variance = sum_r / (e1 * -np.expm1(-theta)) - np.sum(wk * k / (ek * -np.expm1(-theta * k)))
+def _expected_distance_total(theta: float, levels: _Levels) -> tuple[float, float]:
+    # Sums over judges of the mean and variance of d_{R_i,J}: both expm1 signs
+    # from one call on [theta, -theta] and one on theta * [k, -k]. Overflow at
+    # a large theta is harmless (a term w*k/inf is 0), so callers run it under
+    # np.errstate(over="ignore"), entered once per solve.
+    e1, em1 = np.expm1((theta, -theta)).tolist()
+    ek, ekm = np.expm1(theta * levels.signed_k)
+    mean = levels.sum_r / e1 - np.add.reduce(levels.wk / ek)
+    variance = levels.sum_r / (e1 * -em1) - np.add.reduce(levels.wkk / (ek * -ekm))
     return float(mean), float(variance)
 
 
@@ -85,7 +102,8 @@ def moments(theta: float, R: int, J: int) -> tuple[float, float]:
     _check_partial_shape(R, J)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    return _expected_distance_total(theta, *_level_weights(_length_profile((R,), J)))
+    with np.errstate(over="ignore"):
+        return _expected_distance_total(theta, _level_weights(_length_profile((R,), J)))
 
 
 def fit_theta(
@@ -105,6 +123,13 @@ def fit_theta(
     read E[d] at both ends from a cache keyed on (length profile, theta_max).
     A cap outside (THETA_FLOOR, inf) or a negative or non-finite distance
     raises ValueError.
+
+    The result is a function of the bits of (mean_distance, the multiset of
+    lengths, J, cap) alone, and each step's numpy operations are fixed
+    element for element, so every solve of one input returns the same theta.
+    The searches rely on it: theta * (mean_distance * n) + log psi at the
+    returned theta is _theta_cost(mean_distance) bit for bit, which lets an
+    order scan read g at a fitted order from its fit instead of solving again.
     """
     theta_max = _theta_cap(J, theta_max)
     if not len(ranking_lengths):
@@ -112,7 +137,7 @@ def fit_theta(
     if not 0 <= mean_distance < np.inf:
         raise ValueError(f"mean distance must be finite and non-negative, got {mean_distance}")
     profile = _length_profile(ranking_lengths, J)
-    w, k, sum_r = _level_weights(profile)
+    levels = _level_weights(profile)
     total = mean_distance * len(ranking_lengths)
     at_floor, at_cap = _distance_at_floor_and_cap(profile, theta_max)
     if total - at_floor >= 0:
@@ -121,23 +146,24 @@ def fit_theta(
         return theta_max, "cap"
     lo, hi = THETA_FLOOR, theta_max
     theta = 0.5 * (lo + hi)
-    for _ in range(200):
-        mean, curv = _expected_distance_total(theta, w, k, sum_r)
-        h = total - mean
-        if h > 0:
-            hi = theta
-        elif h < 0:
-            lo = theta
-        else:
-            break
-        step = h / curv if curv > 0 else 0.0
-        nxt = theta - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - theta) < 1e-12 or hi - lo < 1e-12:
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            mean, curv = _expected_distance_total(theta, levels)
+            h = total - mean
+            if h > 0:
+                hi = theta
+            elif h < 0:
+                lo = theta
+            else:
+                break
+            step = h / curv if curv > 0 else 0.0
+            nxt = theta - step
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - theta) < 1e-12 or hi - lo < 1e-12:
+                theta = nxt
+                break
             theta = nxt
-            break
-        theta = nxt
     return float(theta), "interior"
 
 
@@ -151,9 +177,13 @@ def _theta_cost(mean_distance: float, profile: tuple[int, ...], theta_max: float
     lengths = tuple(np.repeat(np.arange(1, J + 1), profile).tolist())
     if not lengths:
         return 0.0
-    theta, _ = fit_theta(mean_distance, lengths, J, theta_max)
-    total = mean_distance * len(lengths)
-    return float(theta * total + log_psi_total(theta, lengths, J))
+    return _theta_part(fit_theta(mean_distance, lengths, J, theta_max)[0], mean_distance, lengths, J)
+
+
+def _theta_part(theta: float, mean_distance: float, lengths: Sequence[int], J: int) -> float:
+    """theta * (mean_distance * n) + log psi summed over the n judges with
+    these lengths: the scale part of f as the order scans bound it."""
+    return float(theta * (mean_distance * len(lengths)) + log_psi_total(theta, lengths, J))
 
 
 def _pava(stack: list[tuple[float, float, int]], v: float, w: float) -> int:
@@ -320,16 +350,15 @@ def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None
         if params.theta is None:
             raise ValueError("rankings present but parameters carry no theta")
         d_mean = mean_kendall_distance(stats, params.consensus_order)
-    return _objective(stats, params, d_mean)
+    return _objective(stats, _binomial_costs(stats, [params.p])[0], params.theta, d_mean)
 
 
-def _objective(stats: SufficientStats, params: Parameters, d_mean: float | None) -> float:
-    # objective, given the mean Kendall distance of the rankings to params' order
-    total = _binomial_costs(stats, [params.p])[0]
-    if stats.n_rankers:
-        total += params.theta * d_mean * stats.n_rankers
-        total += log_psi_total(params.theta, stats.ranking_lengths, stats.J)
-    return float(total)
+def _objective(stats: SufficientStats, binomial: float, theta: float | None, d_mean: float | None) -> float:
+    # objective from the Binomial cost of p, theta and the mean Kendall
+    # distance of the rankings to the consensus order
+    if not stats.n_rankers:
+        return float(binomial)
+    return float(binomial + theta * d_mean * stats.n_rankers + log_psi_total(theta, stats.ranking_lengths, stats.J))
 
 
 class ConditionalFit(NamedTuple):
@@ -349,9 +378,17 @@ def fit_given_order(
     if sorted(order) != list(range(stats.J)):
         raise ValueError("order is not a permutation of the objects")
     p = _fit_p_core(stats, order)
-    d_mean, theta, flag = None, None, "undefined"
+    return _conditional_fit(stats, order, p, mean_kendall_distance(stats, order), _binomial_costs(stats, [p])[0],
+                            theta_max)
+
+
+def _conditional_fit(stats: SufficientStats, order: Ranking, p: np.ndarray, d_mean: float, binomial: float,
+                     theta_max: float | None) -> ConditionalFit:
+    """The conditional fit of a permutation from its p fit, its mean Kendall
+    distance and the Binomial cost of p: the theta solve is all that is left.
+    Every conditional fit is built here, so its value is the objective's."""
+    theta, flag = None, "undefined"
     if stats.n_rankers:
-        d_mean = mean_kendall_distance(stats, order)
         theta, flag = fit_theta(d_mean, stats.ranking_lengths, stats.J, theta_max)
     params = Parameters(p=p, theta=theta, consensus_order=order, theta_at_cap=flag == "cap")
-    return ConditionalFit(params, _objective(stats, params, d_mean), flag)
+    return ConditionalFit(params, _objective(stats, binomial, theta, d_mean), flag)

@@ -22,11 +22,13 @@ from . import kendall
 from .fitting import (
     ConditionalFit,
     _binomial_costs,
+    _conditional_fit,
     _fit_p_core,
     _length_profile,
     _node_binomial_costs,
     _theta_cap,
     _theta_cost,
+    _theta_part,
     fit_given_order,
     mean_kendall_distance,
 )
@@ -141,40 +143,56 @@ def _non_identified(stats: SufficientStats) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(stats.score_count == 0))
 
 
+def _theta_chord(d: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
+    """A lower bound on g(d) = _theta_cost(d) for lo[0] <= d <= hi[0], given
+    the points (d, g(d)) best, lo and hi: g's chord from best to the end of
+    the range on d's side."""
+    (x0, y0), (x1, y1) = (best, hi) if d >= best[0] else (lo, best)
+    return y0 if x1 == x0 else y0 + (y1 - y0) * ((d - x0) / (x1 - x0))
+
+
 def _best_fit(stats, orders, *, theta_max, best: ConditionalFit | None = None) -> ConditionalFit | None:
     """Conditional fit of each order in turn; the first one with a strictly
-    smaller f than the best so far (starting from best) wins.
+    smaller f than the best so far (starting from best, a fit of these stats
+    under this theta_max) wins.
 
-    An order is fitted only if a lower bound on its f does not exceed the best
-    f: its exact Binomial part plus a bound on its theta part g(d) =
-    _theta_cost(d) at its mean distance d. g is a minimum over theta of
-    functions affine in d with positive slope, so it is concave and
-    non-decreasing: g(d) >= g(d_best) for d >= d_best, and below d_best g lies
-    above its chord from 0. A skipped order is not strictly better, so the
-    winner is the same; the margin of 1e-9 f covers the rounding of g against
-    the objective's theta part."""
+    A first pass takes each order's mean Kendall distance d, and g(d) =
+    _theta_cost(d) is solved at the smallest and the largest. g is a minimum
+    over theta of functions affine in d with positive slope, so it is concave
+    and non-decreasing; on each side of the best's d_best, g therefore lies
+    on or above its chord from (d_best, g(d_best)) to that side's end of the
+    range, wherever d_best lies. An order is fitted only if its exact
+    Binomial part plus that chord does not exceed the best f by more than
+    1e-9 f, which covers the rounding of g against the objective's theta
+    part. A skipped order is not strictly better, so the winner is the same.
+    A fit's p, d and Binomial part are the screen's, and g(d_best) is read
+    from the best's own theta (fit_theta's bitwise rule), so no order's p,
+    distance or theta is computed twice."""
+    orders = list(orders)
+    if not orders:
+        return best
+    distances = [mean_kendall_distance(stats, order) for order in orders]
     cap = _theta_cap(stats.J, theta_max)
     profile = _length_profile(stats.ranking_lengths, stats.J)
-    g_zero = _theta_cost(0.0, profile, cap)
+    lo, hi = [(d, _theta_cost(d, profile, cap)) for d in (min(distances), max(distances))]
 
-    def screen(fit: ConditionalFit) -> tuple[float, float, float]:
-        # d_best, g(d_best) and the bound above which an order is skipped
-        d = mean_kendall_distance(stats, fit.params.consensus_order)
-        return d, _theta_cost(d, profile, cap), fit.f_value + 1e-9 * abs(fit.f_value)
+    def point(fit: ConditionalFit, d: float) -> tuple[tuple[float, float], float]:
+        # (d, g(d)) of a fit and the bound above which an order is skipped
+        theta = fit.params.theta
+        g = 0.0 if theta is None else _theta_part(theta, d, stats.ranking_lengths, stats.J)
+        return (d, g), fit.f_value + 1e-9 * abs(fit.f_value)
 
     if best is not None:
-        d_best, g_best, cutoff = screen(best)
-    for order in orders:
-        if best is not None:
-            d = mean_kendall_distance(stats, order)
-            bound = _binomial_costs(stats, [_fit_p_core(stats, order)])[0]
-            bound += g_best if d >= d_best else g_zero + (g_best - g_zero) * (d / d_best)
-            if bound > cutoff:
-                continue
-        cond = fit_given_order(stats, order, theta_max=theta_max)
+        at_best, cutoff = point(best, mean_kendall_distance(stats, best.params.consensus_order))
+    for order, d in zip(orders, distances):
+        p = _fit_p_core(stats, order)
+        binomial = _binomial_costs(stats, [p])[0]
+        if best is not None and binomial + _theta_chord(d, at_best, lo, hi) > cutoff:
+            continue
+        cond = _conditional_fit(stats, order, p, d, binomial, theta_max)
         if best is None or cond.f_value < best.f_value:
             best = cond
-            d_best, g_best, cutoff = screen(best)
+            at_best, cutoff = point(best, d)
     return best
 
 

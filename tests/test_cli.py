@@ -175,6 +175,15 @@ def test_fit_rejects_nan_and_inf_theta_max(tmp_path, capsys):
         assert "--theta-max must be positive" in capsys.readouterr().err
 
 
+def test_fit_accepts_a_theta_max_just_above_the_floor(tmp_path):
+    # The CLI rejects caps up to THETA_FLOOR (RUN_OPTION_ERRORS) and no more
+    # than the fitters do.
+    out = simulate_files(tmp_path, seed=1, I=6, J=4, R=4, M=5, theta=1.0)
+    doc_path = tmp_path / "fit.json"
+    assert main(["fit", *data_flags(out, 5), "--theta-max", "2e-8", "--out", str(doc_path)]) == EXIT_OK
+    assert json.loads(doc_path.read_text())["theta"] == 2e-8
+
+
 def test_run_commands_reject_jobs_below_one(tmp_path, capsys):
     # rejected before any data is read, so no worker process starts
     out = simulate_files(tmp_path, seed=3, I=6, J=4, R=3, M=8, theta=2.0)
@@ -189,7 +198,7 @@ def test_run_commands_reject_jobs_below_one(tmp_path, capsys):
 RUN_OPTION_ERRORS = {
     "--B": (["0"], "--B must be at least 1"),
     "--level": (["0", "1", "nan"], "--level must lie strictly between 0 and 1"),
-    "--theta-max": (["0"], "--theta-max must be positive and finite"),
+    "--theta-max": (["0", "1e-9", "1e-8"], "--theta-max must be positive and finite, above the scale floor 1e-08"),
     "--node-budget": (["0"], "--node-budget and --candidate-cap must be positive"),
     "--candidate-cap": (["0"], "--node-budget and --candidate-cap must be positive"),
     "--seed": (["-1"], "--seed must be non-negative"),

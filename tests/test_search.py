@@ -24,7 +24,7 @@ from mallows_binomial import (
     greedy_local,
     objective,
 )
-from mallows_binomial import fitting, search
+from mallows_binomial import fitting, kendall, search
 from mallows_binomial.fitting import THETA_FLOOR
 from mallows_binomial.inference import bootstrap, simulate_cell
 from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
@@ -286,17 +286,80 @@ def test_order_screen_returns_the_unscreened_fit(monkeypatch):
 
 def test_order_screen_skips_order_fits(monkeypatch):
     # A screen that stopped skipping would leave every result unchanged;
-    # only the number of conditional fits shows it.
+    # only the number of conditional fits shows it. Every conditional fit is
+    # built by _conditional_fit: the screen calls it from search, and
+    # fit_given_order from fitting.
     _, data = simulate_cell(10, 10, 12, 12, 0.4, np.random.default_rng(74))
     stats = compute_stats(data)
-    fits = _counting(monkeypatch, search, "fit_given_order")
+    fits = _counting(monkeypatch, search, "_conditional_fit")
+    monkeypatch.setattr(fitting, "_conditional_fit", search._conditional_fit)
     screened = greedy_local(stats), fv(stats, data)
     screened_fits = len(fits)
     fits.clear()
     monkeypatch.setattr(search, "_best_fit", reference_best_fit)
     unscreened = greedy_local(stats), fv(stats, data)
     assert [r.f_value for r in screened] == [r.f_value for r in unscreened]
-    assert screened_fits < 0.8 * len(fits), (screened_fits, len(fits))
+    # The chord-from-zero screen this one replaced made 26 fits here.
+    assert screened_fits <= 26 // 2, (screened_fits, len(fits))
+    assert screened_fits < len(fits)
+
+
+def test_order_screen_chord_is_a_lower_bound(monkeypatch):
+    # Every chord an order is screened by lies at or below g(d) =
+    # _theta_cost(d), up to 1e-12 |f|, and every point it is drawn through is
+    # g itself, bit for bit, whether solved at an end of the scan or read
+    # from a fit. Covered: full, top-R and score-only panels, a cap below
+    # and at its default, an incoming best inside, above and below the
+    # scan's range of d, and a best replaced mid-scan.
+    chords, scans, seen = [], [], set()
+    chord, best_fit = search._theta_chord, search._best_fit
+
+    def recorded_chord(d, best, lo, hi):
+        value = chord(d, best, lo, hi)
+        chords.append((len(scans), d, best, lo, hi, value))
+        return value
+
+    def recorded_scan(*args, **kwargs):
+        scans.append(None)
+        return best_fit(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_theta_chord", recorded_chord)
+    monkeypatch.setattr(search, "_best_fit", recorded_scan)
+    rng = np.random.default_rng(75)
+    for case in range(9):
+        J, kind = 5 + case % 2, ("full", "top-3", "scores")[case % 3]
+        ds = random_dataset(rng, J=J, I=8, R=3 if kind == "top-3" else J, theta=0.6, missing_scores=0.1)
+        if kind == "scores":
+            ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=(None,) * ds.I)
+        stats = compute_stats(ds)
+        profile = fitting._length_profile(stats.ranking_lengths, J)
+        for theta_max in (None, 0.5):
+            chords.clear()
+            results = [greedy_local(stats, theta_max=theta_max), fv(stats, ds, theta_max=theta_max),
+                       brute_force(stats, theta_max=theta_max)]
+            # incoming bests far from the scanned orders: the reversed
+            # optimum scanning the optimum's neighbours, and the other way round
+            order = results[2].params.consensus_order
+            for scanned, incoming in ((order, order[::-1]), (order[::-1], order)):
+                search._best_fit(stats, kendall.adjacent_neighbors(scanned), theta_max=theta_max,
+                                 best=fit_given_order(stats, incoming, theta_max=theta_max))
+            f = min(abs(result.f_value) for result in results)
+            cap = fitting._theta_cap(J, theta_max)
+            g = {}
+            for scan, d, best, lo, hi, value in chords:
+                for x, g_x in (best, lo, hi, (d, None)):
+                    if x not in g:
+                        g[x] = fitting._theta_cost(x, profile, cap)
+                    assert g_x is None or g_x.hex() == g[x].hex(), (x, g_x, g[x])
+                assert lo[0] <= d <= hi[0]
+                assert value <= g[d] + 1e-12 * f, (d, best, lo, hi, value, g[d])
+                seen.add((kind, theta_max))
+                seen.add("above" if best[0] > hi[0] else "below" if best[0] < lo[0] else "inside")
+            for earlier, later in zip(chords, chords[1:]):
+                if earlier[0] == later[0] and earlier[2] != later[2]:  # one scan, another best
+                    seen.add("replaced")
+    kinds = {(kind, theta_max) for kind in ("full", "top-3", "scores") for theta_max in (None, 0.5)}
+    assert seen == kinds | {"above", "below", "inside", "replaced"}, seen
 
 
 def test_theta_memo_cannot_change_a_search(monkeypatch):
