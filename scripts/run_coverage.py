@@ -11,18 +11,14 @@ from functools import partial
 
 import numpy as np
 
-from mallows_binomial import Parameters, order_of, sample
-from mallows_binomial.inference import bootstrap
+from mallows_binomial.inference import bootstrap, simulate_cell
 
 
 def one_trial(t, *, seed, J, I, M, R, theta, B, level, method):
-    rng = np.random.default_rng([seed, 7, t])
-    p = rng.uniform(size=J)
-    truth = Parameters(p=p, theta=theta, consensus_order=order_of(p))
-    data = sample(truth, I, M, R, rng)
+    truth, data = simulate_cell(I, M, J, R, theta, np.random.default_rng([seed, 7, t]))
     summary = bootstrap(data, method=method, B=B, level=level, seed=seed * 1000 + t)
     lo, hi = summary.p_intervals[:, 0], summary.p_intervals[:, 1]
-    return ((lo <= p) & (p <= hi)).astype(int)
+    return ((lo <= truth.p) & (truth.p <= hi)).astype(int)
 
 
 def main():

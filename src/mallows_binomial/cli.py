@@ -183,20 +183,8 @@ def ingest(
     return dataset, labels, judge_ids
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _dump_json(doc, out: str | None):
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
     if out:
         Path(out).write_text(text + "\n")
     else:

@@ -38,11 +38,6 @@ def _theta_cap(J: int, theta_max: float | None) -> float:
     return theta_max
 
 
-def _length_profile(ranking_lengths: Sequence[int], J: int) -> tuple[int, ...]:
-    """The multiset of ranking lengths: entry R-1 counts the judges ranking exactly R objects."""
-    return tuple(np.bincount(np.asarray(ranking_lengths, dtype=int), minlength=J + 1)[1:].tolist())
-
-
 class _Levels(NamedTuple):
     """Mallows level weights of a length profile: w[j-1] = number of judges
     ranking at least j objects and k[j-1] = J-j+1 the level size, for
@@ -75,9 +70,10 @@ def _distance_at_floor_and_cap(profile: tuple[int, ...], theta_max: float) -> tu
         return _expected_distance_total(THETA_FLOOR, levels)[0], _expected_distance_total(theta_max, levels)[0]
 
 
-def log_psi_total(theta: float, lengths: Sequence[int], J: int) -> float:
-    """Sum of log normalizing constants over judges with lengths R_i."""
-    w, k, sum_r, *_ = _level_weights(_length_profile(lengths, J))
+def log_psi_total(theta: float, profile: tuple[int, ...]) -> float:
+    """Sum of log normalizing constants over the judges of a length profile
+    (entry R-1 counts the judges ranking R of J = len(profile) objects)."""
+    w, k, sum_r, *_ = _level_weights(profile)
     return float(np.sum(w * np.log(-np.expm1(-theta * k))) - sum_r * np.log(-np.expm1(-theta)))
 
 
@@ -100,46 +96,47 @@ def moments(theta: float, R: int, J: int) -> tuple[float, float]:
     geometric insertion counts), in the single pass each fit_theta step takes.
     """
     _check_partial_shape(R, J)
-    if theta <= 0:
+    if not theta > 0:  # NaN included
         raise ValueError("theta must be positive")
     with np.errstate(over="ignore"):
-        return _expected_distance_total(theta, _level_weights(_length_profile((R,), J)))
+        return _expected_distance_total(theta, _level_weights(tuple(int(j == R) for j in range(1, J + 1))))
 
 
 def fit_theta(
     mean_distance: float,
-    ranking_lengths: Sequence[int],
-    J: int,
+    length_profile: tuple[int, ...],
     theta_max: float | None = None,
 ) -> tuple[float | None, str]:
-    """Minimize theta * D * count + sum_i log_psi(theta, R_i, J) over (0, cap].
+    """Minimize theta * D * n + sum_i log_psi(theta, R_i, J) over (0, cap].
 
     mean_distance is the average Kendall distance per ranking-providing
-    judge. Returns (theta, flag) with flag one of "interior", "cap" (zero or
-    near-zero distance, the all-identical-rankings degeneracy), "floor"
-    (distance at or above the uniform-limit mean, no interior minimizer), or
-    "undefined" when no rankings exist. Interior solves are safeguarded Newton
-    steps, each taking E[d] and Var[d] from one pass; the floor and cap tests
-    read E[d] at both ends from a cache keyed on (length profile, theta_max).
-    A cap outside (THETA_FLOOR, inf) or a negative or non-finite distance
-    raises ValueError.
+    judge, and length_profile counts those judges by ranking length: entry
+    R-1 is the number ranking exactly R of J = len(length_profile) objects,
+    and n is its sum. Returns (theta, flag) with flag one of "interior",
+    "cap" (zero or near-zero distance, the all-identical-rankings
+    degeneracy), "floor" (distance at or above the uniform-limit mean, no
+    interior minimizer), or "undefined" when no rankings exist. Interior
+    solves are safeguarded Newton steps, each taking E[d] and Var[d] from one
+    pass; the floor and cap tests read E[d] at both ends from a cache keyed
+    on (length profile, theta_max). A cap outside (THETA_FLOOR, inf) or a
+    negative or non-finite distance raises ValueError.
 
-    The result is a function of the bits of (mean_distance, the multiset of
-    lengths, J, cap) alone, and each step's numpy operations are fixed
-    element for element, so every solve of one input returns the same theta.
+    The result is a function of the bits of (mean_distance, the profile,
+    cap) alone, and each step's numpy operations are fixed element for
+    element, so every solve of one input returns the same theta.
     The searches rely on it: theta * (mean_distance * n) + log psi at the
     returned theta is _theta_cost(mean_distance) bit for bit, which lets an
     order scan read g at a fitted order from its fit instead of solving again.
     """
-    theta_max = _theta_cap(J, theta_max)
-    if not len(ranking_lengths):
+    theta_max = _theta_cap(len(length_profile), theta_max)
+    n = sum(length_profile)
+    if not n:
         return None, "undefined"
     if not 0 <= mean_distance < np.inf:
         raise ValueError(f"mean distance must be finite and non-negative, got {mean_distance}")
-    profile = _length_profile(ranking_lengths, J)
-    levels = _level_weights(profile)
-    total = mean_distance * len(ranking_lengths)
-    at_floor, at_cap = _distance_at_floor_and_cap(profile, theta_max)
+    levels = _level_weights(length_profile)
+    total = mean_distance * n
+    at_floor, at_cap = _distance_at_floor_and_cap(length_profile, theta_max)
     if total - at_floor >= 0:
         return THETA_FLOOR, "floor"
     if total - at_cap <= 0:
@@ -171,19 +168,16 @@ def fit_theta(
 def _theta_cost(mean_distance: float, profile: tuple[int, ...], theta_max: float) -> float:
     """Minimized scale-part value theta*total + log psi at the fitted theta;
     0.0 when there are no rankings. One memo serves every search; keyed on
-    the O(J) profile, not the judges, it holds at most 4096 * O(J) values,
-    and it is bitwise transparent because fit_theta ignores the lengths' order."""
-    J = len(profile)
-    lengths = tuple(np.repeat(np.arange(1, J + 1), profile).tolist())
-    if not lengths:
+    the O(J) profile, not the judges, it holds at most 4096 * O(J) values."""
+    if not sum(profile):
         return 0.0
-    return _theta_part(fit_theta(mean_distance, lengths, J, theta_max)[0], mean_distance, lengths, J)
+    return _theta_part(fit_theta(mean_distance, profile, theta_max)[0], mean_distance, profile)
 
 
-def _theta_part(theta: float, mean_distance: float, lengths: Sequence[int], J: int) -> float:
-    """theta * (mean_distance * n) + log psi summed over the n judges with
-    these lengths: the scale part of f as the order scans bound it."""
-    return float(theta * (mean_distance * len(lengths)) + log_psi_total(theta, lengths, J))
+def _theta_part(theta: float, mean_distance: float, profile: tuple[int, ...]) -> float:
+    """theta * (mean_distance * n) + log psi summed over the n judges of a
+    length profile: the scale part of f as the order scans bound it."""
+    return float(theta * (mean_distance * sum(profile)) + log_psi_total(theta, profile))
 
 
 def _pava(stack: list[tuple[float, float, int]], v: float, w: float) -> int:
@@ -358,7 +352,7 @@ def _objective(stats: SufficientStats, binomial: float, theta: float | None, d_m
     # distance of the rankings to the consensus order
     if not stats.n_rankers:
         return float(binomial)
-    return float(binomial + theta * d_mean * stats.n_rankers + log_psi_total(theta, stats.ranking_lengths, stats.J))
+    return float(binomial + theta * d_mean * stats.n_rankers + log_psi_total(theta, stats.length_profile))
 
 
 class ConditionalFit(NamedTuple):
@@ -389,6 +383,6 @@ def _conditional_fit(stats: SufficientStats, order: Ranking, p: np.ndarray, d_me
     Every conditional fit is built here, so its value is the objective's."""
     theta, flag = None, "undefined"
     if stats.n_rankers:
-        theta, flag = fit_theta(d_mean, stats.ranking_lengths, stats.J, theta_max)
+        theta, flag = fit_theta(d_mean, stats.length_profile, theta_max)
     params = Parameters(p=p, theta=theta, consensus_order=order, theta_at_cap=flag == "cap")
     return ConditionalFit(params, _objective(stats, binomial, theta, d_mean), flag)

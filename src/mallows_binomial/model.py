@@ -155,7 +155,9 @@ class SufficientStats:
     M is the panel's score scale: scores are Binomial(M, p_j), and every fit
     reads M from here. mean_score and score_count summarize observed cells
     per object; Q[u, v] is the fraction of ranking-providing judges placing u
-    strictly above v.
+    strictly above v. length_profile is the multiset of ranking lengths, all
+    the scale part reads of the rankings besides Q: entry R-1 counts the
+    judges ranking exactly R objects, and n_rankers is its sum.
 
     The score view the p fits read is derived once, at construction: per
     object q = mean/M and its isotonic weight count*M (Python floats), the
@@ -171,8 +173,8 @@ class SufficientStats:
     mean_score: np.ndarray
     score_count: np.ndarray
     Q: np.ndarray
-    n_rankers: int
-    ranking_lengths: tuple[int, ...]
+    length_profile: tuple[int, ...]
+    n_rankers: int = field(init=False)
     q: tuple[float, ...] = field(init=False, repr=False, compare=False)
     q_weight: tuple[float, ...] = field(init=False, repr=False, compare=False)
     observed: tuple[bool, ...] = field(init=False, repr=False, compare=False)
@@ -183,6 +185,11 @@ class SufficientStats:
     binomial_terms: tuple[dict[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        profile = tuple(int(c) for c in self.length_profile)
+        if len(profile) != self.J or min(profile, default=0) < 0:
+            raise ValueError(f"length_profile must hold {self.J} non-negative counts, got {self.length_profile}")
+        object.__setattr__(self, "length_profile", profile)
+        object.__setattr__(self, "n_rankers", sum(profile))
         mean, count = _frozen_array(self.mean_score), _frozen_array(self.score_count)
         object.__setattr__(self, "mean_score", mean)
         object.__setattr__(self, "score_count", count)
@@ -221,7 +228,7 @@ def log_psi(theta: float, R: int, J: int) -> float:
     log(J * (J-1) * ... * (J-R+1)).
     """
     _check_partial_shape(R, J)
-    if theta < 0:
+    if not theta >= 0:  # NaN included
         raise ValueError("theta must be non-negative")
     if theta == 0:
         return float(gammaln(J + 1) - gammaln(J - R + 1))
@@ -299,10 +306,9 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
 
     judges, when given, selects the panel made of those judge rows, repeats
     included (a bootstrap resample): each judge's row enters weighted by how
-    often it is drawn, and ranking_lengths follows the order of judges. Every
-    sum is of integer-valued floats, so the result is bitwise that of the
-    Dataset built from those rows. The per-judge rows are cached on the
-    dataset at the first call; they hold O(I*J) numbers.
+    often it is drawn. Every sum is of integer-valued floats, so the result
+    is bitwise that of the Dataset built from those rows. The per-judge rows
+    are cached on the dataset at the first call; they hold O(I*J) numbers.
     """
     J, I, table = dataset.J, dataset.I, dataset._judge_table
     rows = np.arange(I) if judges is None else np.asarray(judges, dtype=int).reshape(-1)
@@ -322,13 +328,11 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
     if not count.any() and not n_rankers:
         raise ValueError("dataset holds neither scores nor rankings")
     Q = wins / n_rankers if n_rankers else wins
-    lengths = table.lengths[rows]
     return SufficientStats(
         J=J,
         M=dataset.M,
         mean_score=mean,
         score_count=count,
         Q=Q,
-        n_rankers=n_rankers,
-        ranking_lengths=tuple(lengths[lengths > 0].tolist()),
+        length_profile=tuple(np.bincount(table.lengths[rows], minlength=J + 1)[1:].tolist()),
     )

@@ -24,7 +24,6 @@ from .fitting import (
     _binomial_costs,
     _conditional_fit,
     _fit_p_core,
-    _length_profile,
     _node_binomial_costs,
     _theta_cap,
     _theta_cost,
@@ -80,7 +79,7 @@ class FitResult:
             candidate_evaluations=cands,
             elapsed=time.perf_counter() - t0,
             theta_flag=cond.theta_flag,
-            non_identified=_non_identified(stats),
+            non_identified=stats.unobserved,
             **flags,
         )
 
@@ -97,7 +96,6 @@ class _SearchContext:
         self.col_total = stats.Q.sum(axis=0)
         self.mmin = np.minimum(stats.Q, stats.Q.T)
         self.root_free_min = float(self.mmin[np.triu_indices(self.J, k=1)].sum())
-        self.profile = _length_profile(stats.ranking_lengths, stats.J)
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
     def bounds(self, prefix: Ranking, extensions: Sequence[Ranking], fixed: Sequence[float],
@@ -106,7 +104,7 @@ class _SearchContext:
         (fixed, free_min, free): its theta part plus the Binomial cost of its
         p fit, the latter priced for all the nodes from one PAVA stack of the
         prefix."""
-        theta_parts = []
+        theta_parts, profile = [], self.stats.length_profile
         for fixed_c, free_min_c, free in zip(fixed, free_min, frees):
             # Below three free objects the LP has no triangle rows and equals the
             # pairwise minimum sum.
@@ -115,7 +113,7 @@ class _SearchContext:
                     self._lp_cache[free] = lp_free_cost(self.Q, free, free_min_c)
                 free_min_c = self._lp_cache[free]
             # L sums non-negative costs, but its incremental update can round a zero below it.
-            theta_parts.append(_theta_cost(max(fixed_c + free_min_c, 0.0), self.profile, self.theta_max))
+            theta_parts.append(_theta_cost(max(fixed_c + free_min_c, 0.0), profile, self.theta_max))
         binomial = _node_binomial_costs(self.stats, prefix, extensions)
         return [value + cost for value, cost in zip(theta_parts, binomial)]
 
@@ -137,10 +135,6 @@ class _SearchContext:
         bounds = self.bounds(prefix, extensions, fixed_c, free_min_c, frees, heuristic)
         prefixes = [prefix + ext for ext in extensions]
         yield from zip(bounds, prefixes, fixed_c, free_min_c, frees)
-
-
-def _non_identified(stats: SufficientStats) -> tuple[int, ...]:
-    return tuple(int(j) for j in np.flatnonzero(stats.score_count == 0))
 
 
 def _theta_chord(d: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
@@ -173,13 +167,12 @@ def _best_fit(stats, orders, *, theta_max, best: ConditionalFit | None = None) -
         return best
     distances = [mean_kendall_distance(stats, order) for order in orders]
     cap = _theta_cap(stats.J, theta_max)
-    profile = _length_profile(stats.ranking_lengths, stats.J)
-    lo, hi = [(d, _theta_cost(d, profile, cap)) for d in (min(distances), max(distances))]
+    lo, hi = [(d, _theta_cost(d, stats.length_profile, cap)) for d in (min(distances), max(distances))]
 
     def point(fit: ConditionalFit, d: float) -> tuple[tuple[float, float], float]:
         # (d, g(d)) of a fit and the bound above which an order is skipped
         theta = fit.params.theta
-        g = 0.0 if theta is None else _theta_part(theta, d, stats.ranking_lengths, stats.J)
+        g = 0.0 if theta is None else _theta_part(theta, d, stats.length_profile)
         return (d, g), fit.f_value + 1e-9 * abs(fit.f_value)
 
     if best is not None:

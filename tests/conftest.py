@@ -342,7 +342,7 @@ def reference_bound(ctx, prefix, fixed, free_min, free, heuristic) -> float:
             ctx._lp_cache[free] = lp_free_cost(ctx.Q, free, free_min)
         free_min = ctx._lp_cache[free]
     # L sums non-negative costs, but its incremental update can round a zero below it.
-    value = _theta_cost(max(fixed + free_min, 0.0), ctx.profile, ctx.theta_max)
+    value = _theta_cost(max(fixed + free_min, 0.0), ctx.stats.length_profile, ctx.theta_max)
     p = _fit_p_core(ctx.stats, prefix)
     return value + reference_binomial_cost(p, ctx.stats.a, ctx.stats.b)
 
@@ -395,8 +395,15 @@ def reference_best_fit(stats, orders, *, theta_max, best=None):
     return best
 
 
+def length_profile(lengths, J):
+    """The judges' ranking lengths as the package's scale solver takes them:
+    entry R-1 counts the judges ranking exactly R of J objects."""
+    return tuple(np.bincount(np.asarray(lengths, dtype=int), minlength=J + 1)[1:].tolist())
+
+
 # Scale solver before its slope and curvature passes were fused and its
 # floor/cap tests cached; kept verbatim so the fitted bits can be compared.
+# It reads the judges' lengths one at a time, as the solver once did.
 
 def reference_level_weights(lengths, J):
     """Mallows level weights from the judges' lengths one at a time:

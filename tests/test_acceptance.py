@@ -210,7 +210,7 @@ def test_criterion_5_isotonic_exactness():
         mean = np.array([pool[rng.integers(0, len(pool))] for _ in range(J)])
         count = rng.integers(1, 6, size=J).astype(float)
         stats = SufficientStats(J=J, M=M, mean_score=mean, score_count=count,
-                                Q=np.zeros((J, J)), n_rankers=0, ranking_lengths=())
+                                Q=np.zeros((J, J)), length_profile=(0,) * J)
         p = _fit_p_core(stats, prefix)
         cost = binomial_cost(p, mean, count, M)
         oracle_cost, _ = structural_oracle(mean, count, M, prefix, free)

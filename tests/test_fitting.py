@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, xlog1py, xlogy
 
 from conftest import (
+    length_profile,
     random_dataset,
     reference_fit_p_core,
     reference_distance_variance_total,
@@ -37,7 +38,7 @@ def make_score_stats(mean, count, M):
     count = np.asarray(count, dtype=float)
     J = mean.size
     return SufficientStats(J=J, M=M, mean_score=mean, score_count=count,
-                           Q=np.zeros((J, J)), n_rankers=0, ranking_lengths=())
+                           Q=np.zeros((J, J)), length_profile=(0,) * J)
 
 
 def binomial_cost(p, mean, count, M):
@@ -51,23 +52,23 @@ def binomial_cost(p, mean, count, M):
 # ---------------------------------------------------------------------------
 
 def test_fit_theta_closed_form():
-    theta, flag = fit_theta(0.25, [2], 2, theta_max=10.0)
+    theta, flag = fit_theta(0.25, (0, 1), theta_max=10.0)
     assert flag == "interior"
     assert theta == pytest.approx(math.log(3), abs=1e-8)
 
 
 def test_fit_theta_zero_distance_caps():
-    theta, flag = fit_theta(0.0, [2, 2, 2], 2, theta_max=4.0)
+    theta, flag = fit_theta(0.0, (0, 3), theta_max=4.0)
     assert flag == "cap" and theta == 4.0
 
 
 def test_fit_theta_uniform_distance_floors():
-    theta, flag = fit_theta(0.5, [2], 2, theta_max=10.0)
+    theta, flag = fit_theta(0.5, (0, 1), theta_max=10.0)
     assert flag == "floor" and theta == THETA_FLOOR
 
 
 def test_fit_theta_empty_rankings_undefined():
-    theta, flag = fit_theta(0.3, [], 4, theta_max=6.0)
+    theta, flag = fit_theta(0.3, (0, 0, 0, 0), theta_max=6.0)
     assert theta is None and flag == "undefined"
 
 
@@ -78,7 +79,7 @@ def test_fit_theta_first_order_condition():
         lengths = [int(rng.integers(1, J + 1)) for _ in range(int(rng.integers(1, 6)))]
         uniform_mean = sum(moments(1e-9, R, J)[0] for R in lengths) / len(lengths)
         D = float(rng.uniform(0.02, 0.9)) * uniform_mean
-        theta, flag = fit_theta(D, lengths, J, theta_max=J + 2)
+        theta, flag = fit_theta(D, length_profile(lengths, J), theta_max=J + 2)
         if flag != "interior":
             continue
         expected_total = sum(moments(theta, R, J)[0] for R in lengths)
@@ -100,27 +101,31 @@ def test_fit_theta_matches_reference_solver_bitwise():
         if case % 3 == 0:
             D = round(D * n) / n  # the lattice an observed panel lands on
         theta_max = (None, 0.5, 60.0, 800.0)[case % 4]
-        got = fit_theta(D, lengths, J, theta_max)
+        got = fit_theta(D, length_profile(lengths, J), theta_max)
         assert got == reference_fit_theta(D, lengths, J, theta_max), (D, lengths, J, theta_max)
         flags[got[1]] += 1
     assert min(flags[f] for f in ("floor", "cap", "interior")) >= 100, flags
 
 
 def test_scale_fit_reads_lengths_as_a_multiset():
-    # A bootstrap replicate lists the drawn judges' lengths in drawn order:
-    # every order of one multiset must give the same bits and hit the caches
-    # its first order filled.
+    # A bootstrap replicate draws the judges in any order: panels holding one
+    # multiset of ranking lengths in different judge orders must give one
+    # length profile, whose scale fit hits the caches the first one filled.
     rng = np.random.default_rng(5)
     for J in (3, 8, 20):
-        lengths = [int(rng.integers(1, J + 1)) for _ in range(40)]
+        ds = random_dataset(rng, J=J, I=40, R=J)
+        lengths = [int(rng.integers(1, J + 1)) for _ in range(ds.I)]
+        ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=tuple(r[:R] for r, R in zip(ds.rankings, lengths)))
         fitting._level_weights.cache_clear()
         fitting._distance_at_floor_and_cap.cache_clear()
+        profile = compute_stats(ds).length_profile
         D = 0.3 * reference_expected_distance_total(1.0, *reference_level_weights(lengths, J)) / len(lengths)
-        first = fit_theta(D, lengths, J), log_psi_total(0.7, lengths, J)
+        first = fit_theta(D, profile), log_psi_total(0.7, profile)
         misses = fitting._level_weights.cache_info().misses, fitting._distance_at_floor_and_cap.cache_info().misses
         for _ in range(5):
-            shuffled = [lengths[i] for i in rng.permutation(len(lengths))]
-            again = fit_theta(D, shuffled, J), log_psi_total(0.7, shuffled, J)
+            shuffled = compute_stats(ds, rng.permutation(ds.I)).length_profile
+            assert shuffled == profile
+            again = fit_theta(D, shuffled), log_psi_total(0.7, shuffled)
             assert repr(again) == repr(first)
         assert first[0] == reference_fit_theta(D, lengths, J)
         assert (fitting._level_weights.cache_info().misses,
@@ -143,7 +148,7 @@ def test_moments_match_reference_pair_bitwise():
 ])
 def test_fit_theta_rejects_invalid_input(mean_distance, theta_max):
     with pytest.raises(ValueError):
-        fit_theta(mean_distance, [3, 3], 3, theta_max=theta_max)
+        fit_theta(mean_distance, (0, 0, 2), theta_max=theta_max)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +348,11 @@ def test_objective_kendall_term_zero_when_unanimous():
     with_rank = objective(stats, params)
     score_only = objective(
         SufficientStats(J=3, M=4, mean_score=stats.mean_score, score_count=stats.score_count,
-                        Q=np.zeros((3, 3)), n_rankers=0, ranking_lengths=()),
+                        Q=np.zeros((3, 3)), length_profile=(0, 0, 0)),
         params)
     from mallows_binomial.fitting import log_psi_total
 
-    assert with_rank - score_only == pytest.approx(log_psi_total(2.0, (3, 3, 3), 3), abs=1e-12)
+    assert with_rank - score_only == pytest.approx(log_psi_total(2.0, (0, 0, 3)), abs=1e-12)
 
 
 def test_objective_checks_a_given_M():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_psi, enumerate_outcomes, pairwise_wins_oracle, random_dataset
+from conftest import brute_psi, enumerate_outcomes, length_profile, pairwise_wins_oracle, random_dataset
 from mallows_binomial import (
     Dataset,
     Parameters,
+    SufficientStats,
     compute_stats,
     log_density,
     log_psi,
@@ -55,6 +56,20 @@ def test_psi_rejects_bad_shape():
 
 def test_psi_large_theta_no_overflow():
     assert log_psi(200.0, 10, 20) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("quantity, theta", [
+    (log_psi, math.nan), (psi, math.nan), (moments, 0.0), (moments, math.nan),
+])
+def test_paper_quantities_reject_a_bad_theta(quantity, theta):
+    with pytest.raises(ValueError, match="theta"):
+        quantity(theta, 3, 5)
+
+
+def test_paper_quantities_take_the_limit_at_infinite_theta():
+    # theta -> inf puts all mass on the consensus order: psi -> 1, d -> 0
+    assert log_psi(math.inf, 3, 5) == 0.0 and psi(math.inf, 3, 5) == 1.0
+    assert moments(math.inf, 3, 5) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +230,7 @@ def test_stats_symmetric_pair():
     ds = Dataset(J=2, M=1, scores=np.full((2, 2), np.nan), rankings=((0, 1), (1, 0)))
     stats = compute_stats(ds)
     assert stats.Q[0, 1] == 0.5 and stats.Q[1, 0] == 0.5
-    assert stats.n_rankers == 2 and stats.ranking_lengths == (2, 2)
+    assert stats.n_rankers == 2 and stats.length_profile == (0, 2)
 
 
 def test_stats_top1_unranked_rule():
@@ -239,6 +254,16 @@ def test_stats_score_means_and_flags():
     assert np.isnan(stats.mean_score[1]) and stats.score_count[1] == 0
     assert stats.n_rankers == 0
     assert np.all(stats.Q == 0)
+
+
+def test_stats_reject_a_length_profile_of_the_wrong_shape():
+    # fit_theta reads J as the profile's length, so a profile of another
+    # length would fit the scale on the wrong number of objects
+    base = dict(J=3, M=4, mean_score=np.full(3, 2.0), score_count=np.ones(3), Q=np.zeros((3, 3)))
+    assert SufficientStats(**base, length_profile=(1, 0, 2)).n_rankers == 3
+    for profile in ((1, 2), (0, 0, 0, 1), (1, -1, 2)):
+        with pytest.raises(ValueError, match="length_profile"):
+            SufficientStats(**base, length_profile=profile)
 
 
 def test_stats_invariants_random():
@@ -273,7 +298,7 @@ def _judge_rows(ds, idx):
 
 
 def _assert_stats_bitwise_equal(got, want):
-    assert (got.J, got.M, got.n_rankers, got.ranking_lengths) == (want.J, want.M, want.n_rankers, want.ranking_lengths)
+    assert (got.J, got.M, got.n_rankers, got.length_profile) == (want.J, want.M, want.n_rankers, want.length_profile)
     assert type(got.n_rankers) is int
     for name in ("mean_score", "score_count", "Q"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -281,7 +306,7 @@ def _assert_stats_bitwise_equal(got, want):
 
 def test_stats_of_judge_rows_match_the_panel_built_from_them():
     # judge weights on the cached per-judge rows give bitwise the statistics
-    # of the resampled Dataset, ranking_lengths in the drawn order included
+    # of the resampled Dataset, the length profile included
     rng = np.random.default_rng(29)
     for trial in range(300):
         J = int(rng.integers(1, 11))
@@ -303,7 +328,7 @@ def test_stats_of_judge_rows_match_the_panel_built_from_them():
                 continue
             got = compute_stats(ds, idx)
             _assert_stats_bitwise_equal(got, compute_stats(panel))
-            assert got.ranking_lengths == tuple(len(r) for r in panel.rankings if r is not None)
+            assert got.length_profile == length_profile([len(r) for r in panel.rankings if r is not None], J)
 
 
 def test_stats_of_an_empty_draw_raise_like_the_dataset():

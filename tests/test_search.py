@@ -101,7 +101,8 @@ def test_astar_budget_exhaustion_flags():
     rng = np.random.default_rng(6)
     ds = random_dataset(rng, J=6, theta=0.4)
     stats = compute_stats(ds)
-    limited = astar(stats, node_budget=2)
+    with pytest.warns(RuntimeWarning, match="before any terminal"):
+        limited = astar(stats, node_budget=2)
     assert limited.budget_exhausted and not limited.optimal
     ref = brute_force(stats)
     assert limited.f_value >= ref.f_value - 1e-10
@@ -332,7 +333,7 @@ def test_order_screen_chord_is_a_lower_bound(monkeypatch):
         if kind == "scores":
             ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=(None,) * ds.I)
         stats = compute_stats(ds)
-        profile = fitting._length_profile(stats.ranking_lengths, J)
+        profile = stats.length_profile
         for theta_max in (None, 0.5):
             chords.clear()
             results = [greedy_local(stats, theta_max=theta_max), fv(stats, ds, theta_max=theta_max),
@@ -400,7 +401,7 @@ def test_theta_memo_is_shared_by_searches_on_one_length_profile(monkeypatch):
     # agree as a multiset, and Q holds the same bits.
     shuffle = rng.permutation(ds.I)
     second = Dataset(J=6, M=ds.M, scores=ds.scores[shuffle], rankings=tuple(rankings[i] for i in shuffle))
-    assert compute_stats(first).ranking_lengths != compute_stats(second).ranking_lengths
+    assert [len(r) for r in first.rankings] != [len(r) for r in second.rankings]
     solves = _counting(monkeypatch, fitting, "fit_theta")
     order_fits = _counting(monkeypatch, search, "fit_given_order")
 
@@ -418,7 +419,7 @@ def test_theta_memo_has_a_fixed_size():
     size = fitting._theta_cost.cache_info().maxsize
     assert size is not None
     fitting._theta_cost.cache_clear()
-    profile = fitting._length_profile((2, 2, 1), 2)
+    profile = (1, 2)  # judges' lengths 2, 2 and 1
     for k in range(size + 10):
         fitting._theta_cost(0.01 * k, profile, 4.0)
     assert fitting._theta_cost.cache_info().currsize == size

@@ -67,7 +67,7 @@ def scipy_objective(stats, params) -> float:
     total = reference_binomial_cost(params.p, stats.a, stats.b)
     if stats.n_rankers:
         total += params.theta * mean_kendall_distance(stats, params.consensus_order) * stats.n_rankers
-        total += log_psi_total(params.theta, stats.ranking_lengths, stats.J)
+        total += log_psi_total(params.theta, stats.length_profile)
     return float(total)
 
 
@@ -97,7 +97,7 @@ def test_likelihood_formulas_match_scipy_bitwise():
             for row, ranking in zip(ds.scores, ds.rankings):
                 assert bits(log_density(row, ranking, params, ds.M)) == bits(
                     scipy_log_density(row, ranking, params, ds.M))
-            for R in set(stats.ranking_lengths):
+            for R in (R for R, count in enumerate(stats.length_profile, 1) if count):
                 weights = reference_level_weights((R,), ds.J)
                 assert moments(params.theta, R, ds.J) == (reference_expected_distance_total(params.theta, *weights),
                                                           reference_distance_variance_total(params.theta, *weights))
