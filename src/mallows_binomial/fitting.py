@@ -124,9 +124,9 @@ def fit_theta(
     The result is a function of the bits of (mean_distance, the profile,
     cap) alone, and each step's numpy operations are fixed element for
     element, so every solve of one input returns the same theta.
-    The searches rely on it: theta * (mean_distance * n) + log psi at the
-    returned theta is _theta_cost(mean_distance) bit for bit, which lets an
-    order scan read g at a fitted order from its fit instead of solving again.
+    The searches rely on it: _scale_fit memoizes the solve on that key, and
+    a bound, an order screen and a conditional fit that meet one key all
+    read the same theta and scale part, whichever of them solved it.
     """
     theta_max = _theta_cap(len(length_profile), theta_max)
     n = sum(length_profile)
@@ -165,19 +165,19 @@ def fit_theta(
 
 
 @lru_cache(maxsize=4096)
-def _theta_cost(mean_distance: float, profile: tuple[int, ...], theta_max: float) -> float:
-    """Minimized scale-part value theta*total + log psi at the fitted theta;
-    0.0 when there are no rankings. One memo serves every search; keyed on
+def _scale_fit(mean_distance: float, profile: tuple[int, ...],
+               theta_max: float) -> tuple[float | None, str, float]:
+    """(theta, flag) = fit_theta(mean_distance, profile, theta_max) for a
+    resolved cap theta_max, and g = theta * (mean_distance * n) + log psi
+    summed over the n judges of the profile, the scale part of f that the
+    searches bound; (None, "undefined", 0.0) when there are no rankings.
+    One memo serves every bound, order screen and conditional fit; keyed on
     the O(J) profile, not the judges, it holds at most 4096 * O(J) values."""
-    if not sum(profile):
-        return 0.0
-    return _theta_part(fit_theta(mean_distance, profile, theta_max)[0], mean_distance, profile)
-
-
-def _theta_part(theta: float, mean_distance: float, profile: tuple[int, ...]) -> float:
-    """theta * (mean_distance * n) + log psi summed over the n judges of a
-    length profile: the scale part of f as the order scans bound it."""
-    return float(theta * (mean_distance * sum(profile)) + log_psi_total(theta, profile))
+    n = sum(profile)
+    if not n:
+        return None, "undefined", 0.0
+    theta, flag = fit_theta(mean_distance, profile, theta_max)
+    return theta, flag, float(theta * (mean_distance * n) + log_psi_total(theta, profile))
 
 
 def _pava(stack: list[tuple[float, float, int]], v: float, w: float) -> int:
@@ -379,10 +379,12 @@ def fit_given_order(
 def _conditional_fit(stats: SufficientStats, order: Ranking, p: np.ndarray, d_mean: float, binomial: float,
                      theta_max: float | None) -> ConditionalFit:
     """The conditional fit of a permutation from its p fit, its mean Kendall
-    distance and the Binomial cost of p: the theta solve is all that is left.
-    Every conditional fit is built here, so its value is the objective's."""
+    distance and the Binomial cost of p: the theta solve is all that is left,
+    and it is read from the scale-fit memo, which the search that found the
+    order has mostly filled. Every conditional fit is built here, so its
+    value is the objective's."""
     theta, flag = None, "undefined"
     if stats.n_rankers:
-        theta, flag = fit_theta(d_mean, stats.length_profile, theta_max)
+        theta, flag, _ = _scale_fit(d_mean, stats.length_profile, _theta_cap(stats.J, theta_max))
     params = Parameters(p=p, theta=theta, consensus_order=order, theta_at_cap=flag == "cap")
     return ConditionalFit(params, _objective(stats, binomial, theta, d_mean), flag)

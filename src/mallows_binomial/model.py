@@ -79,7 +79,8 @@ class Dataset:
 
     @cached_property
     def _judge_table(self) -> "_JudgeTable":
-        """Per-judge rows compute_stats weights: built once per panel, O(I*J)."""
+        """Per-judge rows compute_stats weights: built once per panel, I*J
+        floats twice and the rankers' pair orders as I*J*J bools."""
         observed = ~np.isnan(self.scores)
         rankers, positions = [], []
         for i, ranking in enumerate(self.rankings):
@@ -90,11 +91,12 @@ class Dataset:
                     row[obj] = place
                 rankers.append(i)
                 positions.append(row)
+        positions = np.array(positions, dtype=int).reshape(len(rankers), self.J)
         return _JudgeTable(
             observed=observed.astype(float),
             filled=np.where(observed, self.scores, 0.0),
             rankers=np.array(rankers, dtype=int),
-            positions=np.array(positions, dtype=int).reshape(len(rankers), self.J),
+            beats=(positions[:, :, None] < positions[:, None, :]).reshape(len(rankers), self.J * self.J),
             lengths=np.array([0 if r is None else len(r) for r in self.rankings], dtype=int),
         )
 
@@ -103,7 +105,7 @@ class _JudgeTable(NamedTuple):
     observed: np.ndarray   # (I, J) 1.0 where a score is observed
     filled: np.ndarray     # (I, J) scores with missing cells set to 0
     rankers: np.ndarray    # indices of the judges that rank
-    positions: np.ndarray  # (n_rankers, J) place of each object, J when unranked
+    beats: np.ndarray      # (n_rankers, J*J) bool: the ranker places u strictly above v at u*J + v
     lengths: np.ndarray    # (I,) ranking length, 0 without a ranking
 
 
@@ -307,8 +309,10 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
     judges, when given, selects the panel made of those judge rows, repeats
     included (a bootstrap resample): each judge's row enters weighted by how
     often it is drawn. Every sum is of integer-valued floats, so the result
-    is bitwise that of the Dataset built from those rows. The per-judge rows
-    are cached on the dataset at the first call; they hold O(I*J) numbers.
+    is bitwise that of the Dataset built from those rows, however many rows
+    weigh 0. The per-judge rows are cached on the dataset at the first call:
+    its scores and counts as I*J floats, and each ranker's pair orders as
+    I*J*J bools, so a call only weights them.
     """
     J, I, table = dataset.J, dataset.I, dataset._judge_table
     rows = np.arange(I) if judges is None else np.asarray(judges, dtype=int).reshape(-1)
@@ -320,10 +324,7 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
     with np.errstate(invalid="ignore"):
         mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
     ranker_weights = weights[table.rankers]
-    drawn = ranker_weights > 0
-    positions = table.positions[drawn]
-    beats = (positions[:, :, None] < positions[:, None, :]).reshape(len(positions), J * J)
-    wins = (ranker_weights[drawn] @ beats).reshape(J, J)
+    wins = (ranker_weights @ table.beats).reshape(J, J)
     n_rankers = int(ranker_weights.sum())
     if not count.any() and not n_rankers:
         raise ValueError("dataset holds neither scores nor rankings")

@@ -14,6 +14,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -25,9 +26,8 @@ from .fitting import (
     _conditional_fit,
     _fit_p_core,
     _node_binomial_costs,
+    _scale_fit,
     _theta_cap,
-    _theta_cost,
-    _theta_part,
     fit_given_order,
     mean_kendall_distance,
 )
@@ -84,6 +84,15 @@ class FitResult:
         )
 
 
+@lru_cache(maxsize=64)
+def _upper_triangle(J: int) -> np.ndarray:
+    """Flat indices of the pairs u < v of a J x J matrix, row by row (the
+    order of np.triu_indices(J, k=1)), read-only, built once per J."""
+    index = np.flatnonzero(np.triu(np.ones((J, J), dtype=bool), k=1))
+    index.setflags(write=False)
+    return index
+
+
 class _SearchContext:
     """Precomputed arrays shared by every bound evaluation of one search."""
 
@@ -95,7 +104,7 @@ class _SearchContext:
         self.QT = np.ascontiguousarray(stats.Q.T)
         self.col_total = stats.Q.sum(axis=0)
         self.mmin = np.minimum(stats.Q, stats.Q.T)
-        self.root_free_min = float(self.mmin[np.triu_indices(self.J, k=1)].sum())
+        self.root_free_min = float(self.mmin.take(_upper_triangle(self.J)).sum())
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
     def bounds(self, prefix: Ranking, extensions: Sequence[Ranking], fixed: Sequence[float],
@@ -113,7 +122,7 @@ class _SearchContext:
                     self._lp_cache[free] = lp_free_cost(self.Q, free, free_min_c)
                 free_min_c = self._lp_cache[free]
             # L sums non-negative costs, but its incremental update can round a zero below it.
-            theta_parts.append(_theta_cost(max(fixed_c + free_min_c, 0.0), profile, self.theta_max))
+            theta_parts.append(_scale_fit(max(fixed_c + free_min_c, 0.0), profile, self.theta_max)[2])
         binomial = _node_binomial_costs(self.stats, prefix, extensions)
         return [value + cost for value, cost in zip(theta_parts, binomial)]
 
@@ -138,9 +147,9 @@ class _SearchContext:
 
 
 def _theta_chord(d: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
-    """A lower bound on g(d) = _theta_cost(d) for lo[0] <= d <= hi[0], given
-    the points (d, g(d)) best, lo and hi: g's chord from best to the end of
-    the range on d's side."""
+    """A lower bound on the scale part g(d) = _scale_fit(d)[2] for
+    lo[0] <= d <= hi[0], given the points (d, g(d)) best, lo and hi: g's
+    chord from best to the end of the range on d's side."""
     (x0, y0), (x1, y1) = (best, hi) if d >= best[0] else (lo, best)
     return y0 if x1 == x0 else y0 + (y1 - y0) * ((d - x0) / (x1 - x0))
 
@@ -150,30 +159,30 @@ def _best_fit(stats, orders, *, theta_max, best: ConditionalFit | None = None) -
     smaller f than the best so far (starting from best, a fit of these stats
     under this theta_max) wins.
 
-    A first pass takes each order's mean Kendall distance d, and g(d) =
-    _theta_cost(d) is solved at the smallest and the largest. g is a minimum
-    over theta of functions affine in d with positive slope, so it is concave
-    and non-decreasing; on each side of the best's d_best, g therefore lies
-    on or above its chord from (d_best, g(d_best)) to that side's end of the
-    range, wherever d_best lies. An order is fitted only if its exact
-    Binomial part plus that chord does not exceed the best f by more than
-    1e-9 f, which covers the rounding of g against the objective's theta
-    part. A skipped order is not strictly better, so the winner is the same.
-    A fit's p, d and Binomial part are the screen's, and g(d_best) is read
-    from the best's own theta (fit_theta's bitwise rule), so no order's p,
-    distance or theta is computed twice."""
+    A first pass takes each order's mean Kendall distance d, and the scale
+    part g(d) = _scale_fit(d)[2] is read at the smallest and the largest. g
+    is a minimum over theta of functions affine in d with positive slope, so
+    it is concave and non-decreasing; on each side of the best's d_best, g
+    therefore lies on or above its chord from (d_best, g(d_best)) to that
+    side's end of the range, wherever d_best lies. An order is fitted only if
+    its exact Binomial part plus that chord does not exceed the best f by
+    more than 1e-9 f, which covers the rounding of g against the objective's
+    theta part. A skipped order is not strictly better, so the winner is the
+    same.
+    A fit's p, d and Binomial part are the screen's, and its theta and
+    g(d_best) come from the one scale-fit memo, so no order's p or distance
+    is computed twice and a theta is solved again only once the memo has
+    dropped it."""
     orders = list(orders)
     if not orders:
         return best
     distances = [mean_kendall_distance(stats, order) for order in orders]
-    cap = _theta_cap(stats.J, theta_max)
-    lo, hi = [(d, _theta_cost(d, stats.length_profile, cap)) for d in (min(distances), max(distances))]
+    profile, cap = stats.length_profile, _theta_cap(stats.J, theta_max)
+    lo, hi = [(d, _scale_fit(d, profile, cap)[2]) for d in (min(distances), max(distances))]
 
     def point(fit: ConditionalFit, d: float) -> tuple[tuple[float, float], float]:
         # (d, g(d)) of a fit and the bound above which an order is skipped
-        theta = fit.params.theta
-        g = 0.0 if theta is None else _theta_part(theta, d, stats.length_profile)
-        return (d, g), fit.f_value + 1e-9 * abs(fit.f_value)
+        return (d, _scale_fit(d, profile, cap)[2]), fit.f_value + 1e-9 * abs(fit.f_value)
 
     if best is not None:
         at_best, cutoff = point(best, mean_kendall_distance(stats, best.params.consensus_order))

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import xlog1py, xlogy
 
 from mallows_binomial import Dataset, Parameters, order_of, sample, search
-from mallows_binomial.fitting import THETA_FLOOR, _binomial_costs, _fit_p_core, _theta_cost, default_theta_max
+from mallows_binomial.fitting import THETA_FLOOR, _binomial_costs, _fit_p_core, _scale_fit, default_theta_max
 from mallows_binomial.kemeny_lp import lp_free_cost
 
 
@@ -342,7 +342,7 @@ def reference_bound(ctx, prefix, fixed, free_min, free, heuristic) -> float:
             ctx._lp_cache[free] = lp_free_cost(ctx.Q, free, free_min)
         free_min = ctx._lp_cache[free]
     # L sums non-negative costs, but its incremental update can round a zero below it.
-    value = _theta_cost(max(fixed + free_min, 0.0), ctx.stats.length_profile, ctx.theta_max)
+    value = _scale_fit(max(fixed + free_min, 0.0), ctx.stats.length_profile, ctx.theta_max)[2]
     p = _fit_p_core(ctx.stats, prefix)
     return value + reference_binomial_cost(p, ctx.stats.a, ctx.stats.b)
 

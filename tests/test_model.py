@@ -306,18 +306,26 @@ def _assert_stats_bitwise_equal(got, want):
 
 def test_stats_of_judge_rows_match_the_panel_built_from_them():
     # judge weights on the cached per-judge rows give bitwise the statistics
-    # of the resampled Dataset, the length profile included
+    # of the resampled Dataset, the length profile included, however many
+    # rankers a draw leaves at weight 0; the cached pair orders are bools
     rng = np.random.default_rng(29)
+    seen = set()
     for trial in range(300):
         J = int(rng.integers(1, 11))
         I = int(rng.integers(1, 15))
         ds = random_dataset(rng, J=J, I=I, R=int(rng.integers(1, J + 1)),
                             missing_scores=float(rng.choice([0.0, 0.3, 0.9])),
                             missing_rankings=float(rng.choice([0.0, 0.4, 0.9])))
-        # partial rankings of mixed lengths
+        # partial rankings of mixed lengths, and now and then none at all
         rankings = tuple(None if r is None else r[:int(rng.integers(1, len(r) + 1))] for r in ds.rankings)
+        if trial % 10 == 0 and np.isfinite(ds.scores).any():
+            rankings = (None,) * I
         ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=rankings)
         _assert_stats_bitwise_equal(compute_stats(ds, np.arange(I)), compute_stats(ds))
+        table = ds._judge_table
+        assert table.beats.dtype == bool and table.beats.shape == (len(table.rankers), J * J)
+        if not len(table.rankers):
+            seen.add("no rankings")
         for _ in range(4):
             idx = rng.integers(0, I, size=int(rng.integers(1, 2 * I + 1)))
             try:
@@ -328,7 +336,15 @@ def test_stats_of_judge_rows_match_the_panel_built_from_them():
                 continue
             got = compute_stats(ds, idx)
             _assert_stats_bitwise_equal(got, compute_stats(panel))
-            assert got.length_profile == length_profile([len(r) for r in panel.rankings if r is not None], J)
+            lengths = [len(r) for r in panel.rankings if r is not None]
+            assert got.length_profile == length_profile(lengths, J)
+            if set(table.rankers.tolist()) - set(idx.tolist()):
+                seen.add("zero-weight rankers")
+            if len(lengths) < len(idx):
+                seen.add("unranked judges")
+            if len(set(lengths)) > 1:
+                seen.add("mixed lengths")
+    assert seen == {"no rankings", "zero-weight rankers", "unranked judges", "mixed lengths"}, seen
 
 
 def test_stats_of_an_empty_draw_raise_like_the_dataset():

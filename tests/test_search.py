@@ -15,6 +15,7 @@ from conftest import (
 )
 from mallows_binomial import (
     Dataset,
+    Parameters,
     astar,
     brute_force,
     compute_stats,
@@ -25,7 +26,7 @@ from mallows_binomial import (
     objective,
 )
 from mallows_binomial import fitting, kendall, search
-from mallows_binomial.fitting import THETA_FLOOR
+from mallows_binomial.fitting import THETA_FLOOR, mean_kendall_distance
 from mallows_binomial.inference import bootstrap, simulate_cell
 from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
 
@@ -307,7 +308,7 @@ def test_order_screen_skips_order_fits(monkeypatch):
 
 def test_order_screen_chord_is_a_lower_bound(monkeypatch):
     # Every chord an order is screened by lies at or below g(d) =
-    # _theta_cost(d), up to 1e-12 |f|, and every point it is drawn through is
+    # _scale_fit(d)[2], up to 1e-12 |f|, and every point it is drawn through is
     # g itself, bit for bit, whether solved at an end of the scan or read
     # from a fit. Covered: full, top-R and score-only panels, a cap below
     # and at its default, an incoming best inside, above and below the
@@ -350,7 +351,7 @@ def test_order_screen_chord_is_a_lower_bound(monkeypatch):
             for scan, d, best, lo, hi, value in chords:
                 for x, g_x in (best, lo, hi, (d, None)):
                     if x not in g:
-                        g[x] = fitting._theta_cost(x, profile, cap)
+                        g[x] = fitting._scale_fit(x, profile, cap)[2]
                     assert g_x is None or g_x.hex() == g[x].hex(), (x, g_x, g[x])
                 assert lo[0] <= d <= hi[0]
                 assert value <= g[d] + 1e-12 * f, (d, best, lo, hi, value, g[d])
@@ -380,12 +381,14 @@ def test_theta_memo_cannot_change_a_search(monkeypatch):
         return runs
 
     for heuristic in ("crude", "lp"):
-        fitting._theta_cost.cache_clear()
+        fitting._scale_fit.cache_clear()
         solves.clear()
         memoized = run(heuristic)
         memo_solves = len(solves)
         with monkeypatch.context() as patch:
-            patch.setattr(search, "_theta_cost", fitting._theta_cost.__wrapped__)
+            # the bounds read the memo from search, the final fit from fitting
+            for module in (search, fitting):
+                patch.setattr(module, "_scale_fit", fitting._scale_fit.__wrapped__)
             solves.clear()
             plain = run(heuristic)
         assert memoized == plain
@@ -405,25 +408,94 @@ def test_theta_memo_is_shared_by_searches_on_one_length_profile(monkeypatch):
     solves = _counting(monkeypatch, fitting, "fit_theta")
     order_fits = _counting(monkeypatch, search, "fit_given_order")
 
-    fitting._theta_cost.cache_clear()
+    fitting._scale_fit.cache_clear()
     astar(compute_stats(first))
     assert len(solves) > len(order_fits)
     solves.clear()
     order_fits.clear()
     result = astar(compute_stats(second))
-    assert len(solves) == len(order_fits) == 1  # only the final conditional fit
+    # the final conditional fit too reads the first search's solve
+    assert len(solves) == 0 and len(order_fits) == 1
     assert result.params.consensus_order == astar(compute_stats(first)).params.consensus_order
 
 
+def test_conditional_fit_reads_the_search_solve(monkeypatch):
+    # A conditional fit reads theta from the memo its search filled: its
+    # (theta, flag, f) are bitwise those of a fresh fit_theta solve with the
+    # memo cold and warm, and an A* search whose final key is memoized
+    # solves nothing after its last bound.
+    fresh_solve = fitting.fit_theta
+    solves = _counting(monkeypatch, fitting, "fit_theta")
+    bound_keys, solves_at_bound = [], []
+    scale_fit = search._scale_fit
+
+    def recorded(d, profile, cap):
+        value = scale_fit(d, profile, cap)
+        bound_keys.append(d)
+        solves_at_bound.append(len(solves))
+        return value
+
+    monkeypatch.setattr(search, "_scale_fit", recorded)
+
+    def bits(theta, flag, f):
+        return None if theta is None else theta.hex(), flag, f.hex()
+
+    def fresh(stats, params, theta_max):
+        theta, flag = None, "undefined"
+        if stats.n_rankers:
+            d = mean_kendall_distance(stats, params.consensus_order)
+            theta, flag = fresh_solve(d, stats.length_profile, theta_max)
+        return bits(theta, flag, objective(stats, Parameters(params.p, theta, params.consensus_order)))
+
+    rng = np.random.default_rng(77)
+    panels = []
+    for case in range(6):
+        J, kind = 5 + case % 2, ("full", "top-3", "scores")[case % 3]
+        ds = random_dataset(rng, J=J, I=8, R=3 if kind == "top-3" else J, theta=0.6, missing_scores=0.1)
+        if kind == "scores":
+            ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=(None,) * ds.I)
+        panels.append(compute_stats(ds))
+    # two opposite rankings: every order lies at the uniform mean distance, theta at its floor
+    panels.append(compute_stats(Dataset(J=5, M=4, scores=rng.integers(0, 5, size=(2, 5)).astype(float),
+                                        rankings=(tuple(range(5)), tuple(range(4, -1, -1))))))
+    flags, memoized_finals = set(), 0
+    for stats in panels:
+        for theta_max in (None, 0.5):
+            methods = {"fit_given_order": lambda: fit_given_order(stats, tuple(range(stats.J))[::-1],
+                                                                  theta_max=theta_max),
+                       "astar": lambda: astar(stats, theta_max=theta_max),
+                       "greedy_local": lambda: greedy_local(stats, theta_max=theta_max)}
+            for name, method in methods.items():
+                fitting._scale_fit.cache_clear()
+                for warm in (False, True):
+                    bound_keys.clear()
+                    solves_at_bound.clear()
+                    solves.clear()
+                    fit = method()
+                    got = bits(fit.params.theta, fit.theta_flag, fit.f_value)
+                    assert got == fresh(stats, fit.params, theta_max), (name, theta_max, warm)
+                    flags.add(fit.theta_flag)
+                    if name == "astar" and stats.n_rankers:
+                        d = mean_kendall_distance(stats, fit.params.consensus_order)
+                        after_last_bound = len(solves) - solves_at_bound[-1]
+                        if warm or d in bound_keys:
+                            assert after_last_bound == 0, (theta_max, warm)
+                            memoized_finals += not warm
+                        else:
+                            assert after_last_bound == 1
+    assert flags == {"interior", "cap", "floor", "undefined"}, flags
+    assert memoized_finals > 0
+
+
 def test_theta_memo_has_a_fixed_size():
-    size = fitting._theta_cost.cache_info().maxsize
+    size = fitting._scale_fit.cache_info().maxsize
     assert size is not None
-    fitting._theta_cost.cache_clear()
+    fitting._scale_fit.cache_clear()
     profile = (1, 2)  # judges' lengths 2, 2 and 1
     for k in range(size + 10):
-        fitting._theta_cost(0.01 * k, profile, 4.0)
-    assert fitting._theta_cost.cache_info().currsize == size
-    fitting._theta_cost.cache_clear()
+        fitting._scale_fit(0.01 * k, profile, 4.0)
+    assert fitting._scale_fit.cache_info().currsize == size
+    fitting._scale_fit.cache_clear()
 
 
 def test_searches_survive_a_zero_cost_rounded_below_zero():
