@@ -58,12 +58,12 @@ class ScoreScale:
     def M(self) -> int:
         return int(round((self.max - self.min) / self.step))
 
-    def to_integer(self, raw: float, where: str = "") -> int:
+    def to_integer(self, raw: float) -> int:
         if not self.min - 1e-9 <= raw <= self.max + 1e-9:  # also rejects nan
-            raise IngestError(f"score {raw} outside [{self.min}, {self.max}]{where}")
+            raise IngestError(f"score {raw} outside [{self.min}, {self.max}]")
         k = (raw - self.min) / self.step
         if abs(k - round(k)) > 1e-6:
-            raise IngestError(f"score {raw} is not on the step-{self.step} lattice{where}")
+            raise IngestError(f"score {raw} is not on the step-{self.step} lattice")
         k = int(round(k))
         return self.M - k if self.higher_is_better else k
 
@@ -128,7 +128,10 @@ def ingest(
                     raw = float(cell)
                 except ValueError as err:
                     raise IngestError(f"{scores_path} row {r} column {c}: not a number: {cell!r}") from err
-                values.append(float(scale.to_integer(raw, where=f" ({scores_path} row {r} column {c})")))
+                try:
+                    values.append(float(scale.to_integer(raw)))
+                except IngestError as err:  # the location is formatted only for the message
+                    raise IngestError(f"{err} ({scores_path} row {r} column {c})") from None
             if judge in score_rows:
                 raise IngestError(f"{scores_path} row {r}: duplicate judge id {judge!r}")
             score_rows[judge] = values
@@ -435,8 +438,8 @@ def cmd_bias_demo(args) -> int:
     return EXIT_OK
 
 
-def _add_fit_flags(sub, *, resampled=False):
-    """Data, score-scale and run flags of fit; resampled adds bootstrap's."""
+def _add_fit_flags(sub):
+    """Data, score-scale and run flags of fit."""
     sub.add_argument("--scores", default=None)
     sub.add_argument("--rankings", default=None)
     sub.add_argument("--scale-min", type=float, default=0.0)
@@ -449,70 +452,87 @@ def _add_fit_flags(sub, *, resampled=False):
     sub.add_argument("--node-budget", type=int, default=search.DEFAULT_NODE_BUDGET)
     sub.add_argument("--candidate-cap", type=int, default=search.DEFAULT_CANDIDATE_CAP)
     sub.add_argument("--out", default=None)
-    if resampled:
-        sub.add_argument("--B", type=int, default=200)
-        sub.add_argument("--level", type=float, default=0.90)
-        sub.add_argument("--jobs", type=int, default=1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_resampled_flags(sub):
+    """fit's flags plus the resampling flags of bootstrap and compare."""
+    _add_fit_flags(sub)
+    sub.add_argument("--B", type=int, default=200)
+    sub.add_argument("--level", type=float, default=0.90)
+    sub.add_argument("--jobs", type=int, default=1)
+
+
+def _add_simulate_flags(sub):
+    sub.add_argument("--I", type=int, required=True)
+    sub.add_argument("--J", type=int, required=True)
+    sub.add_argument("--R", type=int, required=True)
+    sub.add_argument("--M", type=int, required=True)
+    sub.add_argument("--theta", type=float, required=True)
+    sub.add_argument("--p", default="uniform")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out-dir", required=True)
+
+
+def _add_benchmark_flags(sub):
+    sub.add_argument("--grid-I", default="5,20")
+    sub.add_argument("--grid-M", default="10")
+    sub.add_argument("--grid-J", default="4,5,6")
+    sub.add_argument("--grid-R", default="2,4,6")
+    sub.add_argument("--grid-theta", default="1,2,3")
+    sub.add_argument("--trials", type=int, default=5)
+    sub.add_argument("--algorithms", default="exact-crude,exact-lp,fv,greedy,greedy-local")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--theta-max", type=float, default=None)
+    sub.add_argument("--node-budget", type=int, default=search.DEFAULT_NODE_BUDGET)
+    sub.add_argument("--out", default=None)
+
+
+def _add_bias_demo_flags(sub):
+    sub.add_argument("--p0", default="0.1,0.4,0.9")
+    sub.add_argument("--theta0", type=float, default=1.0)
+    sub.add_argument("--M", type=int, default=1)
+    sub.add_argument("--R", type=int, default=None)
+    sub.add_argument("--theta-max", type=float, default=None)
+    sub.add_argument("--out", default=None)
+
+
+# (name, help, flag builder, handler) of every subcommand, in help order.
+COMMANDS = (
+    ("fit", "point fit", _add_fit_flags, cmd_fit),
+    ("bootstrap", "bootstrap intervals for p, theta, and rank places", _add_resampled_flags, cmd_bootstrap),
+    ("simulate", "write a synthetic panel in the ingest format", _add_simulate_flags, cmd_simulate),
+    ("benchmark", "speed/accuracy grid", _add_benchmark_flags, cmd_benchmark),
+    ("compare", "joint model plus the four conversion baselines", _add_resampled_flags, cmd_compare),
+    ("bias-demo", "exact single-judge bias enumeration", _add_bias_demo_flags, cmd_bias_demo),
+)
+
+
+def build_parser(flags_for) -> argparse.ArgumentParser:
+    """The CLI parser. Every subcommand is declared, so top-level help and
+    errors never change, but only those named in flags_for get their flags,
+    -h included: building a flag costs far more than parsing it, and a
+    subcommand that is not run is never parsed."""
     parser = argparse.ArgumentParser(
         prog="mallows-binomial",
         description="Consensus fitting for panels of integer scores and top-R partial rankings",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = subs.add_parser("fit", help="point fit")
-    _add_fit_flags(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_boot = subs.add_parser("bootstrap", help="bootstrap intervals for p, theta, and rank places")
-    _add_fit_flags(p_boot, resampled=True)
-    p_boot.set_defaults(func=cmd_bootstrap)
-
-    p_sim = subs.add_parser("simulate", help="write a synthetic panel in the ingest format")
-    p_sim.add_argument("--I", type=int, required=True)
-    p_sim.add_argument("--J", type=int, required=True)
-    p_sim.add_argument("--R", type=int, required=True)
-    p_sim.add_argument("--M", type=int, required=True)
-    p_sim.add_argument("--theta", type=float, required=True)
-    p_sim.add_argument("--p", default="uniform")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out-dir", required=True)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_bench = subs.add_parser("benchmark", help="speed/accuracy grid")
-    p_bench.add_argument("--grid-I", default="5,20")
-    p_bench.add_argument("--grid-M", default="10")
-    p_bench.add_argument("--grid-J", default="4,5,6")
-    p_bench.add_argument("--grid-R", default="2,4,6")
-    p_bench.add_argument("--grid-theta", default="1,2,3")
-    p_bench.add_argument("--trials", type=int, default=5)
-    p_bench.add_argument("--algorithms", default="exact-crude,exact-lp,fv,greedy,greedy-local")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--theta-max", type=float, default=None)
-    p_bench.add_argument("--node-budget", type=int, default=search.DEFAULT_NODE_BUDGET)
-    p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(func=cmd_benchmark)
-
-    p_cmp = subs.add_parser("compare", help="joint model plus the four conversion baselines")
-    _add_fit_flags(p_cmp, resampled=True)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_bias = subs.add_parser("bias-demo", help="exact single-judge bias enumeration")
-    p_bias.add_argument("--p0", default="0.1,0.4,0.9")
-    p_bias.add_argument("--theta0", type=float, default=1.0)
-    p_bias.add_argument("--M", type=int, default=1)
-    p_bias.add_argument("--R", type=int, default=None)
-    p_bias.add_argument("--theta-max", type=float, default=None)
-    p_bias.add_argument("--out", default=None)
-    p_bias.set_defaults(func=cmd_bias_demo)
-
+    for name, help_text, add_flags, handler in COMMANDS:
+        flagged = name in flags_for
+        sub = subs.add_parser(name, help=help_text, add_help=flagged)
+        if flagged:
+            add_flags(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse runs the subcommand named by the first argument that does not
+    # start with "-"; a first positional that does ("-", "-1") is an invalid
+    # choice, whatever flags the subcommands have.
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser((invoked,)).parse_args(argv)
     try:
         _check_run_options(args)
         return args.func(args)

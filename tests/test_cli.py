@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mallows_binomial
-from mallows_binomial import Parameters, order_of, sample
+from mallows_binomial import Parameters, cli, order_of, sample
 from mallows_binomial.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -73,10 +73,17 @@ def test_ingest_ranking_only_judge(tmp_path):
     assert ds.rankings == (None, (1,))
 
 
-def test_ingest_rejects_off_lattice(tmp_path):
-    scores = write(tmp_path / "s.csv", "judge,a,b\nj1,1.0,2.25\n")
-    with pytest.raises(IngestError, match="row 2 column 3"):
+@pytest.mark.parametrize("cell,message", [
+    ("2.25", "score 2.25 is not on the step-0.5 lattice ({path} row 2 column 3)"),
+    ("3.5", "score 3.5 outside [1.0, 3.0] ({path} row 2 column 3)"),
+    ("nan", "score nan outside [1.0, 3.0] ({path} row 2 column 3)"),
+    ("2.x", "{path} row 2 column 3: not a number: '2.x'"),
+], ids=["off-lattice", "out-of-range", "nan", "non-numeric"])
+def test_ingest_rejects_off_lattice(tmp_path, cell, message):
+    scores = write(tmp_path / "s.csv", f"judge,a,b\nj1,1.0,{cell}\n")
+    with pytest.raises(IngestError) as info:
         ingest(scores, None, ScoreScale(min=1.0, max=3.0, step=0.5))
+    assert str(info.value) == message.format(path=scores)
 
 
 def test_ingest_rejects_duplicate_in_ranking(tmp_path):
@@ -166,6 +173,71 @@ def test_fit_missing_file_is_input_error(tmp_path):
 def test_fit_requires_scale_max(tmp_path):
     with pytest.raises(SystemExit):
         main(["fit", "--scores", "x.csv"])
+
+
+COMMAND_NAMES = [name for name, *_ in cli.COMMANDS]
+EVERY_FLAG = {
+    "fit": ["--scores", "s.csv", "--rankings", "r.csv", "--scale-min", "1", "--scale-max", "5",
+            "--scale-step", "0.5", "--higher-is-better", "--method", "greedy", "--seed", "3",
+            "--theta-max", "2", "--node-budget", "9", "--candidate-cap", "4", "--out", "o.json"],
+    "simulate": ["--I", "4", "--J", "3", "--R", "2", "--M", "5", "--theta", "1.5", "--p", "0.1,0.2,0.3",
+                 "--seed", "2", "--out-dir", "sim"],
+    "benchmark": ["--grid-I", "4", "--grid-M", "5", "--grid-J", "3", "--grid-R", "2", "--grid-theta", "1",
+                  "--trials", "2", "--algorithms", "greedy", "--seed", "1", "--theta-max", "3",
+                  "--node-budget", "7", "--out", "b.csv"],
+    "bias-demo": ["--p0", "0.2,0.8", "--theta0", "2", "--M", "2", "--R", "1", "--theta-max", "4",
+                  "--out", "bias.json"],
+}
+EVERY_FLAG["bootstrap"] = EVERY_FLAG["compare"] = [*EVERY_FLAG["fit"], "--B", "7", "--level", "0.8", "--jobs", "2"]
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+def exit_outcome(capsys, run, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["fot"], ["fit", "--scores", "x.csv"], *([name, "--help"] for name in COMMAND_NAMES),
+])
+def test_help_and_usage_errors_match_the_parser_with_every_flag(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = exit_outcome(capsys, cli.build_parser(COMMAND_NAMES).parse_args, argv)
+    assert full[0] == (0 if "--help" in argv else 2) and full[1] + full[2]
+    assert exit_outcome(capsys, main, argv) == full
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_every_flag_parses_as_with_the_parser_with_every_flag(monkeypatch, command):
+    seen = []
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        (name, text, add_flags, lambda args: seen.append(vars(args)) or EXIT_OK)
+        for name, text, add_flags, _ in cli.COMMANDS))
+    argv = [command, *EVERY_FLAG[command]]
+    full = cli.build_parser(COMMAND_NAMES)
+    flags = {flag for action in subparsers(full)[command]._actions for flag in action.option_strings}
+    assert flags - {"-h", "--help"} <= set(argv)
+    assert main(argv) == EXIT_OK
+    assert seen == [vars(full.parse_args(argv))]
+
+
+def test_a_fit_builds_no_flag_of_another_command(tmp_path, monkeypatch):
+    out = simulate_files(tmp_path, seed=7, I=8, J=4, R=3, M=8, theta=2.0)
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda flags_for: built.append(build_parser(flags_for)) or built[-1])
+    assert main(["fit", *data_flags(out, 8), "--out", str(tmp_path / "fit.json")]) == EXIT_OK
+    (parser,) = built
+    full = subparsers(build_parser(COMMAND_NAMES))
+    for name, sub in subparsers(parser).items():
+        expected = full[name]._actions if name == "fit" else []
+        assert [action.option_strings for action in sub._actions] == [a.option_strings for a in expected]
 
 
 def test_fit_rejects_nan_and_inf_theta_max(tmp_path, capsys):
