@@ -293,6 +293,7 @@ def _bootstrap_doc(summary, labels, scale) -> dict:
         "theta_cap_proportion": summary.theta_cap_proportion,
         "theta_undefined_count": summary.theta_undefined_count,
         "n_failed": summary.n_failed,
+        "n_budget_exhausted": summary.n_budget_exhausted,
     }
 
 

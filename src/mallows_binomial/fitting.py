@@ -8,7 +8,6 @@ full fits.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -218,40 +217,62 @@ def _binomial_costs(stats: SufficientStats, fits: Sequence[np.ndarray]) -> list[
     return (-np.array(rows).sum(axis=1)).tolist()
 
 
-def _node_binomial_costs(stats: SufficientStats, prefix: Ranking, extensions: Sequence[Ranking]) -> list[float]:
-    """The Binomial cost of the p fit of each node prefix + ext, bit for bit
-    _binomial_costs(stats, [_fit_p_core(stats, prefix + ext) for ext in extensions]).
+class _NodePricer:
+    """The Binomial cost of the p fit of the children of one search node,
+    one child at a time: the cost of prefix + ext is, bit for bit,
+    _binomial_costs(stats, [_fit_p_core(stats, prefix + ext)])[0].
 
-    The PAVA stack of the prefix chain is built once. A node resumes from it,
-    pushes its extension, then pushes the q-sorted free tail only until a
+    The pricer holds the PAVA stack of the prefix chain. A child resumes from
+    it, pushes its extension, then pushes the q-sorted free tail only until a
     value pools with nothing: that value and every later one stays a
-    singleton at its own q, because the tail is sorted. Each node's row is
+    singleton at its own q, because the tail is sorted. Each child's row is
     the prefix's template (chain terms at the stack's values, tail terms at
     their own q, 0 for unobserved objects) with only the entries of re-pooled
-    blocks replaced."""
-    q, weight, observed = stats.q, stats.q_weight, stats.observed
-    fixed = set(prefix)
-    chain = [j for j in prefix if observed[j]]
-    tail = [j for j in stats.by_q if j not in fixed]
-    stack: list[tuple[float, float, int]] = []
-    for j in chain:
-        _pava(stack, q[j], weight[j])
-    starts = list(itertools.accumulate((span for _, _, span in stack), initial=0))
-    template = [0.0] * stats.J
-    for (v, _, span), start in zip(stack, starts):
-        for j in chain[start:start + span]:
-            template[j] = _binomial_term(stats, j, v)
-    for j in tail:
-        template[j] = _binomial_term(stats, j, q[j])
+    blocks replaced, and is summed as numpy sums it as a matrix row.
+    A pricer is built for the root and derived object by object down the
+    tree; PAVA pushes one value at a time, so a derived stack and template
+    are those a build from the whole prefix would give."""
 
-    rows = []
-    for ext in extensions:
-        blocks, depth, pushed = stack[:], len(stack), []
+    __slots__ = ("stats", "chain", "tail", "stack", "starts", "template")
+
+    def __init__(self, stats: SufficientStats):
+        """The pricer of the root, whose prefix is empty."""
+        self.stats = stats
+        self.chain, self.stack, self.starts = [], [], [0]
+        self.tail = list(stats.by_q)
+        self.template = [0.0] * stats.J
+        for j in self.tail:
+            self.template[j] = _binomial_term(stats, j, stats.q[j])
+
+    def child(self, j: int) -> "_NodePricer":
+        """The pricer of the node prefix + (j,)."""
+        stats = self.stats
+        if not stats.observed[j]:
+            return self  # no term, no place on the chain, not in the tail
+        child = _NodePricer.__new__(_NodePricer)
+        child.stats = stats
+        child.chain = chain = self.chain + [j]
+        child.tail = [t for t in self.tail if t != j]
+        child.stack = stack = self.stack[:]
+        depth = _pava(stack, stats.q[j], stats.q_weight[j])
+        child.starts = self.starts[:depth + 1] + [len(chain)]
+        child.template = template = self.template[:]
+        v = stack[depth][0]
+        for member in chain[self.starts[depth]:]:
+            template[member] = _binomial_term(stats, member, v)
+        return child
+
+    def cost(self, ext: Ranking) -> float:
+        """The Binomial cost of the node prefix + ext, ext a tuple of free
+        objects (one for a child, none for the node itself)."""
+        stats = self.stats
+        q, weight, observed = stats.q, stats.q_weight, stats.observed
+        blocks, depth, pushed = self.stack[:], len(self.stack), []
         for j in ext:
             if observed[j]:
                 depth = min(depth, _pava(blocks, q[j], weight[j]))
                 pushed.append(j)
-        for j in tail:
+        for j in self.tail:
             if j not in ext:
                 below = _pava(blocks, q[j], weight[j])
                 if blocks[-1][2] == 1:  # pooled with nothing
@@ -259,15 +280,23 @@ def _node_binomial_costs(stats: SufficientStats, prefix: Ranking, extensions: Se
                     break
                 pushed.append(j)
                 depth = min(depth, below)
-        row = template[:]
-        members = chain[starts[depth]:] + pushed
+        row = self.template[:]
+        members = self.chain[self.starts[depth]:] + pushed
         start = 0
         for v, _, span in blocks[depth:]:
             for j in members[start:start + span]:
                 row[j] = _binomial_term(stats, j, v)
             start += span
-        rows.append(row)
-    return (-np.array(rows).sum(axis=1)).tolist()
+        return float(-np.array(row).sum())
+
+
+def _node_binomial_costs(stats: SufficientStats, prefix: Ranking, extensions: Sequence[Ranking]) -> list[float]:
+    """The Binomial cost of the p fit of each node prefix + ext, bit for bit
+    _binomial_costs(stats, [_fit_p_core(stats, prefix + ext) for ext in extensions])."""
+    pricer = _NodePricer(stats)
+    for j in prefix:
+        pricer = pricer.child(j)
+    return [pricer.cost(ext) for ext in extensions]
 
 
 def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:

@@ -18,6 +18,7 @@ from . import kendall, search
 from .fitting import fit_given_order
 from .model import (
     Dataset,
+    DegenerateDataError,
     Parameters,
     SufficientStats,
     _check_partial_shape,
@@ -105,7 +106,7 @@ def _independent_binomial_fit(score_table: np.ndarray, J: int, M: int, algorithm
     t0 = time.perf_counter()
     observed = np.isfinite(score_table)
     if not observed.any():
-        raise ValueError(f"{algorithm} requires at least one observed score")
+        raise DegenerateDataError(f"{algorithm} requires at least one observed score")
     dataset = Dataset(J=J, M=M, scores=score_table, rankings=(None,) * score_table.shape[0])
     stats = compute_stats(dataset)
     keys = np.where(stats.score_count > 0, stats.mean_score, np.inf)
@@ -151,7 +152,7 @@ def comparison_fit(
                 if converted is not None:
                     rankings.append(converted)
         if not rankings:
-            raise ValueError(f"{model} requires at least one ranking")
+            raise DegenerateDataError(f"{model} requires at least one ranking")
         blank = np.full((len(rankings), dataset.J), np.nan)
         ranks_only = Dataset(J=dataset.J, M=M, scores=blank, rankings=tuple(rankings))
         result = astar(compute_stats(ranks_only), theta_max=theta_max, node_budget=node_budget)
@@ -171,7 +172,10 @@ class BootstrapSummary:
     contain the point-estimate rank. Replicates whose scale hit the cap enter
     the theta distribution at the cap value and are also reported as
     theta_cap_proportion; replicates with no resampled rankings leave theta
-    undefined and are counted separately.
+    undefined and are counted separately. Replicates whose A* search ran out
+    of node budget enter at the best order it found and are counted in
+    n_budget_exhausted; replicates the method cannot fit are left out and
+    counted in n_failed.
     """
 
     B: int
@@ -186,6 +190,7 @@ class BootstrapSummary:
     replicate_ranks: np.ndarray       # (B_ok, J)
     n_failed: int
     failures: tuple[str, ...]
+    n_budget_exhausted: int           # replicates in the intervals whose A* ran out of budget
     theta_undefined_count: int
 
 
@@ -211,12 +216,13 @@ def _bootstrap_replicate(args):
             # fv reads the judges, and converted-rankings draws from rng after the resample
             result = fit_method(_resample(dataset, idx), method, theta_max=theta_max, node_budget=node_budget,
                                 candidate_cap=candidate_cap, rng=rng)
-    except ValueError as err:
+    except DegenerateDataError as err:
         # a resample with no scores or no rankings for the method, or more
         # objects than brute force allows; anything else is a bug and propagates
         return rep, None, f"replicate {rep}: {err}"
     theta = np.nan if result.params.theta is None else float(result.params.theta)
-    return rep, (result.params.p.copy(), theta, result.theta_flag, result.params.rank_places()), None
+    return rep, (result.params.p.copy(), theta, result.theta_flag, result.params.rank_places(),
+                 result.budget_exhausted), None
 
 
 def bootstrap(
@@ -255,15 +261,17 @@ def bootstrap(
     raw.sort(key=lambda item: item[0])
 
     p_rows, theta_vals, flags, rank_rows, failures = [], [], [], [], []
+    n_budget_exhausted = 0
     for _, payload, failure in raw:
         if failure is not None:
             failures.append(failure)
             continue
-        p, theta, flag, ranks = payload
+        p, theta, flag, ranks, budget_exhausted = payload
         p_rows.append(p)
         theta_vals.append(theta)
         flags.append(flag)
         rank_rows.append(ranks)
+        n_budget_exhausted += budget_exhausted
     if not p_rows:
         raise RuntimeError("every bootstrap replicate failed; cannot form intervals")
 
@@ -299,6 +307,7 @@ def bootstrap(
         replicate_ranks=rep_ranks,
         n_failed=len(failures),
         failures=tuple(failures),
+        n_budget_exhausted=n_budget_exhausted,
         theta_undefined_count=int((~defined).sum()),
     )
 

@@ -21,6 +21,13 @@ from .special import gammaln, xlog1py, xlogy
 Ranking = tuple[int, ...]
 
 
+class DegenerateDataError(ValueError):
+    """A panel the requested fit cannot use: no scores or no rankings where
+    the method needs them, or more objects than brute force allows. A
+    bootstrap counts a replicate that raises it as failed; any other error
+    propagates."""
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -69,7 +76,7 @@ class Dataset:
         if len(rankings) != scores.shape[0]:
             raise ValueError("rankings and scores disagree on the number of judges")
         if not observed.any() and all(r is None for r in rankings):
-            raise ValueError("dataset holds neither scores nor rankings")
+            raise DegenerateDataError("dataset holds neither scores nor rankings")
         object.__setattr__(self, "scores", _frozen_array(scores))
         object.__setattr__(self, "rankings", tuple(rankings))
 
@@ -327,7 +334,7 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
     wins = (ranker_weights @ table.beats).reshape(J, J)
     n_rankers = int(ranker_weights.sum())
     if not count.any() and not n_rankers:
-        raise ValueError("dataset holds neither scores nor rankings")
+        raise DegenerateDataError("dataset holds neither scores nor rankings")
     Q = wins / n_rankers if n_rankers else wins
     return SufficientStats(
         J=J,

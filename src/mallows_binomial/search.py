@@ -15,7 +15,6 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -25,14 +24,14 @@ from .fitting import (
     _binomial_costs,
     _conditional_fit,
     _fit_p_core,
-    _node_binomial_costs,
+    _NodePricer,
     _scale_fit,
     _theta_cap,
     fit_given_order,
     mean_kendall_distance,
 )
 from .kemeny_lp import lp_free_cost
-from .model import Dataset, Parameters, Ranking, SufficientStats
+from .model import Dataset, DegenerateDataError, Parameters, Ranking, SufficientStats
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_CANDIDATE_CAP = 1024
@@ -40,7 +39,7 @@ BRUTE_CAP = 7
 MAX_LOCAL_ROUNDS = 100  # greedy_local's cap on improvement rounds
 
 
-class BruteForceCapExceeded(ValueError):
+class BruteForceCapExceeded(DegenerateDataError):
     """Raised when brute_force is asked for more objects than its cap."""
 
 
@@ -94,7 +93,17 @@ def _upper_triangle(J: int) -> np.ndarray:
 
 
 class _SearchContext:
-    """Precomputed arrays shared by every bound evaluation of one search."""
+    """Precomputed arrays shared by every node of one search.
+
+    A node's exact bound is its theta part plus the Binomial cost of its p
+    fit. Both searches give a generated child the lazy key "its theta part +
+    its parent's Binomial part - 1e-9 |parent's Binomial part|" and price
+    its own Binomial part, from a _NodePricer of the parent, only when that
+    key could still win. A child's chain-plus-star constraints include its
+    parent's, so its p fit costs at least the parent's; the margin covers
+    the rounding of the two PAVA passes, and rounded addition is monotone,
+    so no lazy key exceeds the child's exact bound. The theta parts stay
+    eager, and candidate_evaluations still counts every generated child."""
 
     def __init__(self, stats: SufficientStats, *, theta_max: float | None):
         self.stats = stats
@@ -107,28 +116,21 @@ class _SearchContext:
         self.root_free_min = float(self.mmin.take(_upper_triangle(self.J)).sum())
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
-    def bounds(self, prefix: Ranking, extensions: Sequence[Ranking], fixed: Sequence[float],
-               free_min: Sequence[float], frees: Sequence[tuple[int, ...]], heuristic: str) -> list[float]:
-        """Admissible total-cost bound of each node prefix + ext with its
-        (fixed, free_min, free): its theta part plus the Binomial cost of its
-        p fit, the latter priced for all the nodes from one PAVA stack of the
-        prefix."""
-        theta_parts, profile = [], self.stats.length_profile
-        for fixed_c, free_min_c, free in zip(fixed, free_min, frees):
-            # Below three free objects the LP has no triangle rows and equals the
-            # pairwise minimum sum.
-            if heuristic == "lp" and len(free) >= 3:
-                if free not in self._lp_cache:
-                    self._lp_cache[free] = lp_free_cost(self.Q, free, free_min_c)
-                free_min_c = self._lp_cache[free]
-            # L sums non-negative costs, but its incremental update can round a zero below it.
-            theta_parts.append(_scale_fit(max(fixed_c + free_min_c, 0.0), profile, self.theta_max)[2])
-        binomial = _node_binomial_costs(self.stats, prefix, extensions)
-        return [value + cost for value, cost in zip(theta_parts, binomial)]
+    def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...], heuristic: str) -> float:
+        """Admissible scale part of the bound of a node with pair costs
+        (fixed, free_min) and free objects free."""
+        # Below three free objects the LP has no triangle rows and equals the
+        # pairwise minimum sum.
+        if heuristic == "lp" and len(free) >= 3:
+            if free not in self._lp_cache:
+                self._lp_cache[free] = lp_free_cost(self.Q, free, free_min)
+            free_min = self._lp_cache[free]
+        # L sums non-negative costs, but its incremental update can round a zero below it.
+        return _scale_fit(max(fixed + free_min, 0.0), self.stats.length_profile, self.theta_max)[2]
 
     def children(self, prefix: Ranking, fixed: float, free_min: float, heuristic: str):
-        """Yield (bound, child_prefix, fixed, free_min, free) for every child
-        of a node, in object order.
+        """(theta part, child prefix, fixed, free_min) of every child of a
+        node, in object order.
 
         A child adds its column of Q, less the prefix rows, to the fixed cost and
         drops its free pairs' minima from the free cost. Both are row sums of
@@ -139,11 +141,13 @@ class _SearchContext:
         rows = children[:, None]
         fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
         free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()  # mmin[c, c] = 0
-        extensions = [(child,) for child in free]
-        frees = [free[:i] + free[i + 1:] for i in range(len(free))]
-        bounds = self.bounds(prefix, extensions, fixed_c, free_min_c, frees, heuristic)
-        prefixes = [prefix + ext for ext in extensions]
-        yield from zip(bounds, prefixes, fixed_c, free_min_c, frees)
+        return [(self.theta_part(fixed_c[i], free_min_c[i], free[:i] + free[i + 1:], heuristic),
+                 prefix + (child,), fixed_c[i], free_min_c[i]) for i, child in enumerate(free)]
+
+
+def _lazy_floor(cost: float) -> float:
+    """A parent's Binomial part less the margin of its children's lazy keys."""
+    return cost - 1e-9 * abs(cost)
 
 
 def _theta_chord(d: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
@@ -212,9 +216,20 @@ def astar(
     compared); the first terminal dequeued carries the exact conditional
     optimum and is the global MLE. heuristic selects the crude
     pairwise-minimum bound or the tighter Kemeny LP bound. If the node
-    budget runs out, the best terminal generated so far is returned with
-    budget_exhausted=True, so optimal=False (falling back to the greedy order
-    when none exists yet).
+    budget runs out, the generated terminal of least (bound, counter) is
+    returned with budget_exhausted=True, so optimal=False (falling back to
+    the greedy order when none exists yet).
+
+    A child is pushed under its lazy key (see _SearchContext) and a counter
+    in generation order. A child that pops with a lazy key is priced and
+    pushed back with its exact bound and the same counter. A node is
+    expanded only when it pops with its exact key, which is then no greater
+    than every open node's lazy key and so than its exact bound, with ties
+    by counter. The expansions are therefore those of the search that priced
+    every child at once, in the same order, and so are the order and its f.
+    nodes_expanded counts expansions and candidate_evaluations every
+    generated child, priced or not. A budget cut prices the terminals still
+    lazy before choosing among them.
     """
     if heuristic not in ("crude", "lp"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
@@ -225,39 +240,53 @@ def astar(
     if J == 1:
         return FitResult.from_fit(stats, fit_given_order(stats, (0,), theta_max=theta_max), algorithm, t0, 0, 1)
 
-    heap: list[tuple[float, int, Ranking, float, float]] = []
+    # An entry is (key, counter, prefix, fixed, free_min, theta part, cost,
+    # the parent's pricer); a lazy one has no cost yet.
+    heap: list[tuple] = []
     counter = itertools.count()
     nodes_expanded = 0
     candidate_evals = 0
-    best_terminal: tuple[float, Ranking] | None = None
 
-    def expand(prefix: Ranking, fixed: float, free_min: float):
-        nonlocal candidate_evals, best_terminal
-        for bound, child_prefix, fixed_c, free_min_c, free_c in ctx.children(prefix, fixed, free_min, heuristic):
+    def expand(prefix: Ranking, fixed: float, free_min: float, pricer: _NodePricer, cost: float):
+        nonlocal candidate_evals
+        floor = _lazy_floor(cost)
+        for theta_part, child_prefix, fixed_c, free_min_c in ctx.children(prefix, fixed, free_min, heuristic):
             candidate_evals += 1
-            heapq.heappush(heap, (bound, next(counter), child_prefix, fixed_c, free_min_c))
-            if len(child_prefix) == J - 1:
-                if best_terminal is None or bound < best_terminal[0]:
-                    best_terminal = (bound, child_prefix + free_c)
+            heapq.heappush(heap, (theta_part + floor, next(counter), child_prefix, fixed_c, free_min_c, theta_part,
+                                  None, pricer))
 
-    expand((), 0.0, ctx.root_free_min)
+    def priced(entry):
+        # the entry with its exact key and its original counter
+        _, count, prefix, fixed, free_min, theta_part, _, pricer = entry
+        cost = pricer.cost(prefix[-1:])
+        return theta_part + cost, count, prefix, fixed, free_min, theta_part, cost, pricer
+
+    root = _NodePricer(stats)
+    expand((), 0.0, ctx.root_free_min, root, root.cost(()))
     nodes_expanded += 1
     while heap:
-        _, _, prefix, fixed, free_min = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        while entry[6] is None:
+            entry = heapq.heappushpop(heap, priced(entry))
+        _, _, prefix, fixed, free_min, _, cost, pricer = entry
         if len(prefix) == J - 1:
             order = prefix + tuple(o for o in range(J) if o not in prefix)
             return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), algorithm, t0,
                                       nodes_expanded, candidate_evals)
         if nodes_expanded >= node_budget:
             break
-        expand(prefix, fixed, free_min)
+        expand(prefix, fixed, free_min, pricer.child(prefix[-1]), cost)
         nodes_expanded += 1
 
-    if best_terminal is None:
+    # Every terminal generated is still open; the best has the smallest
+    # (exact bound, counter), unpriced ones priced now.
+    terminals = [entry if entry[6] is not None else priced(entry) for entry in heap if len(entry[2]) == J - 1]
+    if terminals:
+        prefix = min(terminals, key=lambda entry: entry[:2])[2]
+        order = prefix + tuple(o for o in range(J) if o not in prefix)
+    else:
         warnings.warn("node budget exhausted before any terminal; returning greedy order", RuntimeWarning)
         order = _greedy_order(ctx)[0]
-    else:
-        order = best_terminal[1]
     return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), algorithm, t0,
                               nodes_expanded, candidate_evals, budget_exhausted=True)
 
@@ -275,15 +304,36 @@ def brute_force(stats: SufficientStats, *, theta_max: float | None = None, cap: 
 
 
 def _greedy_order(ctx: _SearchContext) -> tuple[Ranking, int]:
-    """Depth-first descent choosing the child with the smallest crude bound."""
+    """Depth-first descent choosing the child with the smallest crude bound,
+    ties to the lowest object index.
+
+    The children of a node are priced in order of (lazy key, index), see
+    _SearchContext, until the next lazy key lies above the best exact bound
+    found: every child left has an exact bound at least its key, so none of
+    them is the minimum."""
     prefix: Ranking = ()
-    fixed, free_min, free = 0.0, ctx.root_free_min, tuple(range(ctx.J))
+    fixed, free_min, pricer, cost = 0.0, ctx.root_free_min, None, None
     evals = 0
-    while len(free) > 1:
-        evals += len(free)
-        _, prefix, fixed, free_min, free = min(ctx.children(prefix, fixed, free_min, "crude"),
-                                               key=lambda child: child[0])
-    return prefix + free, evals
+    while len(prefix) < ctx.J - 1:
+        if pricer is None:  # the root
+            pricer = _NodePricer(ctx.stats)
+            cost = pricer.cost(())
+        else:
+            pricer = pricer.child(prefix[-1])
+        floor = _lazy_floor(cost)
+        children = ctx.children(prefix, fixed, free_min, "crude")
+        evals += len(children)
+        best = None
+        for key, index in sorted((theta_part + floor, index) for index, (theta_part, *_) in enumerate(children)):
+            if best is not None and key > best[0]:
+                break
+            theta_part, child_prefix, fixed_c, free_min_c = children[index]
+            child_cost = pricer.cost(child_prefix[-1:])
+            bound = theta_part + child_cost
+            if best is None or (bound, index) < best[:2]:
+                best = bound, index, child_prefix, fixed_c, free_min_c, child_cost
+        _, _, prefix, fixed, free_min, cost = best
+    return prefix + tuple(o for o in range(ctx.J) if o not in prefix), evals
 
 
 def greedy(stats: SufficientStats, *, theta_max: float | None = None) -> FitResult:

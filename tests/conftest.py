@@ -1,6 +1,7 @@
 """Shared helpers: instance generators and independent oracles."""
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -8,7 +9,14 @@ import numpy as np
 from scipy.special import xlog1py, xlogy
 
 from mallows_binomial import Dataset, Parameters, order_of, sample, search
-from mallows_binomial.fitting import THETA_FLOOR, _binomial_costs, _fit_p_core, _scale_fit, default_theta_max
+from mallows_binomial.fitting import (
+    THETA_FLOOR,
+    _binomial_costs,
+    _fit_p_core,
+    _node_binomial_costs,
+    _scale_fit,
+    default_theta_max,
+)
 from mallows_binomial.kemeny_lp import lp_free_cost
 
 
@@ -359,23 +367,114 @@ def reference_children(ctx, prefix, fixed, free_min, heuristic):
                child_prefix, fixed_c, free_min_c, free_c)
 
 
-def astar_bounds(monkeypatch, stats, **options):
-    """Run astar and return (the bound of every node it generated, in order,
-    its result); a budget cut before any terminal adds the greedy fallback's
-    bounds. They are read by wrapping _SearchContext.children as installed
-    at the call, so a test may patch in reference_children first."""
-    bounds = []
-    children = search._SearchContext.children
+def complete(prefix, J):
+    """The full order of a terminal prefix: the one object left goes last."""
+    return tuple(prefix) + tuple(o for o in range(J) if o not in prefix)
 
-    def recorded(ctx, *args):
-        for child in children(ctx, *args):
-            bounds.append(child[0])
-            yield child
 
+def reference_greedy_order(ctx):
+    """The greedy descent as it ran before its children were priced lazily:
+    every child gets its exact bound, and min keeps the first smallest.
+    Returns (order, candidate evaluations)."""
+    prefix, fixed, free_min, evals = (), 0.0, ctx.root_free_min, 0
+    while len(prefix) < ctx.J - 1:
+        children = list(reference_children(ctx, prefix, fixed, free_min, "crude"))
+        evals += len(children)
+        _, prefix, fixed, free_min, _ = min(children, key=lambda child: child[0])
+    return complete(prefix, ctx.J), evals
+
+
+def reference_astar(stats, *, theta_max=None, heuristic="crude", node_budget=search.DEFAULT_NODE_BUDGET):
+    """The A* search as it ran before its children were priced lazily: every
+    child is pushed with its exact bound from reference_children and a
+    counter in generation order. Returns a dict of the popped entries as
+    (prefix, bound bits, counter) in order, the bound of every generated
+    node in order, the order found, the node and candidate counts and
+    budget_exhausted. A budget cut returns the generated terminal of least
+    (bound, counter), or the greedy order when there is none. J > 1."""
+    ctx = search._SearchContext(stats, theta_max=theta_max)
+    J = stats.J
+    heap, counter, popped, generated, terminals = [], itertools.count(), [], [], []
+    cands = 0
+
+    def expand(prefix, fixed, free_min):
+        nonlocal cands
+        for bound, child, fixed_c, free_min_c, _ in reference_children(ctx, prefix, fixed, free_min, heuristic):
+            cands += 1
+            entry = (bound, next(counter), child, fixed_c, free_min_c)
+            generated.append(bound)
+            heapq.heappush(heap, entry)
+            if len(child) == J - 1:
+                terminals.append(entry)
+
+    expand((), 0.0, ctx.root_free_min)
+    nodes, order = 1, None
+    while heap:
+        bound, count, prefix, fixed, free_min = heapq.heappop(heap)
+        popped.append((prefix, bound.hex(), count))
+        if len(prefix) == J - 1:
+            order = complete(prefix, J)
+            break
+        if nodes >= node_budget:
+            break
+        expand(prefix, fixed, free_min)
+        nodes += 1
+    exhausted = order is None
+    if exhausted:
+        order = complete(min(terminals)[2], J) if terminals else reference_greedy_order(ctx)[0]
+    return {"popped": popped, "generated": generated, "order": order, "nodes": nodes, "cands": cands,
+            "budget_exhausted": exhausted, "terminals": len(terminals)}
+
+
+class HeapTraffic:
+    """Stands in for the heapq module of search.astar and records its heap
+    traffic: every pushed entry as (key bits, counter, prefix), and every
+    popped entry whose key is exact as (prefix, key bits, counter). An
+    entry is (key, counter, prefix, ..., cost, pricer), exact when its
+    Binomial cost is known."""
+
+    def __init__(self):
+        self.pushed, self.popped = [], []
+
+    def heappush(self, heap, entry):
+        self.pushed.append((entry[0].hex(), entry[1], entry[2]))
+        heapq.heappush(heap, entry)
+
+    def heappop(self, heap):
+        return self._popped(heapq.heappop(heap))
+
+    def heappushpop(self, heap, entry):
+        self.pushed.append((entry[0].hex(), entry[1], entry[2]))
+        return self._popped(heapq.heappushpop(heap, entry))
+
+    def _popped(self, entry):
+        if entry[-2] is not None:
+            self.popped.append((entry[2], entry[0].hex(), entry[1]))
+        return entry
+
+
+def astar_traffic(monkeypatch, stats, **options):
+    """Run astar with its heap traffic recorded; returns (HeapTraffic, result)."""
+    traffic = HeapTraffic()
     with monkeypatch.context() as patch:
-        patch.setattr(search._SearchContext, "children", recorded)
+        patch.setattr(search, "heapq", traffic)
         result = search.astar(stats, **options)
-    return bounds, result
+    return traffic, result
+
+
+def node_bound(ctx, prefix, fixed, free_min, free, heuristic):
+    """The exact bound the search gives the node of a prefix with pair costs
+    (fixed, free_min) and free objects free."""
+    return ctx.theta_part(fixed, free_min, free, heuristic) + _node_binomial_costs(ctx.stats, prefix, [()])[0]
+
+
+def exact_children(ctx, prefix, fixed, free_min, heuristic):
+    """Yield (bound, child_prefix, fixed, free_min, free) for every child of
+    a node, in object order, each priced exactly from the search's pieces."""
+    children = ctx.children(prefix, fixed, free_min, heuristic)
+    costs = _node_binomial_costs(ctx.stats, prefix, [child[1][-1:] for child in children])
+    for (theta_part, child, fixed_c, free_min_c), cost in zip(children, costs):
+        yield theta_part + cost, child, fixed_c, free_min_c, tuple(o for o in range(ctx.J) if o not in child)
 
 
 def reference_node_binomial_costs(stats, prefix, extensions):

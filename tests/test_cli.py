@@ -351,6 +351,25 @@ def test_bootstrap_reproducible_bytes(tmp_path):
     assert header == "object,point_rank,lower,upper"
 
 
+def test_bootstrap_counts_budget_exhausted_replicates(tmp_path):
+    # A replicate whose A* runs out of node budget still enters the
+    # intervals, at the best order found; the JSON counts them. The count is
+    # recomputed from each replicate's resample, drawn as the bootstrap draws it.
+    out = simulate_files(tmp_path, seed=3, I=10, J=6, R=6, M=5, theta=0.3)
+    path = tmp_path / "boot.json"
+    B, seed, budget = 12, 3, 8
+    code = main(["bootstrap", *data_flags(out, 5), "--method", "exact-crude", "--B", str(B),
+                 "--seed", str(seed), "--node-budget", str(budget), "--out", str(path)])
+    assert code == EXIT_OK  # the point fit finished inside the budget
+    dataset, _, _ = ingest(str(out / "scores.csv"), str(out / "rankings.csv"), ScoreScale(0, 5, 1))
+    exhausted = [mallows_binomial.astar(mallows_binomial.compute_stats(dataset, idx), node_budget=budget).budget_exhausted
+                 for idx in (np.random.default_rng([seed, rep]).integers(0, dataset.I, size=dataset.I)
+                             for rep in range(B))]
+    doc = json.loads(path.read_text())
+    assert doc["n_failed"] == 0
+    assert doc["n_budget_exhausted"] == sum(exhausted) == 4
+
+
 def test_benchmark_csv(tmp_path):
     path = tmp_path / "bench.csv"
     code = main(["benchmark", "--grid-I", "4", "--grid-M", "5", "--grid-J", "4",

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_dataset
 from mallows_binomial import Dataset, compute_stats, inference
+from mallows_binomial.model import DegenerateDataError
 from mallows_binomial.inference import (
     _converted_score_rows,
     benchmark_grid,
@@ -101,6 +102,49 @@ def test_bootstrap_replicate_bug_propagates(monkeypatch):
         with pytest.raises(ZeroDivisionError):
             bootstrap(ds, method, B=5, n_jobs=1)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("message", ["p is not non-decreasing along consensus_order",
+                                     "mean distance must be finite and non-negative, got nan"])
+def test_bootstrap_replicate_invariant_error_propagates(monkeypatch, message):
+    # A ValueError that is not a DegenerateDataError is a broken invariant
+    # (here a Parameters check and fit_theta's distance check), not a
+    # resample the method cannot fit: it leaves bootstrap instead of being
+    # counted as a failed replicate.
+    ds = identical_judges_dataset()
+    for method, fitter in (("exact-crude", "_fit_stats"), ("fv", "fit_method")):
+        real = getattr(inference, fitter)
+        calls = []
+
+        def broken_after_point_fit(*args, _real=real, _calls=calls, **kwargs):
+            _calls.append(args)
+            if len(_calls) > 1:
+                raise ValueError(message)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, fitter, broken_after_point_fit)
+        with pytest.raises(ValueError, match=message) as raised:
+            bootstrap(ds, method, B=5, n_jobs=1)
+        assert not isinstance(raised.value, DegenerateDataError)
+        monkeypatch.undo()
+
+
+def test_degenerate_resamples_raise_the_typed_error():
+    # each degenerate case a bootstrap counts as a failed replicate
+    scores_only = Dataset(J=3, M=5, scores=np.array([[1.0, 2.0, 3.0]] * 2), rankings=(None, None))
+    rankings_only = Dataset(J=3, M=5, scores=np.full((2, 3), np.nan), rankings=((0, 1, 2), (2, 1, 0)))
+    one_empty_judge = Dataset(J=3, M=5, scores=np.array([[1.0, 2.0, 3.0], [np.nan] * 3]), rankings=(None, None))
+    cases = [
+        (lambda: fit_method(scores_only, "only-rankings"), "requires at least one ranking"),
+        (lambda: fit_method(rankings_only, "only-scores"), "requires at least one observed score"),
+        (lambda: compute_stats(one_empty_judge, [1, 1]), "neither scores nor rankings"),
+        (lambda: Dataset(J=3, M=5, scores=np.full((1, 3), np.nan), rankings=(None,)), "neither scores nor rankings"),
+        (lambda: fit_method(Dataset(J=8, M=5, scores=np.ones((1, 8)), rankings=(None,)), "brute"),
+         "exceeds the brute-force cap"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DegenerateDataError, match=message):
+            call()
 
 
 def test_bootstrap_validates_inputs():

@@ -1,17 +1,22 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (
-    astar_bounds,
+    astar_traffic,
     crude_cost,
     enumerate_outcomes,
+    exact_children,
+    node_bound,
     random_dataset,
+    reference_astar,
     reference_best_fit,
-    reference_node_binomial_costs,
     reference_children,
+    reference_greedy_order,
+    reference_node_binomial_costs,
 )
 from mallows_binomial import (
     Dataset,
@@ -123,8 +128,8 @@ def test_heuristic_admissibility_every_node():
                     min(stats.Q[u, v], stats.Q[v, u])
                     for u, v in itertools.combinations(free, 2))
                 free_min = crude_cost(stats, prefix) - fixed
-                crude_b = ctx.bounds(prefix, [()], [fixed], [free_min], [free], "crude")[0]
-                lp_b = ctx.bounds(prefix, [()], [fixed], [free_min], [free], "lp")[0]
+                crude_b = node_bound(ctx, prefix, fixed, free_min, free, "crude")
+                lp_b = node_bound(ctx, prefix, fixed, free_min, free, "lp")
                 exact = min(
                     fit_given_order(stats, prefix + tail).f_value
                     for tail in itertools.permutations(free))
@@ -143,7 +148,7 @@ def test_child_bounds_never_decrease():
             prefix, fixed, free_min, parent_bound = stack.pop()
             if len(prefix) > 2:  # keep the walk small
                 continue
-            for bound, child_prefix, fixed_c, free_min_c, _ in ctx.children(prefix, fixed, free_min, heuristic):
+            for bound, child_prefix, fixed_c, free_min_c, _ in exact_children(ctx, prefix, fixed, free_min, heuristic):
                 assert bound >= parent_bound - 1e-9
                 stack.append((child_prefix, fixed_c, free_min_c, bound))
 
@@ -153,9 +158,10 @@ def node_bits(children):
             for bound, prefix, fixed, free_min, free in children]
 
 
-def test_node_kernel_matches_the_per_child_loop_bitwise(monkeypatch):
-    # every bound astar generates, as the one-child-at-a-time loop with
-    # scipy's Binomial terms computed it
+def test_lazy_search_matches_the_eager_reference_bitwise(monkeypatch):
+    # The lazy A* pops the nodes the eager one pops, in the same order, with
+    # the same exact bounds and counters; a budget cut falls back on the same
+    # terminal, or on the same greedy order, which the lazy descent also finds.
     rng = np.random.default_rng(61)
     panels = []
     for case in range(24):
@@ -164,19 +170,58 @@ def test_node_kernel_matches_the_per_child_loop_bitwise(monkeypatch):
         _, data = simulate_cell(int(rng.integers(3, 16)), int(rng.choice([2, 5, 10])), J, R,
                                 float(rng.uniform(0.2, 2.5)), rng)
         panels.append(compute_stats(data))
+    seen = set()
+    for case, stats in enumerate(panels):
+        for heuristic, theta_max in (("crude", None), ("lp", None), ("crude", 0.5)):
+            if heuristic == "lp" and case % 2:
+                continue  # the LP's cost, not the search, would dominate the test
+            options = {"heuristic": heuristic, "theta_max": theta_max}
+            full = reference_astar(stats, **options)
+            # a cut one node short of the optimum, with terminals open when J - 1 fit in it
+            for node_budget in {search.DEFAULT_NODE_BUDGET, 1, max(full["nodes"] - 1, 1)}:
+                reference = full if node_budget == search.DEFAULT_NODE_BUDGET else reference_astar(
+                    stats, node_budget=node_budget, **options)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    traffic, result = astar_traffic(monkeypatch, stats, node_budget=node_budget, **options)
+                fell_to_greedy = reference["budget_exhausted"] and not reference["terminals"]
+                assert [str(w.message) for w in caught] == (
+                    ["node budget exhausted before any terminal; returning greedy order"] if fell_to_greedy else [])
+                assert traffic.popped == reference["popped"], (case, options, node_budget)
+                assert result.params.consensus_order == reference["order"]
+                expected = fit_given_order(stats, reference["order"], theta_max=theta_max)
+                assert result.f_value.hex() == expected.f_value.hex()
+                assert (result.nodes_expanded, result.candidate_evaluations, result.budget_exhausted) == (
+                    reference["nodes"], reference["cands"], reference["budget_exhausted"])
+                if reference["budget_exhausted"] and not fell_to_greedy:
+                    # terminals still lazy at the cut are priced there
+                    lazy = {count for _, count, prefix in traffic.pushed if len(prefix) == stats.J - 1}
+                    priced = {count for prefix, _, count in traffic.popped if len(prefix) == stats.J - 1}
+                    seen.add("cut, unpriced terminal" if lazy - priced else "cut, terminals priced")
+                seen.add("greedy fallback" if fell_to_greedy else "optimal" if result.optimal else "cut")
+        assert (search._greedy_order(_SearchContext(stats, theta_max=None))
+                == reference_greedy_order(_SearchContext(stats, theta_max=None)))
+        reference_order, evals = reference_greedy_order(_SearchContext(stats, theta_max=0.5))
+        fit = greedy(stats, theta_max=0.5)
+        assert (fit.params.consensus_order, fit.candidate_evaluations) == (reference_order, evals)
+        assert fit.f_value.hex() == fit_given_order(stats, reference_order, theta_max=0.5).f_value.hex()
+    assert {"optimal", "cut", "greedy fallback", "cut, unpriced terminal"} <= seen, seen
 
-    def run():
-        runs = []
-        for stats in panels:
-            for heuristic in ("crude", "lp"):
-                bounds, result = astar_bounds(monkeypatch, stats, heuristic=heuristic)
-                runs.append((np.array(bounds).tobytes(), result.nodes_expanded, result.params.consensus_order,
-                             result.f_value.hex()))
-        return runs
 
-    kernel = run()
-    monkeypatch.setattr(search._SearchContext, "children", reference_children)
-    assert kernel == run()
+def test_searches_price_few_children(monkeypatch):
+    # Lazy pricing that stopped skipping children would leave every result
+    # unchanged; only the number of children priced shows it.
+    priced = _counting(monkeypatch, fitting._NodePricer, "cost")
+    stats = compute_stats(simulate_cell(10, 10, 20, 20, 0.4, np.random.default_rng(76))[1])
+    _, evals = search._greedy_order(_SearchContext(stats, theta_max=None))
+    # The eager descent priced all 209 children it generated; the lazy one
+    # prices 26 of them, plus the root's own cost.
+    assert (evals, len(priced)) == (209, 27)
+    priced.clear()
+    stats = compute_stats(simulate_cell(20, 2, 8, 8, 0.3, np.random.default_rng(78))[1])
+    result = astar(stats)
+    # The eager A* priced all 75 children; the lazy one prices 23, plus the root.
+    assert (result.nodes_expanded, result.candidate_evaluations, len(priced)) == (15, 75, 24)
 
 
 def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
@@ -187,7 +232,7 @@ def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
         ctx, reference = _SearchContext(stats, theta_max=None), _SearchContext(stats, theta_max=None)
         node = ((), 0.0, ctx.root_free_min)
         while len(node[0]) < stats.J - 1:
-            children = list(ctx.children(*node, "crude"))
+            children = list(exact_children(ctx, *node, "crude"))
             assert node_bits(children) == node_bits(reference_children(reference, *node, "crude"))
             _, prefix, fixed, free_min, _ = min(children, key=lambda child: child[0])
             node = (prefix, fixed, free_min)
@@ -222,6 +267,52 @@ def pricer_panels():
         if case % 4 == 2:
             scores[:] = np.nan
         yield compute_stats(Dataset(J=J, M=ds.M, scores=scores, rankings=ds.rankings))
+
+
+def test_lazy_key_never_exceeds_the_exact_bound():
+    # Over whole prefix trees, every child's Binomial part is at least its
+    # parent's less the lazy key's margin, so the key (theta part + parent's
+    # part - margin) is at most the child's exact bound. Every other panel
+    # has missing cells, and one in four each wholly unobserved objects,
+    # ties in q, or no rankings.
+    rng = np.random.default_rng(79)
+    seen, checked = set(), 0
+    for case in range(16):
+        J = 3 + case % 4
+        ds = random_dataset(rng, J=J, M=int(rng.choice([1, 2, 10])), missing_scores=(0.0, 0.3)[case % 2],
+                            missing_rankings=0.2)
+        scores, rankings = np.array(ds.scores), ds.rankings
+        if case % 4 == 1:
+            scores[:, rng.choice(J, size=max(1, J // 3), replace=False)] = np.nan
+        if case % 4 == 2:
+            scores[:, 1:3] = scores[:, :1]  # equal q
+        if case % 4 == 3:
+            rankings = (None,) * ds.I
+        stats = compute_stats(Dataset(J=J, M=ds.M, scores=scores, rankings=rankings))
+        q = [stats.q[j] for j in stats.by_q]
+        seen.update(kind for kind, present in (("missing cells", np.isnan(scores).any()),
+                                               ("unobserved", bool(stats.unobserved)),
+                                               ("tie in q", len(set(q)) < len(q)),
+                                               ("score-only", not stats.n_rankers)) if present)
+        ctx = _SearchContext(stats, theta_max=None)
+        stack = [((), 0.0, ctx.root_free_min)]
+        while stack:
+            prefix, fixed, free_min = stack.pop()
+            parent = fitting._node_binomial_costs(stats, prefix, [()])[0]
+            floor = search._lazy_floor(parent)
+            children = ctx.children(prefix, fixed, free_min, "crude")
+            costs = fitting._node_binomial_costs(stats, prefix, [child[1][-1:] for child in children])
+            for (theta_part, child, fixed_c, free_min_c), cost in zip(children, costs):
+                assert cost >= parent - 1e-9 * abs(parent), (prefix, child, parent, cost)
+                assert theta_part + floor <= theta_part + cost
+                seen.add("above" if cost > parent else "equal" if cost == parent else "rounded below")
+                checked += 1
+                if len(child) < J - 1:
+                    stack.append((child, fixed_c, free_min_c))
+    # "rounded below": a child's part equal in exact arithmetic can round
+    # below its parent's, which is why the key has a margin
+    assert seen == {"missing cells", "unobserved", "tie in q", "score-only", "above", "equal", "rounded below"}, seen
+    assert checked >= 2000, checked
 
 
 def test_node_pricer_matches_per_node_fits_bitwise():
@@ -375,8 +466,8 @@ def test_theta_memo_cannot_change_a_search(monkeypatch):
     def run(heuristic):
         runs = []
         for stats in panels:
-            bounds, result = astar_bounds(monkeypatch, stats, heuristic=heuristic)
-            runs.append((bounds, result.nodes_expanded, result.candidate_evaluations,
+            traffic, result = astar_traffic(monkeypatch, stats, heuristic=heuristic)
+            runs.append((traffic.pushed, traffic.popped, result.nodes_expanded, result.candidate_evaluations,
                          result.params.consensus_order, result.f_value))
         return runs
 
