@@ -306,7 +306,7 @@ def cmd_bootstrap(args) -> int:
     csv_path = Path(args.out).with_suffix(Path(args.out).suffix + ".ranks.csv")
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh).writerows(_rank_csv_rows(labels, summary))
-    return EXIT_BUDGET if summary.point.budget_exhausted else EXIT_OK
+    return EXIT_BUDGET if summary.point.budget_exhausted or summary.n_budget_exhausted else EXIT_OK
 
 
 def cmd_simulate(args) -> int:

@@ -290,15 +290,6 @@ class _NodePricer:
         return float(-np.array(row).sum())
 
 
-def _node_binomial_costs(stats: SufficientStats, prefix: Ranking, extensions: Sequence[Ranking]) -> list[float]:
-    """The Binomial cost of the p fit of each node prefix + ext, bit for bit
-    _binomial_costs(stats, [_fit_p_core(stats, prefix + ext) for ext in extensions])."""
-    pricer = _NodePricer(stats)
-    for j in prefix:
-        pricer = pricer.child(j)
-    return [pricer.cost(ext) for ext in extensions]
-
-
 def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:
     """Exact order-constrained Binomial MLE of the quality vector.
 

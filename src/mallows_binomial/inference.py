@@ -242,7 +242,8 @@ def bootstrap(
     Judges are resampled with replacement, keeping each judge's scores and
     ranking paired; every replicate refits with the chosen method. Replicate
     r uses the RNG substream (seed, r), so results are identical however the
-    replicates are scheduled.
+    replicates are scheduled. Raises DegenerateDataError when no replicate
+    can be fitted.
     """
     if B < 1:
         raise ValueError("B must be at least 1")
@@ -273,7 +274,8 @@ def bootstrap(
         rank_rows.append(ranks)
         n_budget_exhausted += budget_exhausted
     if not p_rows:
-        raise RuntimeError("every bootstrap replicate failed; cannot form intervals")
+        # no resample of this panel can be fitted: a property of the data, not a solver failure
+        raise DegenerateDataError(f"every bootstrap replicate failed; cannot form intervals ({failures[0]})")
 
     rep_p = np.array(p_rows)
     rep_theta = np.array(theta_vals)

@@ -93,22 +93,22 @@ def _upper_triangle(J: int) -> np.ndarray:
 
 
 class _SearchContext:
-    """Precomputed arrays shared by every node of one search.
+    """Precomputed arrays shared by every node of one search, and its bound.
 
-    A node's exact bound is its theta part plus the Binomial cost of its p
-    fit. Both searches give a generated child the lazy key "its theta part +
-    its parent's Binomial part - 1e-9 |parent's Binomial part|" and price
-    its own Binomial part, from a _NodePricer of the parent, only when that
-    key could still win. A child's chain-plus-star constraints include its
-    parent's, so its p fit costs at least the parent's; the margin covers
-    the rounding of the two PAVA passes, and rounded addition is monotone,
-    so no lazy key exceeds the child's exact bound. The theta parts stay
-    eager, and candidate_evaluations still counts every generated child."""
+    A node's exact bound is its theta part (theta_part: the scale part at a
+    lower bound on the mean Kendall distance of the node's orders, computed
+    for every child generated) plus the Binomial cost of its p fit, which
+    _best_first prices lazily. heuristic "crude" bounds the free pairs'
+    Kendall cost by each pair's cheaper orientation, "lp" by the Kemeny LP
+    over the free objects."""
 
-    def __init__(self, stats: SufficientStats, *, theta_max: float | None):
+    def __init__(self, stats: SufficientStats, *, theta_max: float | None, heuristic: str = "crude"):
+        if heuristic not in ("crude", "lp"):
+            raise ValueError(f"unknown heuristic {heuristic!r}")
         self.stats = stats
         self.J = stats.J
         self.theta_max = _theta_cap(stats.J, theta_max)
+        self.heuristic = heuristic
         self.Q = stats.Q
         self.QT = np.ascontiguousarray(stats.Q.T)
         self.col_total = stats.Q.sum(axis=0)
@@ -116,19 +116,19 @@ class _SearchContext:
         self.root_free_min = float(self.mmin.take(_upper_triangle(self.J)).sum())
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
-    def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...], heuristic: str) -> float:
+    def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...]) -> float:
         """Admissible scale part of the bound of a node with pair costs
-        (fixed, free_min) and free objects free."""
+        (fixed, free_min) and free objects free, which only the LP reads."""
         # Below three free objects the LP has no triangle rows and equals the
         # pairwise minimum sum.
-        if heuristic == "lp" and len(free) >= 3:
+        if self.heuristic == "lp" and len(free) >= 3:
             if free not in self._lp_cache:
                 self._lp_cache[free] = lp_free_cost(self.Q, free, free_min)
             free_min = self._lp_cache[free]
         # L sums non-negative costs, but its incremental update can round a zero below it.
         return _scale_fit(max(fixed + free_min, 0.0), self.stats.length_profile, self.theta_max)[2]
 
-    def children(self, prefix: Ranking, fixed: float, free_min: float, heuristic: str):
+    def children(self, prefix: Ranking, fixed: float, free_min: float):
         """(theta part, child prefix, fixed, free_min) of every child of a
         node, in object order.
 
@@ -141,13 +141,92 @@ class _SearchContext:
         rows = children[:, None]
         fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
         free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()  # mmin[c, c] = 0
-        return [(self.theta_part(fixed_c[i], free_min_c[i], free[:i] + free[i + 1:], heuristic),
+        lp = self.heuristic == "lp"
+        return [(self.theta_part(fixed_c[i], free_min_c[i], free[:i] + free[i + 1:] if lp else ()),
                  prefix + (child,), fixed_c[i], free_min_c[i]) for i, child in enumerate(free)]
 
 
 def _lazy_floor(cost: float) -> float:
     """A parent's Binomial part less the margin of its children's lazy keys."""
     return cost - 1e-9 * abs(cost)
+
+
+def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, greedy: bool = False):
+    """Best-first search of the prefix tree, J > 1. Returns (order, nodes
+    expanded, children generated, budget exhausted).
+
+    Nodes are expanded by least (exact bound, counter), the counter numbering
+    children in generation order (so prefixes are never compared); the first
+    terminal popped ends the search. greedy drops the open list before each
+    expansion, so every level keeps the child of least (exact bound, object
+    index) and the descent never backtracks.
+
+    A child is pushed under the lazy key "its theta part + its parent's
+    Binomial part - 1e-9 |parent's part|". A child that pops with a lazy key
+    is priced, from its parent's _NodePricer, and pushed back with its exact
+    bound and the same counter; a node is expanded only when it pops with its
+    exact key. A child's chain-plus-star constraints include its parent's, so
+    its p fit costs at least the parent's; the margin covers the rounding of
+    the two PAVA passes, and rounded addition is monotone, so no lazy key
+    exceeds the child's exact bound. A node popped exact thus has the least
+    (exact bound, counter) of the open list, and the expansions are those of
+    a search that priced every child at once, in the same order.
+
+    If the budget runs out, the open terminal of least (exact bound,
+    counter) is returned, lazy ones priced then; order is None when no
+    terminal was generated."""
+    J = ctx.J
+    # An entry is (key, counter, prefix, fixed, free_min, theta part, cost,
+    # the parent's pricer); a lazy one has no cost yet.
+    heap: list[tuple] = []
+    counter = itertools.count()
+    nodes = cands = 0
+
+    def expand(prefix: Ranking, fixed: float, free_min: float, pricer: _NodePricer, cost: float):
+        nonlocal nodes, cands
+        if greedy:
+            heap.clear()
+        floor = _lazy_floor(cost)
+        for theta_part, child_prefix, fixed_c, free_min_c in ctx.children(prefix, fixed, free_min):
+            cands += 1
+            heapq.heappush(heap, (theta_part + floor, next(counter), child_prefix, fixed_c, free_min_c, theta_part,
+                                  None, pricer))
+        nodes += 1
+
+    def priced(entry):
+        # the entry with its exact key and its original counter
+        _, count, prefix, fixed, free_min, theta_part, _, pricer = entry
+        cost = pricer.cost(prefix[-1:])
+        return theta_part + cost, count, prefix, fixed, free_min, theta_part, cost, pricer
+
+    def complete(prefix: Ranking) -> Ranking:
+        return prefix + tuple(o for o in range(J) if o not in prefix)
+
+    root = _NodePricer(ctx.stats)
+    expand((), 0.0, ctx.root_free_min, root, root.cost(()))
+    while heap:
+        entry = heapq.heappop(heap)
+        while entry[6] is None:
+            entry = heapq.heappushpop(heap, priced(entry))
+        _, _, prefix, fixed, free_min, _, cost, pricer = entry
+        if len(prefix) == J - 1:
+            return complete(prefix), nodes, cands, False
+        if nodes >= node_budget:
+            break
+        expand(prefix, fixed, free_min, pricer.child(prefix[-1]), cost)
+
+    # a terminal leaves the open list only by ending the search, so every one generated is open
+    terminals = [entry if entry[6] is not None else priced(entry) for entry in heap if len(entry[2]) == J - 1]
+    order = complete(min(terminals, key=lambda entry: entry[:2])[2]) if terminals else None
+    return order, nodes, cands, True
+
+
+def _greedy_descent(stats: SufficientStats, theta_max: float | None) -> tuple[Ranking, int]:
+    """The greedy order under crude bounds and its children generated."""
+    if stats.J == 1:
+        return (0,), 0
+    order, _, cands, _ = _best_first(_SearchContext(stats, theta_max=theta_max), greedy=True)
+    return order, cands
 
 
 def _theta_chord(d: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
@@ -209,86 +288,29 @@ def astar(
     heuristic: str = "crude",
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> FitResult:
-    """Exact MLE by best-first search over prefix orderings.
+    """Exact MLE by best-first search over prefix orderings (_best_first).
 
-    Nodes are expanded by lowest admissible total-cost bound, ties by
-    insertion order (the heap's counter is unique, so prefixes are never
-    compared); the first terminal dequeued carries the exact conditional
-    optimum and is the global MLE. heuristic selects the crude
+    Nodes are expanded by least admissible total-cost bound, ties by
+    generation order; the first terminal dequeued carries the exact
+    conditional optimum and is the global MLE. heuristic selects the crude
     pairwise-minimum bound or the tighter Kemeny LP bound. If the node
     budget runs out, the generated terminal of least (bound, counter) is
     returned with budget_exhausted=True, so optimal=False (falling back to
-    the greedy order when none exists yet).
-
-    A child is pushed under its lazy key (see _SearchContext) and a counter
-    in generation order. A child that pops with a lazy key is priced and
-    pushed back with its exact bound and the same counter. A node is
-    expanded only when it pops with its exact key, which is then no greater
-    than every open node's lazy key and so than its exact bound, with ties
-    by counter. The expansions are therefore those of the search that priced
-    every child at once, in the same order, and so are the order and its f.
+    the greedy order, under crude bounds, when none exists yet).
     nodes_expanded counts expansions and candidate_evaluations every
-    generated child, priced or not. A budget cut prices the terminals still
-    lazy before choosing among them.
+    generated child, priced or not.
     """
-    if heuristic not in ("crude", "lp"):
-        raise ValueError(f"unknown heuristic {heuristic!r}")
     t0 = time.perf_counter()
-    ctx = _SearchContext(stats, theta_max=theta_max)
-    J = stats.J
+    ctx = _SearchContext(stats, theta_max=theta_max, heuristic=heuristic)
     algorithm = f"exact-{heuristic}"
-    if J == 1:
+    if stats.J == 1:
         return FitResult.from_fit(stats, fit_given_order(stats, (0,), theta_max=theta_max), algorithm, t0, 0, 1)
-
-    # An entry is (key, counter, prefix, fixed, free_min, theta part, cost,
-    # the parent's pricer); a lazy one has no cost yet.
-    heap: list[tuple] = []
-    counter = itertools.count()
-    nodes_expanded = 0
-    candidate_evals = 0
-
-    def expand(prefix: Ranking, fixed: float, free_min: float, pricer: _NodePricer, cost: float):
-        nonlocal candidate_evals
-        floor = _lazy_floor(cost)
-        for theta_part, child_prefix, fixed_c, free_min_c in ctx.children(prefix, fixed, free_min, heuristic):
-            candidate_evals += 1
-            heapq.heappush(heap, (theta_part + floor, next(counter), child_prefix, fixed_c, free_min_c, theta_part,
-                                  None, pricer))
-
-    def priced(entry):
-        # the entry with its exact key and its original counter
-        _, count, prefix, fixed, free_min, theta_part, _, pricer = entry
-        cost = pricer.cost(prefix[-1:])
-        return theta_part + cost, count, prefix, fixed, free_min, theta_part, cost, pricer
-
-    root = _NodePricer(stats)
-    expand((), 0.0, ctx.root_free_min, root, root.cost(()))
-    nodes_expanded += 1
-    while heap:
-        entry = heapq.heappop(heap)
-        while entry[6] is None:
-            entry = heapq.heappushpop(heap, priced(entry))
-        _, _, prefix, fixed, free_min, _, cost, pricer = entry
-        if len(prefix) == J - 1:
-            order = prefix + tuple(o for o in range(J) if o not in prefix)
-            return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), algorithm, t0,
-                                      nodes_expanded, candidate_evals)
-        if nodes_expanded >= node_budget:
-            break
-        expand(prefix, fixed, free_min, pricer.child(prefix[-1]), cost)
-        nodes_expanded += 1
-
-    # Every terminal generated is still open; the best has the smallest
-    # (exact bound, counter), unpriced ones priced now.
-    terminals = [entry if entry[6] is not None else priced(entry) for entry in heap if len(entry[2]) == J - 1]
-    if terminals:
-        prefix = min(terminals, key=lambda entry: entry[:2])[2]
-        order = prefix + tuple(o for o in range(J) if o not in prefix)
-    else:
+    order, nodes, cands, exhausted = _best_first(ctx, node_budget)
+    if order is None:
         warnings.warn("node budget exhausted before any terminal; returning greedy order", RuntimeWarning)
-        order = _greedy_order(ctx)[0]
+        order = _greedy_descent(stats, theta_max)[0]
     return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), algorithm, t0,
-                              nodes_expanded, candidate_evals, budget_exhausted=True)
+                              nodes, cands, budget_exhausted=exhausted)
 
 
 def brute_force(stats: SufficientStats, *, theta_max: float | None = None, cap: int = BRUTE_CAP) -> FitResult:
@@ -303,47 +325,15 @@ def brute_force(stats: SufficientStats, *, theta_max: float | None = None, cap: 
     return FitResult.from_fit(stats, best, "brute", t0, 0, math.factorial(stats.J))
 
 
-def _greedy_order(ctx: _SearchContext) -> tuple[Ranking, int]:
-    """Depth-first descent choosing the child with the smallest crude bound,
-    ties to the lowest object index.
-
-    The children of a node are priced in order of (lazy key, index), see
-    _SearchContext, until the next lazy key lies above the best exact bound
-    found: every child left has an exact bound at least its key, so none of
-    them is the minimum."""
-    prefix: Ranking = ()
-    fixed, free_min, pricer, cost = 0.0, ctx.root_free_min, None, None
-    evals = 0
-    while len(prefix) < ctx.J - 1:
-        if pricer is None:  # the root
-            pricer = _NodePricer(ctx.stats)
-            cost = pricer.cost(())
-        else:
-            pricer = pricer.child(prefix[-1])
-        floor = _lazy_floor(cost)
-        children = ctx.children(prefix, fixed, free_min, "crude")
-        evals += len(children)
-        best = None
-        for key, index in sorted((theta_part + floor, index) for index, (theta_part, *_) in enumerate(children)):
-            if best is not None and key > best[0]:
-                break
-            theta_part, child_prefix, fixed_c, free_min_c = children[index]
-            child_cost = pricer.cost(child_prefix[-1:])
-            bound = theta_part + child_cost
-            if best is None or (bound, index) < best[:2]:
-                best = bound, index, child_prefix, fixed_c, free_min_c, child_cost
-        _, _, prefix, fixed, free_min, cost = best
-    return prefix + tuple(o for o in range(ctx.J) if o not in prefix), evals
-
-
 def greedy(stats: SufficientStats, *, theta_max: float | None = None) -> FitResult:
-    """One-pass descent of the prefix tree, never backtracking.
+    """One-pass descent of the prefix tree, never backtracking: the
+    best-first loop keeping only the newest children (_best_first).
 
     At each level the child with the smallest crude total-cost bound is kept
     (ties: lexicographic); the final order gets the exact conditional fit.
     """
     t0 = time.perf_counter()
-    order, evals = _greedy_order(_SearchContext(stats, theta_max=theta_max))
+    order, evals = _greedy_descent(stats, theta_max)
     return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), "greedy", t0,
                               max(stats.J - 1, 0), evals)
 
@@ -357,7 +347,7 @@ def greedy_local(stats: SufficientStats, *, theta_max: float | None = None) -> F
     MAX_LOCAL_ROUNDS rounds.
     """
     t0 = time.perf_counter()
-    order, evals = _greedy_order(_SearchContext(stats, theta_max=theta_max))
+    order, evals = _greedy_descent(stats, theta_max)
     incumbent = fit_given_order(stats, order, theta_max=theta_max)
     rounds, capped = 0, True
     while rounds < MAX_LOCAL_ROUNDS:

@@ -13,7 +13,7 @@ from mallows_binomial.fitting import (
     THETA_FLOOR,
     _binomial_costs,
     _fit_p_core,
-    _node_binomial_costs,
+    _NodePricer,
     _scale_fit,
     default_theta_max,
 )
@@ -372,15 +372,20 @@ def complete(prefix, J):
     return tuple(prefix) + tuple(o for o in range(J) if o not in prefix)
 
 
-def reference_greedy_order(ctx):
+def reference_greedy_order(ctx, popped=None):
     """The greedy descent as it ran before its children were priced lazily:
     every child gets its exact bound, and min keeps the first smallest.
-    Returns (order, candidate evaluations)."""
+    Returns (order, candidate evaluations). Each child kept is appended to
+    popped as (prefix, bound bits, counter), the counter numbering every
+    generated child, as the search's heap records the descent."""
     prefix, fixed, free_min, evals = (), 0.0, ctx.root_free_min, 0
     while len(prefix) < ctx.J - 1:
         children = list(reference_children(ctx, prefix, fixed, free_min, "crude"))
+        index = min(range(len(children)), key=lambda i: children[i][0])
+        bound, prefix, fixed, free_min, _ = children[index]
+        if popped is not None:
+            popped.append((prefix, bound.hex(), evals + index))
         evals += len(children)
-        _, prefix, fixed, free_min, _ = min(children, key=lambda child: child[0])
     return complete(prefix, ctx.J), evals
 
 
@@ -391,7 +396,8 @@ def reference_astar(stats, *, theta_max=None, heuristic="crude", node_budget=sea
     (prefix, bound bits, counter) in order, the bound of every generated
     node in order, the order found, the node and candidate counts and
     budget_exhausted. A budget cut returns the generated terminal of least
-    (bound, counter), or the greedy order when there is none. J > 1."""
+    (bound, counter), or the greedy order when there is none, whose kept
+    children are popped entries too. J > 1."""
     ctx = search._SearchContext(stats, theta_max=theta_max)
     J = stats.J
     heap, counter, popped, generated, terminals = [], itertools.count(), [], [], []
@@ -421,17 +427,17 @@ def reference_astar(stats, *, theta_max=None, heuristic="crude", node_budget=sea
         nodes += 1
     exhausted = order is None
     if exhausted:
-        order = complete(min(terminals)[2], J) if terminals else reference_greedy_order(ctx)[0]
+        order = complete(min(terminals)[2], J) if terminals else reference_greedy_order(ctx, popped)[0]
     return {"popped": popped, "generated": generated, "order": order, "nodes": nodes, "cands": cands,
             "budget_exhausted": exhausted, "terminals": len(terminals)}
 
 
 class HeapTraffic:
-    """Stands in for the heapq module of search.astar and records its heap
-    traffic: every pushed entry as (key bits, counter, prefix), and every
-    popped entry whose key is exact as (prefix, key bits, counter). An
-    entry is (key, counter, prefix, ..., cost, pricer), exact when its
-    Binomial cost is known."""
+    """Stands in for the heapq module of the search's best-first loop (A*
+    and its greedy fallback) and records its heap traffic: every pushed
+    entry as (key bits, counter, prefix), and every popped entry whose key
+    is exact as (prefix, key bits, counter). An entry is (key, counter,
+    prefix, ..., cost, pricer), exact when its Binomial cost is known."""
 
     def __init__(self):
         self.pushed, self.popped = [], []
@@ -462,19 +468,28 @@ def astar_traffic(monkeypatch, stats, **options):
     return traffic, result
 
 
-def node_bound(ctx, prefix, fixed, free_min, free, heuristic):
+def node_pricer(stats, prefix):
+    """The search's _NodePricer of the node of a prefix, derived from the
+    root's object by object as the search derives it."""
+    pricer = _NodePricer(stats)
+    for j in prefix:
+        pricer = pricer.child(j)
+    return pricer
+
+
+def node_bound(ctx, prefix, fixed, free_min, free):
     """The exact bound the search gives the node of a prefix with pair costs
-    (fixed, free_min) and free objects free."""
-    return ctx.theta_part(fixed, free_min, free, heuristic) + _node_binomial_costs(ctx.stats, prefix, [()])[0]
+    (fixed, free_min) and free objects free, under ctx's heuristic."""
+    return ctx.theta_part(fixed, free_min, free) + node_pricer(ctx.stats, prefix).cost(())
 
 
-def exact_children(ctx, prefix, fixed, free_min, heuristic):
+def exact_children(ctx, prefix, fixed, free_min):
     """Yield (bound, child_prefix, fixed, free_min, free) for every child of
     a node, in object order, each priced exactly from the search's pieces."""
-    children = ctx.children(prefix, fixed, free_min, heuristic)
-    costs = _node_binomial_costs(ctx.stats, prefix, [child[1][-1:] for child in children])
-    for (theta_part, child, fixed_c, free_min_c), cost in zip(children, costs):
-        yield theta_part + cost, child, fixed_c, free_min_c, tuple(o for o in range(ctx.J) if o not in child)
+    pricer = node_pricer(ctx.stats, prefix)
+    for theta_part, child, fixed_c, free_min_c in ctx.children(prefix, fixed, free_min):
+        yield (theta_part + pricer.cost(child[-1:]), child, fixed_c, free_min_c,
+               tuple(o for o in range(ctx.J) if o not in child))
 
 
 def reference_node_binomial_costs(stats, prefix, extensions):

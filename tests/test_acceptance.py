@@ -132,7 +132,7 @@ def test_criterion_3_admissibility_chain():
         theta = float(rng.uniform(0.3, 3.0))
         _, data = simulate_cell(I, M, J, R, theta, rng)
         stats = compute_stats(data)
-        ctx = _SearchContext(stats, theta_max=None)
+        crude_ctx, lp_ctx = (_SearchContext(stats, theta_max=None, heuristic=h) for h in ("crude", "lp"))
         tail_cost = {}
         for order in itertools.permutations(range(J)):
             f = fit_given_order(stats, order).f_value
@@ -146,8 +146,8 @@ def test_criterion_3_admissibility_chain():
                             for a, v in enumerate(prefix))
                 free_min = sum(min(stats.Q[u, v], stats.Q[v, u])
                                for u, v in itertools.combinations(free, 2))
-                crude_b = node_bound(ctx, prefix, fixed, free_min, free, "crude")
-                lp_b = node_bound(ctx, prefix, fixed, free_min, free, "lp")
+                crude_b = node_bound(crude_ctx, prefix, fixed, free_min, free)
+                lp_b = node_bound(lp_ctx, prefix, fixed, free_min, free)
                 exact = tail_cost[prefix]
                 nodes_checked += 1
                 if crude_b > lp_b + 1e-9 or lp_b > exact + 1e-9:

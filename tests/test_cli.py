@@ -353,14 +353,16 @@ def test_bootstrap_reproducible_bytes(tmp_path):
 
 def test_bootstrap_counts_budget_exhausted_replicates(tmp_path):
     # A replicate whose A* runs out of node budget still enters the
-    # intervals, at the best order found; the JSON counts them. The count is
-    # recomputed from each replicate's resample, drawn as the bootstrap draws it.
+    # intervals, at the best order found; the JSON counts them, and the
+    # command exits 3 though its point fit finished inside the budget. The
+    # count is recomputed from each replicate's resample, drawn as the
+    # bootstrap draws it.
     out = simulate_files(tmp_path, seed=3, I=10, J=6, R=6, M=5, theta=0.3)
     path = tmp_path / "boot.json"
     B, seed, budget = 12, 3, 8
     code = main(["bootstrap", *data_flags(out, 5), "--method", "exact-crude", "--B", str(B),
                  "--seed", str(seed), "--node-budget", str(budget), "--out", str(path)])
-    assert code == EXIT_OK  # the point fit finished inside the budget
+    assert code == EXIT_BUDGET
     dataset, _, _ = ingest(str(out / "scores.csv"), str(out / "rankings.csv"), ScoreScale(0, 5, 1))
     exhausted = [mallows_binomial.astar(mallows_binomial.compute_stats(dataset, idx), node_budget=budget).budget_exhausted
                  for idx in (np.random.default_rng([seed, rep]).integers(0, dataset.I, size=dataset.I)
@@ -368,6 +370,11 @@ def test_bootstrap_counts_budget_exhausted_replicates(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["n_failed"] == 0
     assert doc["n_budget_exhausted"] == sum(exhausted) == 4
+    assert not mallows_binomial.astar(mallows_binomial.compute_stats(dataset), node_budget=budget).budget_exhausted
+    # with a budget every replicate finishes in, the exit code is 0 again
+    code = main(["bootstrap", *data_flags(out, 5), "--method", "exact-crude", "--B", str(B),
+                 "--seed", str(seed), "--out", str(path)])
+    assert code == EXIT_OK and json.loads(path.read_text())["n_budget_exhausted"] == 0
 
 
 def test_benchmark_csv(tmp_path):
@@ -431,6 +438,36 @@ def test_compare_command(tmp_path):
         width_mb = mb[j][1] - mb[j][0]
         width_or = onlyr[j][1] - onlyr[j][0]
         assert width_or >= width_mb
+
+
+def one_ranker_panel(tmp_path, scored):
+    """Six judges and three objects; only j1 ranks, and the judges in scored
+    give scores."""
+    rows = {1: "1,3,5", 2: "2,4,6", 3: "1,2,3", 4: "3,2,1", 5: "5,5,4", 6: "2,3,1"}
+    scores = write(tmp_path / "s.csv", "judge,a,b,c\n" + "".join(
+        f"j{i},{rows[i] if i in scored else ',,'}\n" for i in range(1, 7)))
+    rankings = write(tmp_path / "r.csv", "judge,rank1,rank2,rank3\nj1,a,b,c\n" + "".join(
+        f"j{i},,,\n" for i in range(2, 7)))
+    return ["--scores", scores, "--rankings", rankings, "--scale-min", "0", "--scale-max", "10",
+            "--scale-step", "1"]
+
+
+def test_bootstrap_with_no_fittable_replicate_is_a_data_error(tmp_path, capsys):
+    # At seed 4 the one replicate leaves j1 out. In compare only the
+    # rankings-only model loses its ranking judge, and it gets an error
+    # entry; in bootstrap, with j1 the only judge left with any data, the
+    # command exits 2 without a traceback.
+    path = tmp_path / "out.json"
+    flags = one_ranker_panel(tmp_path, scored=range(1, 7))
+    assert main(["compare", *flags, "--B", "1", "--seed", "4", "--out", str(path)]) == EXIT_OK
+    models = json.loads(path.read_text())["models"]
+    assert models["only-rankings"] == {"error": "every bootstrap replicate failed; cannot form intervals "
+                                                "(replicate 0: only-rankings requires at least one ranking)"}
+    assert all("error" not in fields for model, fields in models.items() if model != "only-rankings")
+    flags = one_ranker_panel(tmp_path, scored=(1,))
+    assert main(["bootstrap", *flags, "--B", "1", "--seed", "4", "--out", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "every bootstrap replicate failed" in err and "Traceback" not in err
 
 
 def test_bias_demo_values_and_permutation(tmp_path, capsys):

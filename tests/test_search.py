@@ -11,6 +11,7 @@ from conftest import (
     enumerate_outcomes,
     exact_children,
     node_bound,
+    node_pricer,
     random_dataset,
     reference_astar,
     reference_best_fit,
@@ -119,7 +120,7 @@ def test_heuristic_admissibility_every_node():
     for _ in range(3):
         ds = random_dataset(rng, J=4, missing_rankings=0.2)
         stats = compute_stats(ds)
-        ctx = _SearchContext(stats, theta_max=None)
+        crude_ctx, lp_ctx = (_SearchContext(stats, theta_max=None, heuristic=h) for h in ("crude", "lp"))
         J = ds.J
         for k in range(1, J):
             for prefix in itertools.permutations(range(J), k):
@@ -128,8 +129,8 @@ def test_heuristic_admissibility_every_node():
                     min(stats.Q[u, v], stats.Q[v, u])
                     for u, v in itertools.combinations(free, 2))
                 free_min = crude_cost(stats, prefix) - fixed
-                crude_b = node_bound(ctx, prefix, fixed, free_min, free, "crude")
-                lp_b = node_bound(ctx, prefix, fixed, free_min, free, "lp")
+                crude_b = node_bound(crude_ctx, prefix, fixed, free_min, free)
+                lp_b = node_bound(lp_ctx, prefix, fixed, free_min, free)
                 exact = min(
                     fit_given_order(stats, prefix + tail).f_value
                     for tail in itertools.permutations(free))
@@ -141,14 +142,14 @@ def test_child_bounds_never_decrease():
     rng = np.random.default_rng(23)
     ds = random_dataset(rng, J=5, missing_scores=0.1)
     stats = compute_stats(ds)
-    ctx = _SearchContext(stats, theta_max=None)
     for heuristic in ("crude", "lp"):
+        ctx = _SearchContext(stats, theta_max=None, heuristic=heuristic)
         stack = [((), 0.0, ctx.root_free_min, -np.inf)]
         while stack:
             prefix, fixed, free_min, parent_bound = stack.pop()
             if len(prefix) > 2:  # keep the walk small
                 continue
-            for bound, child_prefix, fixed_c, free_min_c, _ in exact_children(ctx, prefix, fixed, free_min, heuristic):
+            for bound, child_prefix, fixed_c, free_min_c, _ in exact_children(ctx, prefix, fixed, free_min):
                 assert bound >= parent_bound - 1e-9
                 stack.append((child_prefix, fixed_c, free_min_c, bound))
 
@@ -161,7 +162,8 @@ def node_bits(children):
 def test_lazy_search_matches_the_eager_reference_bitwise(monkeypatch):
     # The lazy A* pops the nodes the eager one pops, in the same order, with
     # the same exact bounds and counters; a budget cut falls back on the same
-    # terminal, or on the same greedy order, which the lazy descent also finds.
+    # terminal, or on the same greedy order, whose descent pops the children
+    # the eager descent keeps. greedy finds that order too.
     rng = np.random.default_rng(61)
     panels = []
     for case in range(24):
@@ -199,8 +201,7 @@ def test_lazy_search_matches_the_eager_reference_bitwise(monkeypatch):
                     priced = {count for prefix, _, count in traffic.popped if len(prefix) == stats.J - 1}
                     seen.add("cut, unpriced terminal" if lazy - priced else "cut, terminals priced")
                 seen.add("greedy fallback" if fell_to_greedy else "optimal" if result.optimal else "cut")
-        assert (search._greedy_order(_SearchContext(stats, theta_max=None))
-                == reference_greedy_order(_SearchContext(stats, theta_max=None)))
+        assert search._greedy_descent(stats, None) == reference_greedy_order(_SearchContext(stats, theta_max=None))
         reference_order, evals = reference_greedy_order(_SearchContext(stats, theta_max=0.5))
         fit = greedy(stats, theta_max=0.5)
         assert (fit.params.consensus_order, fit.candidate_evaluations) == (reference_order, evals)
@@ -213,15 +214,19 @@ def test_searches_price_few_children(monkeypatch):
     # unchanged; only the number of children priced shows it.
     priced = _counting(monkeypatch, fitting._NodePricer, "cost")
     stats = compute_stats(simulate_cell(10, 10, 20, 20, 0.4, np.random.default_rng(76))[1])
-    _, evals = search._greedy_order(_SearchContext(stats, theta_max=None))
+    _, evals = search._greedy_descent(stats, None)
     # The eager descent priced all 209 children it generated; the lazy one
     # prices 26 of them, plus the root's own cost.
     assert (evals, len(priced)) == (209, 27)
-    priced.clear()
     stats = compute_stats(simulate_cell(20, 2, 8, 8, 0.3, np.random.default_rng(78))[1])
-    result = astar(stats)
-    # The eager A* priced all 75 children; the lazy one prices 23, plus the root.
-    assert (result.nodes_expanded, result.candidate_evaluations, len(priced)) == (15, 75, 24)
+    # The eager A* priced all 75 children; the lazy one prices 23, plus the
+    # root. Under the LP bound it prices 24 of 81.
+    for heuristic, expected in (("crude", (15, 75, 24)), ("lp", (16, 81, 25))):
+        priced.clear()
+        result = astar(stats, heuristic=heuristic)
+        assert (result.nodes_expanded, result.candidate_evaluations, len(priced)) == expected, heuristic
+    with pytest.raises(ValueError, match="unknown heuristic 'bogus'"):
+        astar(stats, heuristic="bogus")
 
 
 def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
@@ -232,7 +237,7 @@ def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
         ctx, reference = _SearchContext(stats, theta_max=None), _SearchContext(stats, theta_max=None)
         node = ((), 0.0, ctx.root_free_min)
         while len(node[0]) < stats.J - 1:
-            children = list(exact_children(ctx, *node, "crude"))
+            children = list(exact_children(ctx, *node))
             assert node_bits(children) == node_bits(reference_children(reference, *node, "crude"))
             _, prefix, fixed, free_min, _ = min(children, key=lambda child: child[0])
             node = (prefix, fixed, free_min)
@@ -298,11 +303,11 @@ def test_lazy_key_never_exceeds_the_exact_bound():
         stack = [((), 0.0, ctx.root_free_min)]
         while stack:
             prefix, fixed, free_min = stack.pop()
-            parent = fitting._node_binomial_costs(stats, prefix, [()])[0]
+            pricer = node_pricer(stats, prefix)
+            parent = pricer.cost(())
             floor = search._lazy_floor(parent)
-            children = ctx.children(prefix, fixed, free_min, "crude")
-            costs = fitting._node_binomial_costs(stats, prefix, [child[1][-1:] for child in children])
-            for (theta_part, child, fixed_c, free_min_c), cost in zip(children, costs):
+            for theta_part, child, fixed_c, free_min_c in ctx.children(prefix, fixed, free_min):
+                cost = pricer.cost(child[-1:])
                 assert cost >= parent - 1e-9 * abs(parent), (prefix, child, parent, cost)
                 assert theta_part + floor <= theta_part + cost
                 seen.add("above" if cost > parent else "equal" if cost == parent else "rounded below")
@@ -329,7 +334,7 @@ def test_node_pricer_matches_per_node_fits_bitwise():
             shuffled = [int(c) for c in rng.permutation(free)]
             for extensions in ([(c,) for c in free], [(c,) for c in shuffled[:max(1, len(free) // 2)]],
                                [(), *zip(shuffled, shuffled[1:])]):
-                got = fitting._node_binomial_costs(stats, prefix, extensions)
+                got = [node_pricer(stats, prefix).cost(ext) for ext in extensions]
                 expected = reference_node_binomial_costs(stats, prefix, extensions)
                 assert [v.hex() for v in got] == [v.hex() for v in expected], (prefix, extensions)
                 checked += len(extensions)

@@ -1,6 +1,7 @@
 """The benchmark patches and calls package functions by name; a rename
-would break it without any other test noticing. The public API is held to
-what the package, its scripts and its benchmark reach."""
+would break it without any other test noticing. The public API, and every
+module-level definition of the package, is held to what the package, its
+scripts and its benchmark reach."""
 import ast
 import importlib
 import importlib.util
@@ -127,3 +128,18 @@ def test_every_export_is_used_outside_the_tests():
         if not users and not re.search(rf"\b{name}\b", readme) and name not in PAPER_QUANTITIES:
             unused.append(name)
     assert not unused, f"exported but used only by tests: {unused}"
+
+
+def test_every_module_level_definition_is_reached_outside_the_tests():
+    # A function or class at the top of a package module must be named by
+    # package code other than its own definition, by scripts/ or by
+    # perfbench/; one that only tests call belongs in tests/conftest.py.
+    package = ROOT / "src" / "mallows_binomial"
+    paths = [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    reached = set().union(*(_reached_names(path) for path in paths))
+    defined = [f"{path.stem}.{node.name}" for path in sorted(package.glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert len(defined) > 50, defined
+    unreached = [name for name in defined if name.rpartition(".")[2] not in reached]
+    assert not unreached, f"defined in src/ but used only by tests: {unreached}"
