@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,12 +77,27 @@ class ScoreScale:
         return self.to_raw(self.M * p)
 
 
-def _read_csv(path: str) -> list[list[str]]:
+def _judge_rows(path: str, header: str) -> tuple[list[str], dict[str, tuple[int, list[str]]]]:
+    """A judge CSV's header cells after the first, and for each judge id, in
+    file order, its row number and the cells after the id; every cell is
+    stripped and blank rows are skipped. Raises on a missing header and on a
+    judge id that appears twice."""
     try:
         with open(path, newline="") as fh:
-            return [row for row in csv.reader(fh)]
+            rows = list(csv.reader(fh))
     except OSError as err:
         raise IngestError(f"cannot read {path}: {err}") from err
+    if not rows or len(rows[0]) < 2:
+        raise IngestError(f"{path}: expected header {header}")
+    judges: dict[str, tuple[int, list[str]]] = {}
+    for r, row in enumerate(rows[1:], start=2):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
+        if cells[0] in judges:
+            raise IngestError(f"{path} row {r}: duplicate judge id {cells[0]!r}")
+        judges[cells[0]] = (r, cells[1:])
+    return [cell.strip() for cell in rows[0][1:]], judges
 
 
 def ingest(
@@ -102,25 +117,16 @@ def ingest(
         raise IngestError("need at least one of --scores / --rankings")
 
     labels: list[str] = []
-    judge_ids: list[str] = []
     score_rows: dict[str, list[float]] = {}
-
     if scores_path is not None:
-        rows = _read_csv(scores_path)
-        if not rows or len(rows[0]) < 2:
-            raise IngestError(f"{scores_path}: expected header judge,<labels...>")
-        labels = [cell.strip() for cell in rows[0][1:]]
+        labels, judges = _judge_rows(scores_path, "judge,<labels...>")
         if len(set(labels)) != len(labels):
             raise IngestError(f"{scores_path}: duplicate object labels in header")
-        for r, row in enumerate(rows[1:], start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            judge = row[0].strip()
-            if len(row) - 1 != len(labels):
+        for judge, (r, cells) in judges.items():
+            if len(cells) != len(labels):
                 raise IngestError(f"{scores_path} row {r}: expected {len(labels)} score cells")
             values = []
-            for c, cell in enumerate(row[1:], start=2):
-                cell = cell.strip()
+            for c, cell in enumerate(cells, start=2):
                 if not cell:
                     values.append(np.nan)
                     continue
@@ -132,25 +138,15 @@ def ingest(
                     values.append(float(scale.to_integer(raw)))
                 except IngestError as err:  # the location is formatted only for the message
                     raise IngestError(f"{err} ({scores_path} row {r} column {c})") from None
-            if judge in score_rows:
-                raise IngestError(f"{scores_path} row {r}: duplicate judge id {judge!r}")
             score_rows[judge] = values
-            judge_ids.append(judge)
 
     ranking_rows: dict[str, tuple[int, ...] | None] = {}
     if rankings_path is not None:
-        rows = _read_csv(rankings_path)
-        if not rows or len(rows[0]) < 2:
-            raise IngestError(f"{rankings_path}: expected header judge,rank1,...")
+        _, judges = _judge_rows(rankings_path, "judge,rank1,...")
         if scores_path is None:
-            seen = sorted({cell.strip() for row in rows[1:] for cell in row[1:] if cell.strip()})
-            labels = seen
+            labels = sorted({cell for _, cells in judges.values() for cell in cells if cell})
         label_index = {lab: i for i, lab in enumerate(labels)}
-        for r, row in enumerate(rows[1:], start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            judge = row[0].strip()
-            cells = [cell.strip() for cell in row[1:]]
+        for judge, (r, cells) in judges.items():
             ranking: list[int] = []
             ended = False
             for c, cell in enumerate(cells, start=2):
@@ -164,15 +160,12 @@ def ingest(
                 ranking.append(label_index[cell])
             if len(set(ranking)) != len(ranking):
                 raise IngestError(f"{rankings_path} row {r}: duplicate object in ranking")
-            if judge in ranking_rows:
-                raise IngestError(f"{rankings_path} row {r}: duplicate judge id {judge!r}")
             ranking_rows[judge] = tuple(ranking) if ranking else None
-            if judge not in score_rows:
-                judge_ids.append(judge)
 
     if not labels:
         raise IngestError("no objects found in the input files")
     J = len(labels)
+    judge_ids = list(dict.fromkeys([*score_rows, *ranking_rows]))  # the scores file's judges first
     scores = np.full((len(judge_ids), J), np.nan)
     rankings: list[tuple[int, ...] | None] = []
     for i, judge in enumerate(judge_ids):
@@ -257,8 +250,7 @@ def cmd_fit(args) -> int:
     scale, dataset, labels = _ingest_args(args)
     result = inference.fit_method(
         dataset, args.method,
-        theta_max=args.theta_max, node_budget=args.node_budget,
-        candidate_cap=args.candidate_cap, rng=np.random.default_rng(args.seed),
+        theta_max=args.theta_max, node_budget=args.node_budget, candidate_cap=args.candidate_cap,
     )
     _dump_json(_fit_doc(result, labels, scale, dataset), args.out)
     return EXIT_BUDGET if result.budget_exhausted else EXIT_OK
@@ -358,13 +350,6 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-BENCHMARK_COLUMNS = [
-    "I", "M", "J", "R", "theta", "trial", "algorithm", "seconds",
-    "nodes_expanded", "candidate_evaluations", "f_value", "exact_match",
-    "kendall_to_reference", "budget_exhausted",
-]
-
-
 def cmd_benchmark(args) -> int:
     if not args.out:
         raise IngestError("benchmark requires --out (CSV path)")
@@ -381,10 +366,9 @@ def cmd_benchmark(args) -> int:
         node_budget=args.node_budget,
     )
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BENCHMARK_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -400,8 +384,7 @@ def cmd_compare(args) -> int:
             continue
         fields = _bootstrap_doc(summary, labels, scale)
         keys = ["point_rank", "rank_intervals", "consensus_order", "n_failed"]
-        identified = len(summary.point.non_identified) < dataset.J
-        if model not in ("converted-rankings", "only-rankings") and identified:
+        if len(summary.point.non_identified) < dataset.J:
             keys += ["p", "p_intervals", "expected_score"]
         if fields["theta"] is not None:
             keys += ["theta", "theta_interval", "theta_cap_proportion"]
@@ -425,17 +408,7 @@ def cmd_bias_demo(args) -> int:
     print(f"P(theta_hat at cap) = {table.theta_cap_probability:.6f}")
     print(f"total outcome probability = {table.total_probability:.12f}")
     if args.out:
-        _dump_json(
-            {
-                "p0": list(table.p0), "theta0": table.theta0, "M": table.M,
-                "J": table.J, "R": table.R,
-                "expected_p": list(table.expected_p), "bias": list(table.bias),
-                "theta_cap_probability": table.theta_cap_probability,
-                "total_probability": table.total_probability,
-                "n_outcomes": table.n_outcomes,
-            },
-            args.out,
-        )
+        _dump_json(asdict(table), args.out)
     return EXIT_OK
 
 
@@ -448,7 +421,6 @@ def _add_fit_flags(sub):
     sub.add_argument("--scale-step", type=float, default=1.0)
     sub.add_argument("--higher-is-better", action="store_true")
     sub.add_argument("--method", default="exact-crude", choices=list(inference.CORE_METHODS))
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--theta-max", type=float, default=None)
     sub.add_argument("--node-budget", type=int, default=search.DEFAULT_NODE_BUDGET)
     sub.add_argument("--candidate-cap", type=int, default=search.DEFAULT_CANDIDATE_CAP)
@@ -458,6 +430,7 @@ def _add_fit_flags(sub):
 def _add_resampled_flags(sub):
     """fit's flags plus the resampling flags of bootstrap and compare."""
     _add_fit_flags(sub)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--B", type=int, default=200)
     sub.add_argument("--level", type=float, default=0.90)
     sub.add_argument("--jobs", type=int, default=1)
@@ -481,7 +454,7 @@ def _add_benchmark_flags(sub):
     sub.add_argument("--grid-R", default="2,4,6")
     sub.add_argument("--grid-theta", default="1,2,3")
     sub.add_argument("--trials", type=int, default=5)
-    sub.add_argument("--algorithms", default="exact-crude,exact-lp,fv,greedy,greedy-local")
+    sub.add_argument("--algorithms", default=",".join(inference.BENCHMARK_ALGORITHMS))
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--theta-max", type=float, default=None)
     sub.add_argument("--node-budget", type=int, default=search.DEFAULT_NODE_BUDGET)

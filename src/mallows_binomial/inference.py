@@ -20,7 +20,6 @@ from .model import (
     Dataset,
     DegenerateDataError,
     Parameters,
-    SufficientStats,
     _check_partial_shape,
     _check_scale,
     compute_stats,
@@ -31,34 +30,38 @@ from .model import (
 from .search import FitResult, astar, brute_force, fv, greedy, greedy_local
 
 CORE_METHODS = ("exact-crude", "exact-lp", "fv", "greedy", "greedy-local", "brute")
-STATS_METHODS = ("exact-crude", "exact-lp", "greedy", "greedy-local", "brute")
 COMPARISON_MODELS = ("converted-scores", "only-scores", "converted-rankings", "only-rankings")
+BENCHMARK_ALGORITHMS = tuple(m for m in CORE_METHODS if m != "brute")  # brute is each instance's reference
 
 
 def fit_method(
     dataset: Dataset,
     method: str = "exact-crude",
     *,
+    judges: Sequence[int] | None = None,
     theta_max: float | None = None,
     node_budget: int = search.DEFAULT_NODE_BUDGET,
     candidate_cap: int = search.DEFAULT_CANDIDATE_CAP,
     rng=None,
 ) -> FitResult:
-    """Fit the panel with a named algorithm or comparison model."""
+    """Fit the panel with a named algorithm or comparison model.
+
+    judges, when given, selects the panel made of those judge rows, repeats
+    included (a bootstrap resample). fv and the comparison models read the
+    judges themselves and fit the resampled Dataset; every other method
+    fits compute_stats(dataset, judges), which is bitwise the same.
+    """
+    if judges is not None and (method == "fv" or method in COMPARISON_MODELS):
+        dataset, judges = _resample(dataset, judges), None
     if method in COMPARISON_MODELS:
         return comparison_fit(dataset, method, theta_max=theta_max, rng=rng, node_budget=node_budget)
-    stats = compute_stats(dataset)
-    if method == "fv":
-        return fv(stats, dataset, theta_max=theta_max, candidate_cap=candidate_cap)
-    return _fit_stats(stats, method, theta_max=theta_max, node_budget=node_budget)
-
-
-def _fit_stats(stats: SufficientStats, method: str, *, theta_max: float | None, node_budget: int) -> FitResult:
-    """Fit with one of STATS_METHODS, which read nothing but the statistics."""
+    stats = compute_stats(dataset, judges)
     if method == "exact-crude":
         return astar(stats, theta_max=theta_max, heuristic="crude", node_budget=node_budget)
     if method == "exact-lp":
         return astar(stats, theta_max=theta_max, heuristic="lp", node_budget=node_budget)
+    if method == "fv":
+        return fv(stats, dataset, theta_max=theta_max, candidate_cap=candidate_cap)
     if method == "greedy":
         return greedy(stats, theta_max=theta_max)
     if method == "greedy-local":
@@ -209,13 +212,9 @@ def _bootstrap_replicate(args):
     rng = np.random.default_rng([seed, rep])
     idx = rng.integers(0, dataset.I, size=dataset.I)
     try:
-        if method in STATS_METHODS:
-            # judge weights on the panel's cached per-judge rows; no Dataset is rebuilt
-            result = _fit_stats(compute_stats(dataset, idx), method, theta_max=theta_max, node_budget=node_budget)
-        else:
-            # fv reads the judges, and converted-rankings draws from rng after the resample
-            result = fit_method(_resample(dataset, idx), method, theta_max=theta_max, node_budget=node_budget,
-                                candidate_cap=candidate_cap, rng=rng)
+        # converted-rankings draws its tie-breaks from rng after the resample
+        result = fit_method(dataset, method, judges=idx, theta_max=theta_max, node_budget=node_budget,
+                            candidate_cap=candidate_cap, rng=rng)
     except DegenerateDataError as err:
         # a resample with no scores or no rankings for the method, or more
         # objects than brute force allows; anything else is a bug and propagates
@@ -259,7 +258,6 @@ def bootstrap(
             raw = list(pool.map(_bootstrap_replicate, tasks, chunksize=max(1, B // (4 * n_jobs))))
     else:
         raw = [_bootstrap_replicate(t) for t in tasks]
-    raw.sort(key=lambda item: item[0])
 
     p_rows, theta_vals, flags, rank_rows, failures = [], [], [], [], []
     n_budget_exhausted = 0
@@ -456,7 +454,7 @@ def benchmark_grid(
     R_values=(2, 4, 6),
     theta_values=(1.0, 2.0, 3.0),
     trials: int = 5,
-    algorithms: Sequence[str] = ("exact-crude", "exact-lp", "fv", "greedy", "greedy-local"),
+    algorithms: Sequence[str] = BENCHMARK_ALGORITHMS,
     seed: int = 0,
     theta_max: float | None = None,
     node_budget: int = search.DEFAULT_NODE_BUDGET,

@@ -376,9 +376,11 @@ def _group_orders(groups: list[list[int]]):
 
 def _tie_break_orders(averages: np.ndarray, cap: int):
     """All orders sorting the averages ascending, enumerating permutations of
-    tied groups; returns at most cap orders and whether it truncated."""
-    values = np.where(np.isfinite(averages), averages, np.inf)
-    idx = sorted(range(values.size), key=lambda j: (values[j], j))
+    tied groups; returns at most cap orders and whether it truncated.
+    Objects without a finite average come last and keep their index order."""
+    # Python floats: inf - inf is nan without a warning, so each such object is a group of its own
+    values = np.where(np.isfinite(averages), averages, np.inf).tolist()
+    idx = sorted(range(len(values)), key=lambda j: (values[j], j))
     groups: list[list[int]] = []
     for j in idx:
         if groups and abs(values[groups[-1][0]] - values[j]) <= 1e-9:

@@ -86,6 +86,45 @@ def test_ingest_rejects_off_lattice(tmp_path, cell, message):
     assert str(info.value) == message.format(path=scores)
 
 
+# (scores CSV, rankings CSV, message): None leaves a file out, and {s} and
+# {r} stand for the two paths. One row malformed in two ways may report
+# either fault, the duplicate judge id first.
+INGEST_ERRORS = {
+    "empty scores file": ("", None, "{s}: expected header judge,<labels...>"),
+    "scores header": ("judge\nj1\n", None, "{s}: expected header judge,<labels...>"),
+    "rankings header": ("judge,a,b\nj1,1,2\n", "judge\nj1\n", "{r}: expected header judge,rank1,..."),
+    "duplicate labels": ("judge,a,a\nj1,1,2\n", None, "{s}: duplicate object labels in header"),
+    "cell count": ("judge,a,b\nj1,1\n", None, "{s} row 2: expected 2 score cells"),
+    "off-lattice after a blank row": ("judge,a,b\n\nj1,1,1.5\n", None,
+                                      "score 1.5 is not on the step-1 lattice ({s} row 3 column 3)"),
+    "duplicate scores judge": ("judge,a,b\nj1,1,2\n,,\nj1,0,1\n", None, "{s} row 4: duplicate judge id 'j1'"),
+    "gap": ("judge,a,b,c\nj1,1,2,3\n", "judge,rank1,rank2,rank3\nj1,a,,b\n",
+            "{r} row 2: ranking has a gap before column 4"),
+    "unknown label": ("judge,a,b\nj1,1,2\n", "judge,rank1\nj1,zzz\n", "{r} row 2 column 2: unknown object label 'zzz'"),
+    "duplicate object": ("judge,a,b\nj1,1,2\n", "judge,rank1,rank2\nj1,b,b\n", "{r} row 2: duplicate object in ranking"),
+    "duplicate rankings judge": (None, "judge,rank1\nj1,a\nj2,b\n j1 ,b\n", "{r} row 4: duplicate judge id 'j1'"),
+    "no objects": (None, "judge,rank1\nj1,\n", "no objects found in the input files"),
+    "no data": ("judge,a,b\nj1,,\n", None, "dataset holds neither scores nor rankings"),
+    "no paths": (None, None, "need at least one of --scores / --rankings"),
+}
+
+
+@pytest.mark.parametrize("scores_text,rankings_text,message", INGEST_ERRORS.values(), ids=INGEST_ERRORS)
+def test_ingest_error_messages(tmp_path, scores_text, rankings_text, message):
+    scores = None if scores_text is None else write(tmp_path / "s.csv", scores_text)
+    rankings = None if rankings_text is None else write(tmp_path / "r.csv", rankings_text)
+    with pytest.raises(IngestError) as info:
+        ingest(scores, rankings, ScoreScale(min=0, max=3, step=1))
+    assert str(info.value) == message.format(s=scores, r=rankings)
+
+
+def test_ingest_names_an_unreadable_file(tmp_path):
+    path = str(tmp_path / "absent.csv")
+    with pytest.raises(IngestError) as info:
+        ingest(None, path, ScoreScale(min=0, max=3, step=1))
+    assert str(info.value) == f"cannot read {path}: [Errno 2] No such file or directory: {path!r}"
+
+
 def test_ingest_rejects_duplicate_in_ranking(tmp_path):
     scores = write(tmp_path / "s.csv", "judge,a,b\nj1,1,2\n")
     rankings = write(tmp_path / "r.csv", "judge,rank1,rank2\nj1,a,a\n")
@@ -178,7 +217,7 @@ def test_fit_requires_scale_max(tmp_path):
 COMMAND_NAMES = [name for name, *_ in cli.COMMANDS]
 EVERY_FLAG = {
     "fit": ["--scores", "s.csv", "--rankings", "r.csv", "--scale-min", "1", "--scale-max", "5",
-            "--scale-step", "0.5", "--higher-is-better", "--method", "greedy", "--seed", "3",
+            "--scale-step", "0.5", "--higher-is-better", "--method", "greedy",
             "--theta-max", "2", "--node-budget", "9", "--candidate-cap", "4", "--out", "o.json"],
     "simulate": ["--I", "4", "--J", "3", "--R", "2", "--M", "5", "--theta", "1.5", "--p", "0.1,0.2,0.3",
                  "--seed", "2", "--out-dir", "sim"],
@@ -188,7 +227,8 @@ EVERY_FLAG = {
     "bias-demo": ["--p0", "0.2,0.8", "--theta0", "2", "--M", "2", "--R", "1", "--theta-max", "4",
                   "--out", "bias.json"],
 }
-EVERY_FLAG["bootstrap"] = EVERY_FLAG["compare"] = [*EVERY_FLAG["fit"], "--B", "7", "--level", "0.8", "--jobs", "2"]
+EVERY_FLAG["bootstrap"] = EVERY_FLAG["compare"] = [*EVERY_FLAG["fit"], "--seed", "3", "--B", "7", "--level", "0.8",
+                                                   "--jobs", "2"]
 
 
 def subparsers(parser):
@@ -240,6 +280,12 @@ def test_a_fit_builds_no_flag_of_another_command(tmp_path, monkeypatch):
         assert [action.option_strings for action in sub._actions] == [a.option_strings for a in expected]
 
 
+def test_fit_has_no_seed_flag(capsys):
+    # no method fit runs draws a random number; bootstrap and compare do
+    code, _, err = exit_outcome(capsys, main, ["fit", "--scores", "x.csv", "--scale-max", "5", "--seed", "1"])
+    assert code == 2 and "unrecognized arguments: --seed 1" in err
+
+
 def test_fit_rejects_nan_and_inf_theta_max(tmp_path, capsys):
     out = simulate_files(tmp_path, seed=1, I=6, J=4, R=4, M=5, theta=1.0)
     for value in ("nan", "inf"):
@@ -277,7 +323,7 @@ RUN_OPTION_ERRORS = {
     "--trials": (["0", "-2"], "--trials must be at least 1"),
 }
 COMMAND_RUN_OPTIONS = {
-    "fit": ("--theta-max", "--node-budget", "--candidate-cap", "--seed"),
+    "fit": ("--theta-max", "--node-budget", "--candidate-cap"),
     "bootstrap": tuple(flag for flag in RUN_OPTION_ERRORS if flag != "--trials"),
     "compare": tuple(flag for flag in RUN_OPTION_ERRORS if flag != "--trials"),
     "simulate": ("--seed",),

@@ -4,7 +4,10 @@ import pytest
 from conftest import random_dataset
 from mallows_binomial import Dataset, compute_stats, inference
 from mallows_binomial.model import DegenerateDataError
+from mallows_binomial.search import BRUTE_CAP
 from mallows_binomial.inference import (
+    COMPARISON_MODELS,
+    CORE_METHODS,
     _converted_score_rows,
     benchmark_grid,
     bias_enumeration,
@@ -47,18 +50,33 @@ def test_bootstrap_deterministic_and_schedule_independent():
 
 
 def test_bootstrap_replicates_equal_fits_of_resampled_panels():
-    # a statistics-only replicate fits the weighted judge rows; it must be
-    # bitwise the fit of the Dataset resampled from the same (seed, rep) draw
+    # A replicate is fit_method(judges=idx): the weighted judge rows, or for
+    # fv and the comparison models the resampled Dataset. Either way it must
+    # be bitwise the fit of the Dataset resampled from the same (seed, rep)
+    # draw, with the generator in the same state on both sides (the
+    # converted-rankings tie-breaks are drawn from it after the resample).
     rng = np.random.default_rng(31)
     ds = random_dataset(rng, J=5, I=9, missing_scores=0.3, missing_rankings=0.3)
-    for method in ("exact-crude", "greedy-local"):
+    assert ds.J <= BRUTE_CAP
+    for method in (*CORE_METHODS, *COMPARISON_MODELS):
         summary = bootstrap(ds, method=method, B=12, seed=4)
-        assert summary.n_failed == 0
+        assert summary.n_failed == 0, method
         for rep in range(12):
-            idx = np.random.default_rng([4, rep]).integers(0, ds.I, size=ds.I)
-            fit = fit_method(inference._resample(ds, idx), method)
+            draws = [np.random.default_rng([4, rep]) for _ in range(2)]
+            idx = draws[0].integers(0, ds.I, size=ds.I)
+            assert np.array_equal(draws[1].integers(0, ds.I, size=ds.I), idx)
+            weighted = fit_method(ds, method, judges=idx, rng=draws[0])
+            fit = fit_method(inference._resample(ds, idx), method, rng=draws[1])
+            assert draws[0].bit_generator.state == draws[1].bit_generator.state, method
+            assert weighted.params.p.tobytes() == fit.params.p.tobytes(), method
+            assert weighted.params.theta == fit.params.theta and weighted.theta_flag == fit.theta_flag
+            assert weighted.params.consensus_order == fit.params.consensus_order
+            assert weighted.f_value.hex() == fit.f_value.hex(), method
+            assert (weighted.nodes_expanded, weighted.candidate_evaluations) == (
+                fit.nodes_expanded, fit.candidate_evaluations)
             assert summary.replicate_p[rep].tobytes() == fit.params.p.tobytes()
-            assert summary.replicate_theta[rep] == fit.params.theta
+            theta = np.nan if fit.params.theta is None else fit.params.theta
+            assert np.array_equal(summary.replicate_theta[rep], theta, equal_nan=True)
             assert summary.replicate_ranks[rep].tolist() == fit.params.rank_places().tolist()
 
 
@@ -85,11 +103,12 @@ def test_bootstrap_records_failures():
 
 
 def test_bootstrap_replicate_bug_propagates(monkeypatch):
-    # only degenerate resamples (ValueError) count as failed replicates; an
-    # exact-crude replicate fits its weighted stats, an fv one its resample
+    # only degenerate resamples (ValueError) count as failed replicates;
+    # every replicate is one fit_method call, whether it fits weighted stats
+    # (exact-crude) or a resample (fv)
     ds = identical_judges_dataset()
-    for method, fitter in (("exact-crude", "_fit_stats"), ("fv", "fit_method")):
-        real = getattr(inference, fitter)
+    for method in ("exact-crude", "fv"):
+        real = inference.fit_method
         calls = []
 
         def buggy_after_point_fit(*args, _real=real, _calls=calls, **kwargs):
@@ -98,7 +117,7 @@ def test_bootstrap_replicate_bug_propagates(monkeypatch):
                 raise ZeroDivisionError("bug inside a replicate")
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(inference, fitter, buggy_after_point_fit)
+        monkeypatch.setattr(inference, "fit_method", buggy_after_point_fit)
         with pytest.raises(ZeroDivisionError):
             bootstrap(ds, method, B=5, n_jobs=1)
         monkeypatch.undo()
@@ -112,8 +131,8 @@ def test_bootstrap_replicate_invariant_error_propagates(monkeypatch, message):
     # resample the method cannot fit: it leaves bootstrap instead of being
     # counted as a failed replicate.
     ds = identical_judges_dataset()
-    for method, fitter in (("exact-crude", "_fit_stats"), ("fv", "fit_method")):
-        real = getattr(inference, fitter)
+    for method in ("exact-crude", "fv"):
+        real = inference.fit_method
         calls = []
 
         def broken_after_point_fit(*args, _real=real, _calls=calls, **kwargs):
@@ -122,7 +141,7 @@ def test_bootstrap_replicate_invariant_error_propagates(monkeypatch, message):
                 raise ValueError(message)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(inference, fitter, broken_after_point_fit)
+        monkeypatch.setattr(inference, "fit_method", broken_after_point_fit)
         with pytest.raises(ValueError, match=message) as raised:
             bootstrap(ds, method, B=5, n_jobs=1)
         assert not isinstance(raised.value, DegenerateDataError)

@@ -732,6 +732,21 @@ def test_tie_break_enumeration_is_lazy():
     assert peak < 0.5 * 2**20
 
 
+def test_fv_with_two_never_scored_objects_warns_nothing():
+    # Objects 2 and 3 have no score average, so both tie-break keys are inf;
+    # subtracting them as numpy floats warns, which the test settings make an
+    # error. Each stays a group of its own: the f bits are those of the numpy
+    # comparison with its warning silenced.
+    ds = Dataset(J=4, M=4, scores=np.array([[0.0, 2.0, np.nan, np.nan], [1.0, 3.0, np.nan, np.nan]]),
+                 rankings=((0, 1), (1, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fv(compute_stats(ds), ds)
+    assert result.params.consensus_order == (0, 1, 2, 3)
+    assert result.candidate_evaluations == 8
+    assert result.f_value.hex() == "0x1.59349a0b33c59p+3"
+
+
 def test_fv_never_beats_exact():
     rng = np.random.default_rng(34)
     for _ in range(10):

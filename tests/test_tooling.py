@@ -71,12 +71,13 @@ def test_benchmark_checker_api_recomputes_a_fit(tmp_path):
     assert abs(f - doc["f_value"]) / max(1.0, abs(f)) <= 1e-9
 
 
-@pytest.mark.parametrize("method", ["exact-crude", "fv"])
+@pytest.mark.parametrize("method", [*inference.CORE_METHODS, "compare"])
 def test_bootstrap_command_computes_stats_b_plus_one_times(tmp_path, monkeypatch, method):
     # The traced benchmark checks B+1 compute_stats calls per bootstrap
     # command, patched on inference as here: one for the point fit and one
-    # per replicate, whether the replicate weights the judge rows
-    # (exact-crude) or fits a resampled Dataset (fv).
+    # per replicate, whether fit_method weights the judge rows or fits a
+    # resampled Dataset (fv and the comparison models). "compare" runs the
+    # exact-crude bootstrap and one for each comparison model.
     sim = tmp_path / "sim"
     assert main(["simulate", "--I", "12", "--J", "4", "--R", "3", "--M", "5", "--theta", "1.5",
                  "--seed", "4", "--out-dir", str(sim)]) == EXIT_OK
@@ -88,11 +89,13 @@ def test_bootstrap_command_computes_stats_b_plus_one_times(tmp_path, monkeypatch
 
     monkeypatch.setattr(inference, "compute_stats", counted)
     B = 7
-    code = main(["bootstrap", "--scores", str(sim / "scores.csv"), "--rankings", str(sim / "rankings.csv"),
-                 "--scale-min", "0", "--scale-max", "5", "--scale-step", "1", "--method", method,
+    command = ["compare"] if method == "compare" else ["bootstrap", "--method", method]
+    code = main([*command, "--scores", str(sim / "scores.csv"), "--rankings", str(sim / "rankings.csv"),
+                 "--scale-min", "0", "--scale-max", "5", "--scale-step", "1",
                  "--B", str(B), "--seed", "3", "--out", str(tmp_path / "boot.json")])
     assert code == EXIT_OK
-    assert len(calls) == B + 1
+    bootstraps = 1 + len(inference.COMPARISON_MODELS) if method == "compare" else 1
+    assert len(calls) == bootstraps * (B + 1)
 
 
 def _reached_names(path: Path) -> set[str]:
