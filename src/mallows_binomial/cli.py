@@ -120,6 +120,8 @@ def ingest(
     score_rows: dict[str, list[float]] = {}
     if scores_path is not None:
         labels, judges = _judge_rows(scores_path, "judge,<labels...>")
+        if "" in labels:
+            raise IngestError(f"{scores_path} column {labels.index('') + 2}: blank object label in header")
         if len(set(labels)) != len(labels):
             raise IngestError(f"{scores_path}: duplicate object labels in header")
         for judge, (r, cells) in judges.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -40,36 +41,35 @@ class PairLP:
     constant: float
 
 
+@lru_cache(maxsize=64)
+def _pair_lp_layout(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the free list of each pair's two objects, and the pair
+    indices of ab, bd and ad of each triple a < b < d, both in combinations
+    order: O(k^3) ints per free-set size, built once."""
+    ends = np.array(list(combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2)
+    pair = np.zeros((k, k), dtype=np.intp)
+    pair[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
+    triples = np.array(list(combinations(range(k), 3)), dtype=np.intp).reshape(-1, 3)
+    triangles = pair[triples[:, [0, 1, 0]], triples[:, [1, 2, 2]]]
+    for array in (ends, triangles):
+        array.setflags(write=False)
+    return ends, triangles
+
+
 def build_pair_lp(Q: np.ndarray, free: Sequence[int]) -> PairLP:
     """Assemble the free-pair Kemeny LP for the given free objects."""
     free = list(free)
-    pairs = list(combinations(free, 2))
-    index = {e: i for i, e in enumerate(pairs)}
-    n = len(pairs)
-    c = np.zeros(n)
-    constant = 0.0
-    for i, (u, v) in enumerate(pairs):
-        # pair cost: Q_uv + (Q_vu - Q_uv) * y_uv
-        constant += Q[u, v]
-        c[i] = Q[v, u] - Q[u, v]
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = np.zeros(n)
-        row[i] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for a, b, d in combinations(free, 3):
-        row = np.zeros(n)
-        row[index[(a, b)]] = 1.0
-        row[index[(b, d)]] = 1.0
-        row[index[(a, d)]] = -1.0
-        rows.append(row)       # y_ab + y_bd - y_ad <= 1
-        rhs.append(1.0)
-        rows.append(-row)      # y_ab + y_bd - y_ad >= 0
-        rhs.append(0.0)
-    A = np.array(rows) if rows else np.zeros((0, n))
-    return PairLP(pairs=tuple(pairs), c=c, A_ub=A, b_ub=np.array(rhs), constant=constant)
+    ends, triangles = _pair_lp_layout(len(free))
+    u, v = np.array(free, dtype=np.intp)[ends].T
+    n, t = len(ends), len(triangles)
+    # pair cost: Q_uv + (Q_vu - Q_uv) * y_uv; the constant sums Q_uv left to right
+    c = Q[v, u] - Q[u, v]
+    constant = np.add.accumulate(np.concatenate(([0.0], Q[u, v])))[-1]
+    row = np.zeros((t, n))
+    row[np.arange(t)[:, None], triangles] = [1.0, 1.0, -1.0]  # y_ab + y_bd - y_ad <= 1
+    A = np.concatenate((np.eye(n), np.stack((row, -row), axis=1).reshape(2 * t, n)))  # and >= 0
+    b = np.concatenate((np.ones(n), np.tile([1.0, 0.0], t)))
+    return PairLP(pairs=tuple(combinations(free, 2)), c=c, A_ub=A, b_ub=b, constant=constant)
 
 
 def solve_dense_lp(program: PairLP, max_pivots: int | None = None) -> tuple[float, np.ndarray]:
@@ -78,7 +78,8 @@ def solve_dense_lp(program: PairLP, max_pivots: int | None = None) -> tuple[floa
     The origin is feasible by construction (all right-hand sides are
     non-negative), so no phase-1 is needed. Returns the optimum including the
     program constant and the y vector. Raises SimplexError past the pivot
-    budget.
+    budget. Elimination skips the rows whose entering entry is zero, because
+    x - 0 * y can turn a -0.0 into 0.0.
     """
     n = program.c.size
     if n == 0:
@@ -89,42 +90,30 @@ def solve_dense_lp(program: PairLP, max_pivots: int | None = None) -> tuple[floa
     # Tableau columns: n structural, m slacks, rhs. Basis starts at slacks.
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = program.A_ub
-    T[:m, n:n + m] = np.eye(m)
+    T[np.arange(m), np.arange(n, n + m)] = 1.0
     T[:m, -1] = program.b_ub
     T[m, :n] = program.c
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     tol = 1e-11
     for pivot_count in range(max_pivots + 1):
-        reduced = T[m, :n + m]
-        entering = -1
-        for j in range(n + m):  # Bland: smallest index with negative reduced cost
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        negative = T[m, :n + m] < -tol
+        entering = int(negative.argmax())  # Bland: smallest index with negative reduced cost
+        if not negative[entering]:
             y = np.zeros(n)
-            for i, var in enumerate(basis):
-                if var < n:
-                    y[var] = T[i, -1]
+            structural = basis < n
+            y[basis[structural]] = T[:m, -1][structural]
             return float(program.constant - T[m, -1]), y
         col = T[:m, entering]
-        ratios = np.full(m, np.inf)
-        positive = col > tol
-        ratios[positive] = T[:m, -1][positive] / col[positive]
-        best = np.inf
-        leave = -1
-        for i in range(m):  # min ratio, ties by smallest basis variable index
-            r = ratios[i]
-            if r < best or (r == best and leave >= 0 and basis[i] < basis[leave]):
-                best = r
-                leave = i
-        if leave < 0:
+        candidates = (col > tol).nonzero()[0]
+        if candidates.size == 0:
             raise SimplexError("unbounded pair LP (cannot happen for valid programs)")
-        piv = T[leave, entering]
-        T[leave, :] /= piv
-        for i in range(m + 1):
-            if i != leave and T[i, entering] != 0.0:
-                T[i, :] -= T[i, entering] * T[leave, :]
+        ratios = T[candidates, -1] / col[candidates]
+        ties = candidates[ratios == ratios.min()]  # min ratio, ties by smallest basis variable index
+        leave = int(ties[basis[ties].argmin()])
+        T[leave, :] /= T[leave, entering]
+        rows = T[:, entering].nonzero()[0]
+        rows = rows[rows != leave]
+        T[rows] -= T[rows, entering, None] * T[leave]
         basis[leave] = entering
     raise SimplexError(f"pivot budget exceeded after {max_pivots} pivots")
 

@@ -118,7 +118,9 @@ class _SearchContext:
 
     def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...]) -> float:
         """Admissible scale part of the bound of a node with pair costs
-        (fixed, free_min) and free objects free, which only the LP reads."""
+        (fixed, free_min) and free objects free, which only the LP reads.
+        _lp_cache[free] holds the LP clamped by the free_min of the node that
+        first computed it, so a cached value is not a function of its key alone."""
         # Below three free objects the LP has no triangle rows and equals the
         # pairwise minimum sum.
         if self.heuristic == "lp" and len(free) >= 3:

@@ -17,7 +17,7 @@ from mallows_binomial.fitting import (
     _scale_fit,
     default_theta_max,
 )
-from mallows_binomial.kemeny_lp import lp_free_cost
+from mallows_binomial.kemeny_lp import PairLP, SimplexError, lp_free_cost
 
 
 def pairwise_distance_oracle(ranking, order) -> int:
@@ -326,6 +326,99 @@ def lp_bound(stats, prefix) -> float:
     fixed-pair cost plus the Kemeny LP optimum over free pairs."""
     free = tuple(o for o in range(stats.J) if o not in prefix)
     return fixed_pair_cost(stats.Q, prefix) + lp_free_cost(stats.Q, free, min_pair_cost(stats.Q, free))
+
+
+# The Kemeny LP as it was built and solved one row, column and pivot row at a
+# time; kept verbatim so kemeny_lp's programs, optima and y can be compared
+# bit for bit.
+
+def reference_build_pair_lp(Q: np.ndarray, free) -> PairLP:
+    """Assemble the free-pair Kemeny LP for the given free objects."""
+    free = list(free)
+    pairs = list(itertools.combinations(free, 2))
+    index = {e: i for i, e in enumerate(pairs)}
+    n = len(pairs)
+    c = np.zeros(n)
+    constant = 0.0
+    for i, (u, v) in enumerate(pairs):
+        # pair cost: Q_uv + (Q_vu - Q_uv) * y_uv
+        constant += Q[u, v]
+        c[i] = Q[v, u] - Q[u, v]
+    rows = []
+    rhs = []
+    for i in range(n):
+        row = np.zeros(n)
+        row[i] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    for a, b, d in itertools.combinations(free, 3):
+        row = np.zeros(n)
+        row[index[(a, b)]] = 1.0
+        row[index[(b, d)]] = 1.0
+        row[index[(a, d)]] = -1.0
+        rows.append(row)       # y_ab + y_bd - y_ad <= 1
+        rhs.append(1.0)
+        rows.append(-row)      # y_ab + y_bd - y_ad >= 0
+        rhs.append(0.0)
+    A = np.array(rows) if rows else np.zeros((0, n))
+    return PairLP(pairs=tuple(pairs), c=c, A_ub=A, b_ub=np.array(rhs), constant=constant)
+
+
+def reference_solve_dense_lp(program: PairLP, max_pivots: int | None = None) -> tuple[float, np.ndarray]:
+    """Minimize the pair LP by dense primal simplex with Bland's rule.
+
+    The origin is feasible by construction (all right-hand sides are
+    non-negative), so no phase-1 is needed. Returns the optimum including the
+    program constant and the y vector. Raises SimplexError past the pivot
+    budget.
+    """
+    n = program.c.size
+    if n == 0:
+        return float(program.constant), np.zeros(0)
+    m = program.b_ub.size
+    if max_pivots is None:
+        max_pivots = 200 + 40 * (n + m)
+    # Tableau columns: n structural, m slacks, rhs. Basis starts at slacks.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = program.A_ub
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = program.b_ub
+    T[m, :n] = program.c
+    basis = list(range(n, n + m))
+    tol = 1e-11
+    for pivot_count in range(max_pivots + 1):
+        reduced = T[m, :n + m]
+        entering = -1
+        for j in range(n + m):  # Bland: smallest index with negative reduced cost
+            if reduced[j] < -tol:
+                entering = j
+                break
+        if entering < 0:
+            y = np.zeros(n)
+            for i, var in enumerate(basis):
+                if var < n:
+                    y[var] = T[i, -1]
+            return float(program.constant - T[m, -1]), y
+        col = T[:m, entering]
+        ratios = np.full(m, np.inf)
+        positive = col > tol
+        ratios[positive] = T[:m, -1][positive] / col[positive]
+        best = np.inf
+        leave = -1
+        for i in range(m):  # min ratio, ties by smallest basis variable index
+            r = ratios[i]
+            if r < best or (r == best and leave >= 0 and basis[i] < basis[leave]):
+                best = r
+                leave = i
+        if leave < 0:
+            raise SimplexError("unbounded pair LP (cannot happen for valid programs)")
+        piv = T[leave, entering]
+        T[leave, :] /= piv
+        for i in range(m + 1):
+            if i != leave and T[i, entering] != 0.0:
+                T[i, :] -= T[i, entering] * T[leave, :]
+        basis[leave] = entering
+    raise SimplexError(f"pivot budget exceeded after {max_pivots} pivots")
 
 
 # The search's child loop as it ran one child at a time, with scipy's Binomial

@@ -94,6 +94,8 @@ INGEST_ERRORS = {
     "scores header": ("judge\nj1\n", None, "{s}: expected header judge,<labels...>"),
     "rankings header": ("judge,a,b\nj1,1,2\n", "judge\nj1\n", "{r}: expected header judge,rank1,..."),
     "duplicate labels": ("judge,a,a\nj1,1,2\n", None, "{s}: duplicate object labels in header"),
+    "trailing blank label": ("judge,a,\nj1,1,2\n", None, "{s} column 3: blank object label in header"),
+    "middle blank label": ("judge,a, ,b\nj1,1,2,3\n", None, "{s} column 3: blank object label in header"),
     "cell count": ("judge,a,b\nj1,1\n", None, "{s} row 2: expected 2 score cells"),
     "off-lattice after a blank row": ("judge,a,b\n\nj1,1,1.5\n", None,
                                       "score 1.5 is not on the step-1 lattice ({s} row 3 column 3)"),
@@ -207,6 +209,14 @@ def test_fit_missing_file_is_input_error(tmp_path):
     code = main(["fit", "--scores", str(tmp_path / "nope.csv"),
                  "--scale-min", "0", "--scale-max", "5", "--scale-step", "1"])
     assert code == EXIT_INPUT
+
+
+def test_fit_rejects_a_blank_object_label(tmp_path, capsys):
+    # a trailing comma in a spreadsheet export must not add an object labelled ""
+    scores = write(tmp_path / "s.csv", "judge,a,\nj1,1,2\n")
+    code = main(["fit", "--scores", scores, "--scale-min", "0", "--scale-max", "3", "--scale-step", "1"])
+    assert code == EXIT_INPUT
+    assert f"{scores} column 3: blank object label in header" in capsys.readouterr().err
 
 
 def test_fit_requires_scale_max(tmp_path):

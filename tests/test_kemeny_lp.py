@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import crude_cost, lp_bound, min_pair_cost, random_dataset
-from mallows_binomial import compute_stats
+import mallows_binomial.kemeny_lp as klp
+from conftest import (
+    crude_cost,
+    lp_bound,
+    min_pair_cost,
+    random_dataset,
+    reference_build_pair_lp,
+    reference_solve_dense_lp,
+)
+from mallows_binomial import astar, compute_stats
 from mallows_binomial.kemeny_lp import SimplexError, build_pair_lp, solve_dense_lp
 from mallows_binomial.model import Dataset
 
@@ -157,3 +165,96 @@ def test_lp_free_cost_falls_back_to_crude(monkeypatch):
     with pytest.warns(RuntimeWarning, match="crude"):
         value = klp.lp_free_cost(Q, list(range(4)), min_pair_cost(Q, range(4)))
     assert value == pytest.approx(min_pair_cost(Q, range(4)), abs=1e-12)
+
+
+# The vectorized builder and simplex must do the loop versions' IEEE
+# operations on the same operands: the same program bits (signed zeros of the
+# negated triangle rows included), optimum bits, y bits and pivot count.
+
+def assert_same_program(program, reference):
+    assert program.pairs == reference.pairs
+    for name in ("c", "A_ub", "b_ub"):
+        ours, ref = getattr(program, name), getattr(reference, name)
+        assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), name
+    assert float(program.constant).hex() == float(reference.constant).hex()
+
+
+def assert_same_solution(Q, free, max_pivots=None):
+    """The vectorized build and solve of a program against the reference's:
+    both raise SimplexError, or both return the same bits. Returns whether
+    they returned."""
+    reference = reference_build_pair_lp(Q, free)
+    built = build_pair_lp(Q, free)
+    assert_same_program(built, reference)
+    try:
+        expected = reference_solve_dense_lp(reference, max_pivots)
+    except SimplexError:
+        with pytest.raises(SimplexError):
+            solve_dense_lp(built, max_pivots)
+        return False
+    optimum, y = solve_dense_lp(built, max_pivots)
+    assert optimum.hex() == expected[0].hex()
+    assert y.tobytes() == expected[1].tobytes()
+    return True
+
+
+def seeded_programs():
+    """(Q, free) with k = 3..8 free objects out of k + 2, four kinds of Q
+    each: continuous, exact ties (quarters), a Condorcet cycle over ties, and
+    zeros."""
+    rng = np.random.default_rng(29)
+    for k in range(3, 9):
+        J = k + 2
+        free = sorted(rng.choice(J, size=k, replace=False).tolist())
+        ties = rng.integers(0, 5, size=(J, J)) / 4.0
+        np.fill_diagonal(ties, 0.0)
+        cycle = np.full((J, J), 0.5)
+        for i in range(k):
+            a, b = free[i], free[(i + 1) % k]
+            cycle[a, b], cycle[b, a] = 1.0, 0.0
+        np.fill_diagonal(cycle, 0.0)
+        for Q in (random_Q(rng, J), ties, cycle, np.zeros((J, J))):
+            yield Q, free
+
+
+def test_solver_matches_reference_bit_for_bit():
+    for Q, free in seeded_programs():
+        assert assert_same_solution(Q, free)
+
+
+def test_pivot_budget_matches_reference():
+    # The reference needs P pivots: both solvers raise at max_pivots P - 1
+    # and both return the same bits at P.
+    for Q, free in seeded_programs():
+        lo, hi = 0, 10_000  # the reference raises at lo - 1 and succeeds at hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                reference_solve_dense_lp(reference_build_pair_lp(Q, free), mid)
+                hi = mid
+            except SimplexError:
+                lo = mid + 1
+        if lo > 0:
+            assert not assert_same_solution(Q, free, lo - 1)
+        assert assert_same_solution(Q, free, lo)
+
+
+def test_every_search_lp_matches_reference(monkeypatch):
+    solved = []
+    real = klp.solve_dense_lp
+
+    def recorded(program, max_pivots=None):
+        solved.append(program)
+        return real(program, max_pivots)
+
+    monkeypatch.setattr(klp, "solve_dense_lp", recorded)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        stats = compute_stats(random_dataset(rng, J=int(rng.integers(5, 8))))
+        start = len(solved)
+        astar(stats, heuristic="lp")
+        for program in solved[start:]:
+            free = sorted({o for pair in program.pairs for o in pair})
+            assert_same_program(program, reference_build_pair_lp(stats.Q, free))
+            assert assert_same_solution(stats.Q, free)
+    assert len(solved) > 100

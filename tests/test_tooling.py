@@ -16,7 +16,7 @@ import pytest
 
 import mallows_binomial
 from conftest import random_dataset
-from mallows_binomial import Parameters, astar, cli, compute_stats, fitting, inference
+from mallows_binomial import Parameters, astar, cli, compute_stats, fitting, inference, kemeny_lp, search
 from mallows_binomial.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +50,21 @@ def test_traced_theta_layer_is_reached(monkeypatch):
     astar(compute_stats(ds))
     # with the memo cold, the search bounds solve; the final fit reads their memo
     assert calls["fit_theta"] > 1 and calls["_expected_distance_total"] > 0, calls
+
+
+def test_traced_lp_layers_are_reached(monkeypatch):
+    # Patched on their modules the way the tracer patches them: an exact-lp
+    # search that stopped resolving these names there would leave
+    # kemeny_lp.lp.* and kemeny_lp.simplex.* at 0.
+    calls = Counter()
+    for module, attr in ((search, "lp_free_cost"), (kemeny_lp, "solve_dense_lp")):
+        def counted(*args, _attr=attr, _original=getattr(module, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    ds = random_dataset(np.random.default_rng(8), J=6, I=8)
+    inference.fit_method(ds, "exact-lp")
+    assert calls["lp_free_cost"] > 0 and calls["solve_dense_lp"] == calls["lp_free_cost"], calls
 
 
 def test_benchmark_checker_api_recomputes_a_fit(tmp_path):
