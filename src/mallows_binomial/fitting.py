@@ -165,18 +165,19 @@ def fit_theta(
 
 @lru_cache(maxsize=4096)
 def _scale_fit(mean_distance: float, profile: tuple[int, ...],
-               theta_max: float) -> tuple[float | None, str, float]:
-    """(theta, flag) = fit_theta(mean_distance, profile, theta_max) for a
-    resolved cap theta_max, and g = theta * (mean_distance * n) + log psi
-    summed over the n judges of the profile, the scale part of f that the
-    searches bound; (None, "undefined", 0.0) when there are no rankings.
-    One memo serves every bound, order screen and conditional fit; keyed on
-    the O(J) profile, not the judges, it holds at most 4096 * O(J) values."""
+               theta_max: float) -> tuple[float | None, str, float, float]:
+    """(theta, flag, g, log psi): fit_theta(mean_distance, profile, theta_max)
+    for a resolved cap, log psi = log_psi_total(theta, profile) and g = theta
+    * (mean_distance * n) + log psi, the scale part of f that the searches
+    bound; (None, "undefined", 0.0, 0.0) when there are no rankings. One memo
+    serves every bound, order screen and conditional fit; keyed on the O(J)
+    profile, not the judges, it holds at most 4096 * O(J) values."""
     n = sum(profile)
     if not n:
-        return None, "undefined", 0.0
+        return None, "undefined", 0.0, 0.0
     theta, flag = fit_theta(mean_distance, profile, theta_max)
-    return theta, flag, float(theta * (mean_distance * n) + log_psi_total(theta, profile))
+    log_psi = log_psi_total(theta, profile)
+    return theta, flag, float(theta * (mean_distance * n) + log_psi), log_psi
 
 
 def _pava(stack: list[tuple[float, float, int]], v: float, w: float) -> int:
@@ -209,12 +210,37 @@ def _binomial_term(stats: SufficientStats, j: int, p_j: float) -> float:
     return term
 
 
+def _row_sum(values: Sequence[float]) -> float:
+    """np.array(values).sum() of a list of floats, bit for bit, as numpy sums
+    any C-contiguous float64 row: pairwise, added to the identity 0.0 (a row
+    of -0.0 sums to +0.0). Below 8 values a loop from 0.0; to 128, eight
+    accumulators seeded by the first eight take the whole blocks of 8 and
+    pair as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest is added in
+    order; longer rows sum halves split at n//2 less its remainder mod 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0  # from +0.0, never -0.0: adding the identity changes no bit
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        # 0.0 + x changes only a zero's sign, so each half may carry it
+        half = n // 2 - n // 2 % 8
+        return _row_sum(values[:half]) + _row_sum(values[half:])
+    stop, r = n - n % 8, list(values[:8])
+    for i in range(8, stop, 8):
+        r = [acc + v for acc, v in zip(r, values[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[stop:]:
+        total += v
+    return 0.0 + total
+
+
 def _binomial_costs(stats: SufficientStats, fits: Sequence[np.ndarray]) -> list[float]:
     """Negative Binomial loglikelihood, less its coefficients, of each quality
-    vector in fits: minus the row sum of its per-object terms. The rows of one
-    matrix are summed as numpy sums one vector."""
-    rows = [[_binomial_term(stats, j, p_j) for j, p_j in enumerate(p.tolist())] for p in fits]
-    return (-np.array(rows).sum(axis=1)).tolist()
+    vector in fits: minus the row sum of its per-object terms, summed as
+    numpy sums the row."""
+    return [-_row_sum([_binomial_term(stats, j, p_j) for j, p_j in enumerate(p.tolist())]) for p in fits]
 
 
 class _NodePricer:
@@ -228,7 +254,7 @@ class _NodePricer:
     singleton at its own q, because the tail is sorted. Each child's row is
     the prefix's template (chain terms at the stack's values, tail terms at
     their own q, 0 for unobserved objects) with only the entries of re-pooled
-    blocks replaced, and is summed as numpy sums it as a matrix row.
+    blocks replaced, and is summed by _row_sum.
     A pricer is built for the root and derived object by object down the
     tree; PAVA pushes one value at a time, so a derived stack and template
     are those a build from the whole prefix would give."""
@@ -287,7 +313,7 @@ class _NodePricer:
             for j in members[start:start + span]:
                 row[j] = _binomial_term(stats, j, v)
             start += span
-        return float(-np.array(row).sum())
+        return -_row_sum(row)
 
 
 def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:
@@ -359,20 +385,24 @@ def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None
     stats = compute_stats(data) if isinstance(data, Dataset) else data
     if M is not None and M != stats.M:
         raise ValueError(f"M={M} disagrees with the data's score scale M={stats.M}")
-    d_mean = None
+    if params.J != stats.J:
+        raise ValueError(f"parameters hold {params.J} objects, the data J={stats.J}")
+    d_mean = log_psi = None
     if stats.n_rankers:
         if params.theta is None:
             raise ValueError("rankings present but parameters carry no theta")
         d_mean = mean_kendall_distance(stats, params.consensus_order)
-    return _objective(stats, _binomial_costs(stats, [params.p])[0], params.theta, d_mean)
+        log_psi = log_psi_total(params.theta, stats.length_profile)
+    return _objective(stats, _binomial_costs(stats, [params.p])[0], params.theta, d_mean, log_psi)
 
 
-def _objective(stats: SufficientStats, binomial: float, theta: float | None, d_mean: float | None) -> float:
-    # objective from the Binomial cost of p, theta and the mean Kendall
-    # distance of the rankings to the consensus order
+def _objective(stats: SufficientStats, binomial: float, theta: float | None, d_mean: float | None,
+               log_psi: float | None) -> float:
+    # objective from the Binomial cost of p, theta, the mean Kendall distance
+    # of the rankings to the consensus order and log psi at theta
     if not stats.n_rankers:
         return float(binomial)
-    return float(binomial + theta * d_mean * stats.n_rankers + log_psi_total(theta, stats.length_profile))
+    return float(binomial + theta * d_mean * stats.n_rankers + log_psi)
 
 
 class ConditionalFit(NamedTuple):
@@ -401,10 +431,10 @@ def _conditional_fit(stats: SufficientStats, order: Ranking, p: np.ndarray, d_me
     """The conditional fit of a permutation from its p fit, its mean Kendall
     distance and the Binomial cost of p: the theta solve is all that is left,
     and it is read from the scale-fit memo, which the search that found the
-    order has mostly filled. Every conditional fit is built here, so its
-    value is the objective's."""
-    theta, flag = None, "undefined"
+    order has mostly filled, with log psi at that theta. Every conditional
+    fit is built here, so its value is the objective's."""
+    theta, flag, log_psi = None, "undefined", None
     if stats.n_rankers:
-        theta, flag, _ = _scale_fit(d_mean, stats.length_profile, _theta_cap(stats.J, theta_max))
+        theta, flag, _, log_psi = _scale_fit(d_mean, stats.length_profile, _theta_cap(stats.J, theta_max))
     params = Parameters(p=p, theta=theta, consensus_order=order, theta_at_cap=flag == "cap")
-    return ConditionalFit(params, _objective(stats, binomial, theta, d_mean), flag)
+    return ConditionalFit(params, _objective(stats, binomial, theta, d_mean, log_psi), flag)

@@ -251,11 +251,12 @@ def bootstrap(
     point = fit_method(dataset, method, theta_max=theta_max, node_budget=node_budget,
                        candidate_cap=candidate_cap, rng=np.random.default_rng([seed, B]))
     tasks = [(dataset, method, theta_max, node_budget, candidate_cap, seed, rep) for rep in range(B)]
-    if n_jobs > 1:
+    workers = min(n_jobs, B)  # a fork pool starts every worker at its first submit
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only when a pool runs
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            raw = list(pool.map(_bootstrap_replicate, tasks, chunksize=max(1, B // (4 * n_jobs))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(_bootstrap_replicate, tasks, chunksize=max(1, B // (4 * workers))))
     else:
         raw = [_bootstrap_replicate(t) for t in tasks]
 

@@ -93,6 +93,5 @@ def average_ranks(dataset: "Dataset") -> tuple[np.ndarray | None, np.ndarray | N
             # midranks: the values below, plus the mean of 1..m over a tie of m
             total[observed] += (x[:, None] > x).sum(1) + ((x[:, None] == x).sum(1) + 1) / 2
             count[observed] += 1
-        with np.errstate(invalid="ignore"):
-            from_scores = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+        from_scores = np.where(count > 0, total / np.maximum(count, 1), np.nan)
     return from_rankings, from_scores

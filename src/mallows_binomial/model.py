@@ -132,13 +132,14 @@ class Parameters:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if not np.all((p >= 0) & (p <= 1)):  # NaN fails both tests
+        values = p.tolist()  # Python floats: the float64 tests without numpy's per-call cost
+        if not all(0 <= v <= 1 for v in values):  # NaN fails both tests
             raise ValueError("quality values must lie in [0, 1]")
         order = tuple(int(o) for o in self.consensus_order)
         if sorted(order) != list(range(p.size)):
             raise ValueError("consensus_order is not a permutation of the objects")
-        sorted_p = p[list(order)]
-        if np.any(np.diff(sorted_p) < -1e-12):
+        sorted_p = [values[o] for o in order]
+        if any(b - a < -1e-12 for a, b in zip(sorted_p, sorted_p[1:])):  # np.diff's b - a
             raise ValueError("p is not non-decreasing along consensus_order")
         if self.theta is not None and not 0 < self.theta < np.inf:
             raise ValueError("theta must be positive and finite")
@@ -328,8 +329,7 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
     weights = np.bincount(rows, minlength=I).astype(float)
     count = weights @ table.observed
     sums = weights @ table.filled
-    with np.errstate(invalid="ignore"):
-        mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
+    mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
     ranker_weights = weights[table.rankers]
     wins = (ranker_weights @ table.beats).reshape(J, J)
     n_rankers = int(ranker_weights.sum())

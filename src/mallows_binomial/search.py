@@ -25,6 +25,7 @@ from .fitting import (
     _conditional_fit,
     _fit_p_core,
     _NodePricer,
+    _row_sum,
     _scale_fit,
     _theta_cap,
     fit_given_order,
@@ -37,6 +38,7 @@ DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_CANDIDATE_CAP = 1024
 BRUTE_CAP = 7
 MAX_LOCAL_ROUNDS = 100  # greedy_local's cap on improvement rounds
+BLOCK_CELLS = 64  # children whose cost rows hold this many entries are summed as one numpy block
 
 
 class BruteForceCapExceeded(DegenerateDataError):
@@ -114,6 +116,7 @@ class _SearchContext:
         self.col_total = stats.Q.sum(axis=0)
         self.mmin = np.minimum(stats.Q, stats.Q.T)
         self.root_free_min = float(self.mmin.take(_upper_triangle(self.J)).sum())
+        self.lists = self.QT.tolist(), self.mmin.tolist(), self.col_total.tolist()  # for small nodes
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
     def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...]) -> float:
@@ -135,14 +138,20 @@ class _SearchContext:
         node, in object order.
 
         A child adds its column of Q, less the prefix rows, to the fixed cost and
-        drops its free pairs' minima from the free cost. Both are row sums of
-        C-contiguous child x object blocks, which numpy sums row by row as it
-        sums each row alone."""
+        drops its free pairs' minima, its own diagonal 0 included, from the free
+        cost. Both are row sums of a C-contiguous child x object block, which
+        numpy sums as it sums each row alone: one numpy call from BLOCK_CELLS
+        entries (children x J) up, below it _row_sum on Python lists, faster there."""
         free = tuple(o for o in range(self.J) if o not in prefix)
-        children = np.array(free)
-        rows = children[:, None]
-        fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
-        free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()  # mmin[c, c] = 0
+        if len(free) * self.J < BLOCK_CELLS:
+            QT, mmin, col_total = self.lists
+            fixed_c = [fixed + col_total[c] - _row_sum([QT[c][u] for u in prefix]) for c in free]
+            free_min_c = [free_min - _row_sum([mmin[c][v] for v in free]) for c in free]
+        else:
+            children = np.array(free)
+            rows = children[:, None]
+            fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
+            free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()
         lp = self.heuristic == "lp"
         return [(self.theta_part(fixed_c[i], free_min_c[i], free[:i] + free[i + 1:] if lp else ()),
                  prefix + (child,), fixed_c[i], free_min_c[i]) for i, child in enumerate(free)]

@@ -367,6 +367,45 @@ def test_objective_checks_a_given_M():
             objective(data, params, M=stats.M + 1)
 
 
+def test_objective_rejects_parameters_of_another_size():
+    # One object too few read an unset slot of the position array, one too
+    # many indexed past it; both name the two sizes now.
+    stats = compute_stats(random_dataset(np.random.default_rng(16), J=4, I=6, R=4))
+    for J in (3, 5):
+        params = Parameters(p=np.linspace(0.2, 0.8, J), theta=1.0, consensus_order=tuple(range(J)))
+        with pytest.raises(ValueError, match=f"parameters hold {J} objects, the data J=4"):
+            objective(stats, params)
+
+
+def test_row_sum_matches_numpy_bitwise():
+    # numpy's pairwise order at every length to 300 (the left-to-right loop
+    # below 8, the eight accumulators and their remainder to 128, the split
+    # above), as ndarray.sum() and as each row of a C-contiguous block:
+    # magnitudes over 1e+-8, signed zeros, infinities and NaN
+    rng = np.random.default_rng(17)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for n in range(301):
+            for kind in range(5):
+                for _ in range(4):
+                    if kind == 0:
+                        row = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+                    elif kind == 1:
+                        row = np.full(n, -0.0)
+                    elif kind == 2:
+                        row = rng.choice([-0.0, 0.0, 1e8, -1e8, 1e-8, -1e-8, 0.1], n)
+                    elif kind == 3:
+                        row = rng.standard_normal(n)
+                        hits = min(n, 2)
+                        row[rng.integers(n, size=hits) if n else []] = rng.choice([np.inf, -np.inf, np.nan], hits)
+                    else:
+                        row = rng.uniform(size=n) * 10.0 ** rng.integers(-8, 9)
+                    block = np.ascontiguousarray([row, rng.permutation(row)])
+                    for values, block_sum in zip(block, block.sum(axis=1)):
+                        got = np.float64(fitting._row_sum(values.tolist())).tobytes()
+                        assert got == values.sum().tobytes() == block_sum.tobytes(), (n, kind, values)
+    assert fitting._row_sum([-0.0] * 3).hex() == fitting._row_sum([-0.0] * 200).hex() == "0x0.0p+0"
+
+
 # ---------------------------------------------------------------------------
 # fit_given_order
 # ---------------------------------------------------------------------------

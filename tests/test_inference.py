@@ -49,6 +49,38 @@ def test_bootstrap_deterministic_and_schedule_independent():
     assert np.array_equal(a.rank_intervals, b.rank_intervals)
 
 
+def test_bootstrap_pool_has_at_most_one_worker_per_replicate(monkeypatch):
+    # A fork pool starts every worker at its first submit, so more workers
+    # than replicates would be idle processes. A stand-in executor records
+    # the size asked for and maps serially: no process starts.
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    ds = random_dataset(np.random.default_rng(13), J=4, I=8)
+    serial = bootstrap(ds, B=4, seed=5)
+    for n_jobs, B, workers in ((64, 4, 4), (3, 4, 3), (8, 1, None)):
+        pooled = bootstrap(ds, B=B, seed=5, n_jobs=n_jobs)
+        assert (sizes.pop() if sizes else None) == workers
+        assert pooled.replicate_p.tobytes() == serial.replicate_p[:B].tobytes()
+        assert pooled.replicate_theta.tobytes() == serial.replicate_theta[:B].tobytes()
+    assert not sizes
+
+
 def test_bootstrap_replicates_equal_fits_of_resampled_panels():
     # A replicate is fit_method(judges=idx): the weighted judge rows, or for
     # fv and the comparison models the resampled Dataset. Either way it must

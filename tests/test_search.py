@@ -583,14 +583,46 @@ def test_conditional_fit_reads_the_search_solve(monkeypatch):
     assert memoized_finals > 0
 
 
+def test_conditional_fit_values_equal_the_objective_bitwise():
+    # A conditional fit adds the log psi its scale fit memoized, where
+    # objective() computes its own: every method's f_value is still the
+    # objective at its parameters, bit for bit, with the memo cold and warm.
+    rng = np.random.default_rng(78)
+    methods = {"astar": lambda stats, ds, cap: astar(stats, theta_max=cap),
+               "greedy": lambda stats, ds, cap: greedy(stats, theta_max=cap),
+               "greedy_local": lambda stats, ds, cap: greedy_local(stats, theta_max=cap),
+               "fv": lambda stats, ds, cap: fv(stats, ds, theta_max=cap),
+               "brute_force": lambda stats, ds, cap: brute_force(stats, theta_max=cap)}
+    flags = set()
+    for case in range(8):
+        kind, J = ("full", "top-R", "scores", "rankings")[case % 4], 4 + case % 3
+        ds = random_dataset(rng, J=J, I=7, R=3 if kind == "top-R" else J, theta=0.6, missing_scores=0.1)
+        if kind == "scores":
+            ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=(None,) * ds.I)
+        elif kind == "rankings":
+            ds = Dataset(J=J, M=ds.M, scores=np.full(ds.scores.shape, np.nan), rankings=ds.rankings)
+        stats = compute_stats(ds)
+        for theta_max in (None, 0.5):
+            for name, method in methods.items():
+                fitting._scale_fit.cache_clear()
+                cold, warm = method(stats, ds, theta_max), method(stats, ds, theta_max)
+                for fit in (cold, warm):
+                    assert fit.f_value.hex() == objective(stats, fit.params).hex(), (case, kind, theta_max, name)
+                assert cold.f_value.hex() == warm.f_value.hex()
+                flags.add(cold.theta_flag)
+    assert flags == {"interior", "cap", "undefined"}, flags
+
+
 def test_theta_memo_has_a_fixed_size():
     size = fitting._scale_fit.cache_info().maxsize
     assert size is not None
     fitting._scale_fit.cache_clear()
     profile = (1, 2)  # judges' lengths 2, 2 and 1
     for k in range(size + 10):
-        fitting._scale_fit(0.01 * k, profile, 4.0)
+        theta, flag, g, log_psi = fitting._scale_fit(0.01 * k, profile, 4.0)
+        assert log_psi == fitting.log_psi_total(theta, profile)
     assert fitting._scale_fit.cache_info().currsize == size
+    assert fitting._scale_fit(0.0, (0, 0), 4.0) == (None, "undefined", 0.0, 0.0)
     fitting._scale_fit.cache_clear()
 
 
