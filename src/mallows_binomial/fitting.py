@@ -18,6 +18,9 @@ from .special import xlog1py, xlogy
 
 THETA_FLOOR = 1e-8
 _TERM_MEMO_SIZE = 4096  # Binomial terms a SufficientStats keeps per object
+# fit_theta's step limit: halving (THETA_FLOOR, cap) below 1e-12 takes about
+# 1,070 steps at the largest finite cap, so every finite cap converges within it.
+_THETA_STEPS = 2200
 
 
 def default_theta_max(J: int) -> float:
@@ -118,7 +121,8 @@ def fit_theta(
     solves are safeguarded Newton steps, each taking E[d] and Var[d] from one
     pass; the floor and cap tests read E[d] at both ends from a cache keyed
     on (length profile, theta_max). A cap outside (THETA_FLOOR, inf) or a
-    negative or non-finite distance raises ValueError.
+    negative or non-finite distance raises ValueError, and a solve still
+    unconverged after _THETA_STEPS steps RuntimeError.
 
     The result is a function of the bits of (mean_distance, the profile,
     cap) alone, and each step's numpy operations are fixed element for
@@ -143,7 +147,7 @@ def fit_theta(
     lo, hi = THETA_FLOOR, theta_max
     theta = 0.5 * (lo + hi)
     with np.errstate(over="ignore"):
-        for _ in range(200):
+        for _ in range(_THETA_STEPS):
             mean, curv = _expected_distance_total(theta, levels)
             h = total - mean
             if h > 0:
@@ -160,6 +164,8 @@ def fit_theta(
                 theta = nxt
                 break
             theta = nxt
+        else:
+            raise RuntimeError(f"theta solve did not converge in {_THETA_STEPS} steps (cap {theta_max})")
     return float(theta), "interior"
 
 

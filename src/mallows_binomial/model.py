@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,35 +85,25 @@ class Dataset:
         return self.scores.shape[0]
 
     @cached_property
-    def _judge_table(self) -> "_JudgeTable":
-        """Per-judge rows compute_stats weights: built once per panel, I*J
-        floats twice and the rankers' pair orders as I*J*J bools."""
+    def _judge_table(self) -> np.ndarray:
+        """The per-judge rows compute_stats weights, built once per panel as
+        one C-contiguous (I, 3J + J*J) float table. Row i holds judge i's
+        observed flags, its scores with missing cells 0, a one-hot of its
+        ranking length over 1..J, and 1 at 3J + u*J + v where its ranking
+        places u strictly above v; a judge without a ranking has 0 in both."""
+        I, J = self.I, self.J
         observed = ~np.isnan(self.scores)
-        rankers, positions = [], []
+        # Unranked objects share position J: below every ranked one, tied among themselves.
+        positions, lengths = [[J] * J for _ in range(I)], [0] * I
         for i, ranking in enumerate(self.rankings):
             if ranking is not None:
-                # Unranked objects share position J: below every ranked one, tied among themselves.
-                row = [self.J] * self.J
                 for place, obj in enumerate(ranking):
-                    row[obj] = place
-                rankers.append(i)
-                positions.append(row)
-        positions = np.array(positions, dtype=int).reshape(len(rankers), self.J)
-        return _JudgeTable(
-            observed=observed.astype(float),
-            filled=np.where(observed, self.scores, 0.0),
-            rankers=np.array(rankers, dtype=int),
-            beats=(positions[:, :, None] < positions[:, None, :]).reshape(len(rankers), self.J * self.J),
-            lengths=np.array([0 if r is None else len(r) for r in self.rankings], dtype=int),
-        )
-
-
-class _JudgeTable(NamedTuple):
-    observed: np.ndarray   # (I, J) 1.0 where a score is observed
-    filled: np.ndarray     # (I, J) scores with missing cells set to 0
-    rankers: np.ndarray    # indices of the judges that rank
-    beats: np.ndarray      # (n_rankers, J*J) bool: the ranker places u strictly above v at u*J + v
-    lengths: np.ndarray    # (I,) ranking length, 0 without a ranking
+                    positions[i][obj] = place
+                lengths[i] = len(ranking)
+        positions = np.array(positions)
+        one_hot = np.array(lengths)[:, None] == np.arange(1, J + 1)
+        beats = (positions[:, :, None] < positions[:, None, :]).reshape(I, J * J)
+        return np.hstack([observed, np.where(observed, self.scores, 0.0), one_hot, beats], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -204,16 +194,19 @@ class SufficientStats:
         object.__setattr__(self, "mean_score", mean)
         object.__setattr__(self, "score_count", count)
         object.__setattr__(self, "Q", _frozen_array(self.Q))
-        seen = count > 0
-        q = tuple(np.where(seen, mean / self.M, 0.0).tolist())
+        # Python floats from the arrays: the IEEE operations numpy would run, without its per-call cost
+        M, means, counts = int(self.M), mean.tolist(), count.tolist()
+        seen = [c > 0 for c in counts]
+        q = tuple(m / M if s else 0.0 for m, s in zip(means, seen))
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "q_weight", tuple((count * self.M).tolist()))
-        object.__setattr__(self, "observed", tuple(seen.tolist()))
+        object.__setattr__(self, "q_weight", tuple(c * M for c in counts))
+        object.__setattr__(self, "observed", tuple(seen))
         # a stable sort of ascending indices: ties in q keep j order
-        object.__setattr__(self, "by_q", tuple(sorted(np.flatnonzero(seen).tolist(), key=q.__getitem__)))
-        object.__setattr__(self, "unobserved", tuple(np.flatnonzero(~seen).tolist()))
-        object.__setattr__(self, "a", _frozen_array(count * np.where(seen, mean, 0.0)))
-        object.__setattr__(self, "b", _frozen_array(count * np.where(seen, self.M - mean, 0.0)))
+        object.__setattr__(self, "by_q", tuple(sorted((j for j in range(self.J) if seen[j]), key=q.__getitem__)))
+        object.__setattr__(self, "unobserved", tuple(j for j in range(self.J) if not seen[j]))
+        columns = list(zip(counts, means, seen))
+        object.__setattr__(self, "a", _frozen_array([c * (m if s else 0.0) for c, m, s in columns]))
+        object.__setattr__(self, "b", _frozen_array([c * (M - m if s else 0.0) for c, m, s in columns]))
         object.__setattr__(self, "binomial_terms", tuple({} for _ in range(self.J)))
 
 
@@ -314,33 +307,38 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
     (unranked objects sit below all ranked ones; unranked pairs contribute
     nothing); the denominator is the number of ranking-providing judges.
 
-    judges, when given, selects the panel made of those judge rows, repeats
-    included (a bootstrap resample): each judge's row enters weighted by how
-    often it is drawn. Every sum is of integer-valued floats, so the result
-    is bitwise that of the Dataset built from those rows, however many rows
-    weigh 0. The per-judge rows are cached on the dataset at the first call:
-    its scores and counts as I*J floats, and each ranker's pair orders as
-    I*J*J bools, so a call only weights them.
+    judges, when given, a 1-D sequence of integer indices in [0, I), selects
+    the panel made of those judge rows, repeats included (a bootstrap
+    resample): each judge's row enters weighted by how often it is drawn.
+    The per-judge rows are cached on the dataset at the first call
+    (Dataset._judge_table), so a call is one bincount, one weighted product
+    of that table and Python floats. Every sum in the product adds
+    integer-valued floats, so it is exact in any order, and the result is
+    bitwise that of the Dataset built from those rows, however many rows
+    weigh 0.
     """
     J, I, table = dataset.J, dataset.I, dataset._judge_table
-    rows = np.arange(I) if judges is None else np.asarray(judges, dtype=int).reshape(-1)
-    if rows.size and not (0 <= rows.min() and rows.max() < I):
-        raise ValueError(f"judge indices must lie in [0, {I})")
-    weights = np.bincount(rows, minlength=I).astype(float)
-    count = weights @ table.observed
-    sums = weights @ table.filled
-    mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
-    ranker_weights = weights[table.rankers]
-    wins = (ranker_weights @ table.beats).reshape(J, J)
-    n_rankers = int(ranker_weights.sum())
-    if not count.any() and not n_rankers:
+    if judges is None:
+        weights = np.ones(I)
+    else:
+        rows = np.asarray(judges)
+        if rows.ndim != 1 or rows.size and rows.dtype.kind not in "iu":
+            raise ValueError(f"judges must be a 1-D sequence of integer indices, got {judges!r}")
+        if rows.size and not (0 <= rows.min() and rows.max() < I):
+            raise ValueError(f"judge indices must lie in [0, {I})")
+        weights = np.bincount(rows.astype(np.intp, copy=False), minlength=I).astype(float)
+    totals = np.dot(weights, table)
+    count, sums, lengths = totals[:3 * J].reshape(3, J).tolist()
+    profile = tuple(int(n) for n in lengths)
+    n_rankers = sum(profile)
+    if not any(count) and not n_rankers:
         raise DegenerateDataError("dataset holds neither scores nor rankings")
-    Q = wins / n_rankers if n_rankers else wins
+    wins = totals[3 * J:].reshape(J, J)
     return SufficientStats(
         J=J,
         M=dataset.M,
-        mean_score=mean,
+        mean_score=[s / c if c > 0 else np.nan for s, c in zip(sums, count)],
         score_count=count,
-        Q=Q,
-        length_profile=tuple(np.bincount(table.lengths[rows], minlength=J + 1)[1:].tolist()),
+        Q=wins / n_rankers if n_rankers else wins,
+        length_profile=profile,
     )

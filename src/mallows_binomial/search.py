@@ -116,7 +116,7 @@ class _SearchContext:
         self.col_total = stats.Q.sum(axis=0)
         self.mmin = np.minimum(stats.Q, stats.Q.T)
         self.root_free_min = float(self.mmin.take(_upper_triangle(self.J)).sum())
-        self.lists = self.QT.tolist(), self.mmin.tolist(), self.col_total.tolist()  # for small nodes
+        self.lists = self.QT.tolist(), self.Q.tolist(), self.mmin.tolist(), self.col_total.tolist()  # for small nodes
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
     def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...]) -> float:
@@ -133,28 +133,51 @@ class _SearchContext:
         # L sums non-negative costs, but its incremental update can round a zero below it.
         return _scale_fit(max(fixed + free_min, 0.0), self.stats.length_profile, self.theta_max)[2]
 
-    def children(self, prefix: Ranking, fixed: float, free_min: float):
-        """(theta part, child prefix, fixed, free_min) of every child of a
-        node, in object order.
+    def children(self, prefix: Ranking, fixed: float, free_min: float, carry: list[float] | None, floor: float,
+                 pricer: _NodePricer, counter) -> list[tuple]:
+        """The heap entries of every child of a node, in object order: (theta
+        part + floor, next(counter), child prefix, fixed, free_min, the node's
+        cross, theta part, None, pricer), the lazy entry of _best_first.
 
         A child adds its column of Q, less the prefix rows, to the fixed cost and
         drops its free pairs' minima, its own diagonal 0 included, from the free
-        cost. Both are row sums of a C-contiguous child x object block, which
-        numpy sums as it sums each row alone: one numpy call from BLOCK_CELLS
-        entries (children x J) up, below it _row_sum on Python lists, faster there."""
+        cost. Both are row sums, bit for bit as numpy sums each row alone: one
+        numpy call on a C-contiguous child x object block from BLOCK_CELLS
+        entries (children x J) up, below it Python floats, faster there. A
+        row of under 8 values numpy sums from 0.0 left to right (_row_sum), so
+        such a node with under 8 objects placed holds cross[c], that sum of
+        QT[c] over its prefix, for every c: its parent's cross (carry) plus
+        the row of Q of its last object, or summed anew when carry is None.
+        Its free rows (free^2 <= free*J < BLOCK_CELLS) are that loop, inline."""
         free = tuple(o for o in range(self.J) if o not in prefix)
+        cross = None
         if len(free) * self.J < BLOCK_CELLS:
-            QT, mmin, col_total = self.lists
-            fixed_c = [fixed + col_total[c] - _row_sum([QT[c][u] for u in prefix]) for c in free]
-            free_min_c = [free_min - _row_sum([mmin[c][v] for v in free]) for c in free]
+            QT, Q, mmin, col_total = self.lists
+            if len(prefix) < 8:
+                cross = ([total + q for total, q in zip(carry, Q[prefix[-1]])] if carry else
+                         [_row_sum([row[u] for u in prefix]) for row in QT])
+                fixed_c = [fixed + col_total[c] - cross[c] for c in free]
+            else:
+                fixed_c = [fixed + col_total[c] - _row_sum([QT[c][u] for u in prefix]) for c in free]
+            free_min_c = []
+            for c in free:
+                row, total = mmin[c], 0.0
+                for v in free:
+                    total += row[v]
+                free_min_c.append(free_min - total)
         else:
             children = np.array(free)
             rows = children[:, None]
             fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
             free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()
-        lp = self.heuristic == "lp"
-        return [(self.theta_part(fixed_c[i], free_min_c[i], free[:i] + free[i + 1:] if lp else ()),
-                 prefix + (child,), fixed_c[i], free_min_c[i]) for i, child in enumerate(free)]
+        if self.heuristic == "lp":
+            theta_parts = [self.theta_part(f, m, free[:i] + free[i + 1:])
+                           for i, (f, m) in enumerate(zip(fixed_c, free_min_c))]
+        else:
+            profile, cap = self.stats.length_profile, self.theta_max
+            theta_parts = [_scale_fit(max(f + m, 0.0), profile, cap)[2] for f, m in zip(fixed_c, free_min_c)]
+        return [(t + floor, next(counter), prefix + (c,), f, m, cross, t, None, pricer)
+                for c, f, m, t in zip(free, fixed_c, free_min_c, theta_parts)]
 
 
 def _lazy_floor(cost: float) -> float:
@@ -187,47 +210,46 @@ def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, 
     counter) is returned, lazy ones priced then; order is None when no
     terminal was generated."""
     J = ctx.J
-    # An entry is (key, counter, prefix, fixed, free_min, theta part, cost,
-    # the parent's pricer); a lazy one has no cost yet.
+    # An entry is (key, counter, prefix, fixed, free_min, the parent's cross
+    # or None, theta part, cost, the parent's pricer); a lazy one has no cost yet.
     heap: list[tuple] = []
     counter = itertools.count()
     nodes = cands = 0
 
-    def expand(prefix: Ranking, fixed: float, free_min: float, pricer: _NodePricer, cost: float):
+    def expand(prefix: Ranking, fixed: float, free_min: float, carry, pricer: _NodePricer, cost: float):
         nonlocal nodes, cands
         if greedy:
             heap.clear()
-        floor = _lazy_floor(cost)
-        for theta_part, child_prefix, fixed_c, free_min_c in ctx.children(prefix, fixed, free_min):
-            cands += 1
-            heapq.heappush(heap, (theta_part + floor, next(counter), child_prefix, fixed_c, free_min_c, theta_part,
-                                  None, pricer))
+        entries = ctx.children(prefix, fixed, free_min, carry, _lazy_floor(cost), pricer, counter)
+        for entry in entries:
+            heapq.heappush(heap, entry)
+        cands += len(entries)
         nodes += 1
 
     def priced(entry):
         # the entry with its exact key and its original counter
-        _, count, prefix, fixed, free_min, theta_part, _, pricer = entry
+        _, count, prefix, fixed, free_min, carry, theta_part, _, pricer = entry
         cost = pricer.cost(prefix[-1:])
-        return theta_part + cost, count, prefix, fixed, free_min, theta_part, cost, pricer
+        return theta_part + cost, count, prefix, fixed, free_min, carry, theta_part, cost, pricer
 
     def complete(prefix: Ranking) -> Ranking:
         return prefix + tuple(o for o in range(J) if o not in prefix)
 
     root = _NodePricer(ctx.stats)
-    expand((), 0.0, ctx.root_free_min, root, root.cost(()))
+    expand((), 0.0, ctx.root_free_min, None, root, root.cost(()))
     while heap:
         entry = heapq.heappop(heap)
-        while entry[6] is None:
+        while entry[7] is None:
             entry = heapq.heappushpop(heap, priced(entry))
-        _, _, prefix, fixed, free_min, _, cost, pricer = entry
+        _, _, prefix, fixed, free_min, carry, _, cost, pricer = entry
         if len(prefix) == J - 1:
             return complete(prefix), nodes, cands, False
         if nodes >= node_budget:
             break
-        expand(prefix, fixed, free_min, pricer.child(prefix[-1]), cost)
+        expand(prefix, fixed, free_min, carry, pricer.child(prefix[-1]), cost)
 
     # a terminal leaves the open list only by ending the search, so every one generated is open
-    terminals = [entry if entry[6] is not None else priced(entry) for entry in heap if len(entry[2]) == J - 1]
+    terminals = [entry if entry[7] is not None else priced(entry) for entry in heap if len(entry[2]) == J - 1]
     order = complete(min(terminals, key=lambda entry: entry[:2])[2]) if terminals else None
     return order, nodes, cands, True
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import xlog1py, xlogy
@@ -576,13 +577,33 @@ def node_bound(ctx, prefix, fixed, free_min, free):
     return ctx.theta_part(fixed, free_min, free) + node_pricer(ctx.stats, prefix).cost(())
 
 
+class ChildEntry(NamedTuple):
+    """A heap entry of _best_first as _SearchContext.children emits it."""
+    key: float
+    counter: int
+    prefix: tuple
+    fixed: float
+    free_min: float
+    cross: list | None  # the node's carried prefix sums, None where it holds none
+    theta_part: float
+    cost: float | None
+    pricer: object
+
+
+def search_children(ctx, prefix, fixed, free_min, carry=None, floor=0.0, pricer=None):
+    """ctx.children of a node as ChildEntry tuples, counters from 0. carry is
+    the parent's cross; None sums the node's prefix rows anew."""
+    return [ChildEntry(*entry) for entry in
+            ctx.children(prefix, fixed, free_min, carry, floor, pricer, itertools.count())]
+
+
 def exact_children(ctx, prefix, fixed, free_min):
     """Yield (bound, child_prefix, fixed, free_min, free) for every child of
     a node, in object order, each priced exactly from the search's pieces."""
     pricer = node_pricer(ctx.stats, prefix)
-    for theta_part, child, fixed_c, free_min_c in ctx.children(prefix, fixed, free_min):
-        yield (theta_part + pricer.cost(child[-1:]), child, fixed_c, free_min_c,
-               tuple(o for o in range(ctx.J) if o not in child))
+    for entry in search_children(ctx, prefix, fixed, free_min, pricer=pricer):
+        yield (entry.theta_part + pricer.cost(entry.prefix[-1:]), entry.prefix, entry.fixed, entry.free_min,
+               tuple(o for o in range(ctx.J) if o not in entry.prefix))
 
 
 def reference_node_binomial_costs(stats, prefix, extensions):

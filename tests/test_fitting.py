@@ -107,6 +107,24 @@ def test_fit_theta_matches_reference_solver_bitwise():
     assert min(flags[f] for f in ("floor", "cap", "interior")) >= 100, flags
 
 
+def test_fit_theta_converges_at_every_finite_cap(monkeypatch):
+    # Halving (THETA_FLOOR, cap) to the root takes over 200 steps from a cap
+    # of about 1e60 up; such a solve once stopped there, unconverged, and was
+    # still flagged "interior" (a J = 5 panel read theta 3.1e39 at a cap of
+    # 1e100, 1.0785 at 50).
+    for lengths, J, D in (([5] * 10, 5, 2.0), ([3, 3, 2, 6], 6, 1.5), ([20] * 3, 20, 40.0)):
+        profile = length_profile(lengths, J)
+        want, flag = fit_theta(D, profile, 50.0)
+        assert flag == "interior"
+        for cap in (1e58, 1e62, 1e100, 1e308, np.finfo(float).max):
+            theta, flag = fit_theta(D, profile, cap)
+            assert flag == "interior" and abs(theta - want) <= 1e-9, (lengths, cap, theta, want)
+    # a solve that still ran out of steps would raise, not return "interior"
+    monkeypatch.setattr(fitting, "_THETA_STEPS", 200)
+    with pytest.raises(RuntimeError, match="did not converge in 200 steps"):
+        fit_theta(2.0, length_profile([5] * 10, 5), 1e100)
+
+
 def test_scale_fit_reads_lengths_as_a_multiset():
     # A bootstrap replicate draws the judges in any order: panels holding one
     # multiset of ranking lengths in different judge orders must give one

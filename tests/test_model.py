@@ -307,7 +307,8 @@ def _assert_stats_bitwise_equal(got, want):
 def test_stats_of_judge_rows_match_the_panel_built_from_them():
     # judge weights on the cached per-judge rows give bitwise the statistics
     # of the resampled Dataset, the length profile included, however many
-    # rankers a draw leaves at weight 0; the cached pair orders are bools
+    # rankers a draw leaves at weight 0; the cached per-judge rows, pair
+    # orders included, are one C-contiguous float table
     rng = np.random.default_rng(29)
     seen = set()
     for trial in range(300):
@@ -323,8 +324,9 @@ def test_stats_of_judge_rows_match_the_panel_built_from_them():
         ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=rankings)
         _assert_stats_bitwise_equal(compute_stats(ds, np.arange(I)), compute_stats(ds))
         table = ds._judge_table
-        assert table.beats.dtype == bool and table.beats.shape == (len(table.rankers), J * J)
-        if not len(table.rankers):
+        assert table.dtype == float and table.flags.c_contiguous and table.shape == (I, 3 * J + J * J)
+        rankers = {i for i, r in enumerate(rankings) if r is not None}
+        if not rankers:
             seen.add("no rankings")
         for _ in range(4):
             idx = rng.integers(0, I, size=int(rng.integers(1, 2 * I + 1)))
@@ -338,7 +340,7 @@ def test_stats_of_judge_rows_match_the_panel_built_from_them():
             _assert_stats_bitwise_equal(got, compute_stats(panel))
             lengths = [len(r) for r in panel.rankings if r is not None]
             assert got.length_profile == length_profile(lengths, J)
-            if set(table.rankers.tolist()) - set(idx.tolist()):
+            if rankers - set(idx.tolist()):
                 seen.add("zero-weight rankers")
             if len(lengths) < len(idx):
                 seen.add("unranked judges")
@@ -362,6 +364,31 @@ def test_stats_of_an_empty_draw_raise_like_the_dataset():
     for bad in ([2], [-1, 0]):
         with pytest.raises(ValueError, match="judge indices"):
             compute_stats(ds, bad)
+
+
+@pytest.mark.parametrize("judges", [
+    [0.5, 1.9, 2.2],                 # floats, once truncated to [0, 1, 2]
+    np.array([0.0, 1.0]),            # integer-valued floats
+    [True, False, True],             # booleans, once taken as 0/1
+    [[0, 1], [2, 3]],                # 2-D, once flattened
+    np.array([[0], [1]]),
+    3,                               # a bare index
+    ["0", "1"],
+    [0, None],
+])
+def test_stats_reject_judges_that_are_not_a_1d_sequence_of_integers(judges):
+    ds = random_dataset(np.random.default_rng(5), J=3, I=4)
+    with pytest.raises(ValueError, match="judges must be a 1-D sequence of integer indices"):
+        compute_stats(ds, judges)
+
+
+@pytest.mark.parametrize("judges", [[4], [0, -1], np.array([1, 2**40]), np.array([3, 2**64 - 1], dtype=np.uint64)])
+def test_stats_reject_judge_indices_out_of_range(judges):
+    ds = random_dataset(np.random.default_rng(5), J=3, I=4)
+    with pytest.raises(ValueError, match=r"judge indices must lie in \[0, 4\)"):
+        compute_stats(ds, judges)
+    # integer sequences of any integer type are accepted
+    assert compute_stats(ds, np.array([3, 0], dtype=np.uint8)).J == 3
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ChildEntry,
     astar_traffic,
     crude_cost,
     enumerate_outcomes,
@@ -18,6 +19,7 @@ from conftest import (
     reference_children,
     reference_greedy_order,
     reference_node_binomial_costs,
+    search_children,
 )
 from mallows_binomial import (
     Dataset,
@@ -172,10 +174,14 @@ def test_lazy_search_matches_the_eager_reference_bitwise(monkeypatch):
         _, data = simulate_cell(int(rng.integers(3, 16)), int(rng.choice([2, 5, 10])), J, R,
                                 float(rng.uniform(0.2, 2.5)), rng)
         panels.append(compute_stats(data))
+    for J in (10, 11, 12):
+        # crude only: prefixes reach 8 objects, where children stop carrying their prefix sums
+        _, data = simulate_cell(int(rng.integers(3, 8)), 5, J, J, 1.5, rng)
+        panels.append(compute_stats(data))
     seen = set()
     for case, stats in enumerate(panels):
         for heuristic, theta_max in (("crude", None), ("lp", None), ("crude", 0.5)):
-            if heuristic == "lp" and case % 2:
+            if heuristic == "lp" and (case % 2 or stats.J >= 10):
                 continue  # the LP's cost, not the search, would dominate the test
             options = {"heuristic": heuristic, "theta_max": theta_max}
             full = reference_astar(stats, **options)
@@ -227,6 +233,56 @@ def test_searches_price_few_children(monkeypatch):
         assert (result.nodes_expanded, result.candidate_evaluations, len(priced)) == expected, heuristic
     with pytest.raises(ValueError, match="unknown heuristic 'bogus'"):
         astar(stats, heuristic="bogus")
+
+
+def test_children_carry_prefix_sums_bitwise(monkeypatch):
+    # A Python-summed node with fewer than 8 objects placed takes each
+    # child's prefix column from the cross sums carried down its path. On
+    # greedy descents and A* runs, every child's fixed and free cost must
+    # equal the per-child row sums bit for bit, and a node carries exactly
+    # when it may: from the root's children at J <= 8, from a node 2 and 4
+    # objects deep at J = 9 and 10, and nowhere from 8 placed objects on, so
+    # never at J = 20.
+    calls = []
+    children = search._SearchContext.children
+
+    def recorded(ctx, prefix, fixed, free_min, carry, *rest):
+        entries = children(ctx, prefix, fixed, free_min, carry, *rest)
+        calls.append((ctx, prefix, fixed, free_min, carry, entries))
+        return entries
+
+    monkeypatch.setattr(search._SearchContext, "children", recorded)
+    rng = np.random.default_rng(91)
+    kinds, started = {}, {}
+    for J, R, theta in ((6, 3, 2.0), (8, 8, 0.3), (9, 9, 0.5), (10, 10, 0.5), (12, 12, 1.0), (20, 20, 0.4)):
+        stats = compute_stats(simulate_cell(12, 5, J, R, theta, rng)[1])
+        calls.clear()
+        greedy(stats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a budget cut before any terminal
+            astar(stats, node_budget=200)
+        for ctx, prefix, fixed, free_min, carry, entries in calls:
+            QT, _, mmin, col_total = ctx.lists
+            free = [o for o in range(J) if o not in prefix]
+            in_python = len(free) * J < search.BLOCK_CELLS
+            kind = ("block" if not in_python else "fallback" if len(prefix) >= 8 else
+                    "carried" if carry is not None else "started")
+            kinds.setdefault(J, set()).add(kind)
+            if kind == "started":
+                started.setdefault(J, set()).add(len(prefix))
+            column = {c: fitting._row_sum([QT[c][u] for u in prefix]) for c in free}
+            for entry in map(ChildEntry._make, entries):
+                c = entry.prefix[-1]
+                assert entry.fixed.hex() == (fixed + col_total[c] - column[c]).hex(), (J, prefix, c)
+                want = free_min - fitting._row_sum([mmin[c][v] for v in free])
+                assert entry.free_min.hex() == want.hex(), (J, prefix, c)
+                assert (entry.cross is None) == (kind in ("block", "fallback")), (J, prefix, kind)
+                if entry.cross is not None:
+                    assert [entry.cross[o].hex() for o in free] == [column[o].hex() for o in free]
+    assert kinds == {6: {"started", "carried"}, 8: {"block", "started", "carried"},
+                     9: {"block", "started", "carried"}, 10: {"block", "started", "carried", "fallback"},
+                     12: {"block", "started", "fallback"}, 20: {"block", "fallback"}}, kinds
+    assert started == {6: {0}, 8: {1}, 9: {2}, 10: {4}, 12: {7}}, started
 
 
 def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
@@ -306,7 +362,8 @@ def test_lazy_key_never_exceeds_the_exact_bound():
             pricer = node_pricer(stats, prefix)
             parent = pricer.cost(())
             floor = search._lazy_floor(parent)
-            for theta_part, child, fixed_c, free_min_c in ctx.children(prefix, fixed, free_min):
+            for entry in search_children(ctx, prefix, fixed, free_min, pricer=pricer):
+                theta_part, child, fixed_c, free_min_c = entry.theta_part, entry.prefix, entry.fixed, entry.free_min
                 cost = pricer.cost(child[-1:])
                 assert cost >= parent - 1e-9 * abs(parent), (prefix, child, parent, cost)
                 assert theta_part + floor <= theta_part + cost

@@ -161,3 +161,13 @@ def test_every_module_level_definition_is_reached_outside_the_tests():
     assert len(defined) > 50, defined
     unreached = [name for name in defined if name.rpartition(".")[2] not in reached]
     assert not unreached, f"defined in src/ but used only by tests: {unreached}"
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml declares Python >= 3.10, and CI's 3.10 job is the only
+    # other check of it: syntax newer than 3.10 must fail here too.
+    paths = [path for folder in ("src", "tests", "scripts", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 20, paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
