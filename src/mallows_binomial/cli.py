@@ -1,8 +1,8 @@
 """Command-line front end: ingestion, fitting, bootstrap, simulation,
 benchmarking, comparison models, and the exact bias demo.
 
-Exit codes: 0 success, 2 input/format error, 3 budget or enumeration cap
-exhausted, 4 internal solver failure.
+Exit codes: 0 success, 2 input/format error or an output that cannot be
+written, 3 budget or enumeration cap exhausted, 4 internal solver failure.
 """
 from __future__ import annotations
 
@@ -28,7 +28,8 @@ EXIT_SOLVER = 4
 
 
 class IngestError(ValueError):
-    """Malformed input files."""
+    """Malformed input files, bad options, or an output that cannot be
+    written: exit 2 with one line."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def _judge_rows(path: str, header: str) -> tuple[list[str], dict[str, tuple[int,
     """A judge CSV's header cells after the first, and for each judge id, in
     file order, its row number and the cells after the id; every cell is
     stripped and blank rows are skipped. Raises on a missing header and on a
-    judge id that appears twice."""
+    judge id that is blank or appears twice."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -94,6 +95,8 @@ def _judge_rows(path: str, header: str) -> tuple[list[str], dict[str, tuple[int,
         cells = [cell.strip() for cell in row]
         if not any(cells):
             continue
+        if not cells[0]:
+            raise IngestError(f"{path} row {r}: blank judge id")
         if cells[0] in judges:
             raise IngestError(f"{path} row {r}: duplicate judge id {cells[0]!r}")
         judges[cells[0]] = (r, cells[1:])
@@ -181,10 +184,21 @@ def ingest(
     return dataset, labels, judge_ids
 
 
+def _write_file(path, write):
+    """Open path for writing and pass the file to write; an OSError on the
+    way (a missing directory, a directory in the way, no permission) is an
+    input error naming the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as err:
+        raise IngestError(f"cannot write {path}: {err}") from err
+
+
 def _dump_json(doc, out: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
     if out:
-        Path(out).write_text(text + "\n")
+        _write_file(out, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
 
@@ -298,8 +312,7 @@ def cmd_bootstrap(args) -> int:
     summary = _bootstrap(args, dataset, args.method)
     _dump_json(_bootstrap_doc(summary, labels, scale), args.out)
     csv_path = Path(args.out).with_suffix(Path(args.out).suffix + ".ranks.csv")
-    with open(csv_path, "w", newline="") as fh:
-        csv.writer(fh).writerows(_rank_csv_rows(labels, summary))
+    _write_file(csv_path, lambda fh: csv.writer(fh).writerows(_rank_csv_rows(labels, summary)))
     return EXIT_BUDGET if summary.point.budget_exhausted or summary.n_budget_exhausted else EXIT_OK
 
 
@@ -320,18 +333,26 @@ def cmd_simulate(args) -> int:
     labels = [f"o{j + 1}" for j in range(args.J)]
     judges = [f"j{i + 1}" for i in range(args.I)]
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "scores.csv", "w", newline="") as fh:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise IngestError(f"cannot write {out_dir}: {err}") from err
+
+    def write_scores(fh):
         writer = csv.writer(fh)
         writer.writerow(["judge"] + labels)
         for judge, row in zip(judges, dataset.scores):
             writer.writerow([judge] + [int(v) for v in row])
-    with open(out_dir / "rankings.csv", "w", newline="") as fh:
+
+    def write_rankings(fh):
         writer = csv.writer(fh)
         writer.writerow(["judge"] + [f"rank{r + 1}" for r in range(args.R)])
         for judge, ranking in zip(judges, dataset.rankings):
             cells = [labels[j] for j in ranking] if ranking else []
             writer.writerow([judge] + cells + [""] * (args.R - len(cells)))
+
+    _write_file(out_dir / "scores.csv", write_scores)
+    _write_file(out_dir / "rankings.csv", write_rankings)
     _dump_json(
         {
             "I": args.I, "J": args.J, "R": args.R, "M": args.M, "seed": args.seed,
@@ -367,10 +388,13 @@ def cmd_benchmark(args) -> int:
         theta_max=args.theta_max,
         node_budget=args.node_budget,
     )
-    with open(args.out, "w", newline="") as fh:
+
+    def write(fh):
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+
+    _write_file(args.out, write)
     return EXIT_OK
 
 
@@ -483,32 +507,36 @@ COMMANDS = (
 )
 
 
-def build_parser(flags_for) -> argparse.ArgumentParser:
-    """The CLI parser. Every subcommand is declared, so top-level help and
-    errors never change, but only those named in flags_for get their flags,
-    -h included: building a flag costs far more than parsing it, and a
-    subcommand that is not run is never parsed."""
+def build_parser(commands) -> argparse.ArgumentParser:
+    """The CLI parser with the subcommands named in commands declared, each
+    with its flags. Building a subcommand costs far more than parsing it, so
+    main declares only the one its first argument names. With some left out,
+    the metavar lists all six, so the usage line reads the same; it is set
+    only then, because argparse names the command argument by its metavar in
+    the errors about it, which only a parser of all six ever prints."""
     parser = argparse.ArgumentParser(
         prog="mallows-binomial",
         description="Consensus fitting for panels of integer scores and top-R partial rankings",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    names = [name for name, *_ in COMMANDS]
+    metavar = None if set(names) <= set(commands) else "{" + ",".join(names) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, add_flags, handler in COMMANDS:
-        flagged = name in flags_for
-        sub = subs.add_parser(name, help=help_text, add_help=flagged)
-        if flagged:
+        if name in commands:
+            sub = subs.add_parser(name, help=help_text)
             add_flags(sub)
-        sub.set_defaults(func=handler)
+            sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse runs the subcommand named by the first argument that does not
-    # start with "-"; a first positional that does ("-", "-1") is an invalid
-    # choice, whatever flags the subcommands have.
-    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser((invoked,)).parse_args(argv)
+    # A first argument naming a command is the one argparse runs, and the
+    # top-level parser reads nothing else. Otherwise (no command, -h, an
+    # option or an unknown name first) the parser prints help or an error,
+    # and every subcommand is declared, as its help lists them all.
+    names = [name for name, *_ in COMMANDS]
+    args = build_parser(argv[:1] if argv and argv[0] in names else names).parse_args(argv)
     try:
         _check_run_options(args)
         return args.func(args)

@@ -255,10 +255,10 @@ class _NodePricer:
     _binomial_costs(stats, [_fit_p_core(stats, prefix + ext)])[0].
 
     The pricer holds the PAVA stack of the prefix chain. A child resumes from
-    it, pushes its extension, then pushes the q-sorted free tail only until a
-    value pools with nothing: that value and every later one stays a
-    singleton at its own q, because the tail is sorted. Each child's row is
-    the prefix's template (chain terms at the stack's values, tail terms at
+    it, pushes its extension, then pushes the q-sorted free tail only while a
+    value would pool with the top block: the first that would not, and every
+    later one, stays a singleton at its own q, because the tail is sorted.
+    Each child's row is the prefix's template (chain terms at the stack's values, tail terms at
     their own q, 0 for unobserved objects) with only the entries of re-pooled
     blocks replaced, and is summed by _row_sum.
     A pricer is built for the root and derived object by object down the
@@ -284,7 +284,8 @@ class _NodePricer:
         child = _NodePricer.__new__(_NodePricer)
         child.stats = stats
         child.chain = chain = self.chain + [j]
-        child.tail = [t for t in self.tail if t != j]
+        child.tail = tail = self.tail[:]
+        tail.remove(j)  # an observed free object is in the tail once
         child.stack = stack = self.stack[:]
         depth = _pava(stack, stats.q[j], stats.q_weight[j])
         child.starts = self.starts[:depth + 1] + [len(chain)]
@@ -302,16 +303,18 @@ class _NodePricer:
         blocks, depth, pushed = self.stack[:], len(self.stack), []
         for j in ext:
             if observed[j]:
-                depth = min(depth, _pava(blocks, q[j], weight[j]))
+                below = _pava(blocks, q[j], weight[j])
+                if below < depth:
+                    depth = below
                 pushed.append(j)
         for j in self.tail:
             if j not in ext:
+                if not blocks or blocks[-1][0] <= q[j]:
+                    break  # it would pool with nothing
                 below = _pava(blocks, q[j], weight[j])
-                if blocks[-1][2] == 1:  # pooled with nothing
-                    blocks.pop()
-                    break
                 pushed.append(j)
-                depth = min(depth, below)
+                if below < depth:
+                    depth = below
         row = self.template[:]
         members = self.chain[self.starts[depth]:] + pushed
         start = 0
@@ -424,7 +427,7 @@ def fit_given_order(
     theta_max: float | None = None,
 ) -> ConditionalFit:
     """Exact conditional optimum of (p, theta) for a fixed consensus order."""
-    order = tuple(int(o) for o in order)
+    order = tuple(map(int, order))
     if sorted(order) != list(range(stats.J)):
         raise ValueError("order is not a permutation of the objects")
     p = _fit_p_core(stats, order)

@@ -220,8 +220,7 @@ def _bootstrap_replicate(args):
         # objects than brute force allows; anything else is a bug and propagates
         return rep, None, f"replicate {rep}: {err}"
     theta = np.nan if result.params.theta is None else float(result.params.theta)
-    return rep, (result.params.p.copy(), theta, result.theta_flag, result.params.rank_places(),
-                 result.budget_exhausted), None
+    return rep, (result.params.p, theta, result.theta_flag, result.params.rank_places(), result.budget_exhausted), None
 
 
 def bootstrap(
@@ -281,11 +280,12 @@ def bootstrap(
     rep_ranks = np.array(rank_rows)
     lo_q, hi_q = (1 - level) / 2, (1 + level) / 2
 
-    p_int = np.column_stack([np.quantile(rep_p, lo_q, axis=0), np.quantile(rep_p, hi_q, axis=0)])
+    # one call per interval pair: numpy computes each quantile alone, so the
+    # bits are those of two calls
+    p_int = np.quantile(rep_p, [lo_q, hi_q], axis=0).T
     defined = ~np.isnan(rep_theta)
     if defined.any():
-        vals = rep_theta[defined]
-        theta_int = (float(np.quantile(vals, lo_q)), float(np.quantile(vals, hi_q)))
+        theta_int = tuple(np.quantile(rep_theta[defined], [lo_q, hi_q]).tolist())
         cap_prop = float(np.mean([f == "cap" for f, d in zip(flags, defined) if d]))
     else:
         theta_int = None

@@ -121,11 +121,11 @@ class Parameters:
     theta_at_cap: bool = False
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)  # a copy: the caller's array is never aliased
         values = p.tolist()  # Python floats: the float64 tests without numpy's per-call cost
         if not all(0 <= v <= 1 for v in values):  # NaN fails both tests
             raise ValueError("quality values must lie in [0, 1]")
-        order = tuple(int(o) for o in self.consensus_order)
+        order = tuple(map(int, self.consensus_order))
         if sorted(order) != list(range(p.size)):
             raise ValueError("consensus_order is not a permutation of the objects")
         sorted_p = [values[o] for o in order]
@@ -133,7 +133,8 @@ class Parameters:
             raise ValueError("p is not non-decreasing along consensus_order")
         if self.theta is not None and not 0 < self.theta < np.inf:
             raise ValueError("theta must be positive and finite")
-        object.__setattr__(self, "p", _frozen_array(p))
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "consensus_order", order)
 
     @property
@@ -163,9 +164,11 @@ class SufficientStats:
     object q = mean/M and its isotonic weight count*M (Python floats), the
     observed flags, the observed objects sorted by (q, j), the unobserved
     objects in index order, and the Binomial weights a = count*mean and
-    b = count*(M - mean), zero where unobserved. binomial_terms holds, per
-    object, its Binomial term at each p value the fits have met; the fitting
-    module fills it.
+    b = count*(M - mean), zero where unobserved. mean_score, score_count, a
+    and b are the rows of one read-only array built from the caller's
+    values, and Q a read-only copy, so no field aliases a caller's array.
+    binomial_terms holds, per object, its Binomial term at each p value the
+    fits have met; the fitting module fills it.
     """
 
     J: int
@@ -185,29 +188,31 @@ class SufficientStats:
     binomial_terms: tuple[dict[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        profile = tuple(int(c) for c in self.length_profile)
-        if len(profile) != self.J or min(profile, default=0) < 0:
-            raise ValueError(f"length_profile must hold {self.J} non-negative counts, got {self.length_profile}")
-        object.__setattr__(self, "length_profile", profile)
-        object.__setattr__(self, "n_rankers", sum(profile))
-        mean, count = _frozen_array(self.mean_score), _frozen_array(self.score_count)
-        object.__setattr__(self, "mean_score", mean)
-        object.__setattr__(self, "score_count", count)
-        object.__setattr__(self, "Q", _frozen_array(self.Q))
-        # Python floats from the arrays: the IEEE operations numpy would run, without its per-call cost
-        M, means, counts = int(self.M), mean.tolist(), count.tolist()
-        seen = [c > 0 for c in counts]
-        q = tuple(m / M if s else 0.0 for m, s in zip(means, seen))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "q_weight", tuple(c * M for c in counts))
-        object.__setattr__(self, "observed", tuple(seen))
+        J, M = self.J, int(self.M)
+        profile = tuple(map(int, self.length_profile))
+        if len(profile) != J or min(profile, default=0) < 0:
+            raise ValueError(f"length_profile must hold {J} non-negative counts, got {self.length_profile}")
+        # Python floats: the IEEE operations numpy would run, without its per-call cost
+        means, counts = [float(m) for m in self.mean_score], [float(c) for c in self.score_count]
+        if len(means) != J or len(counts) != J:
+            raise ValueError(f"mean_score and score_count must hold {J} values each")
+        seen, q, a, b = [], [], [], []
+        for m, c in zip(means, counts):
+            s = c > 0
+            seen.append(s)
+            q.append(m / M if s else 0.0)
+            a.append(c * (m if s else 0.0))
+            b.append(c * (M - m if s else 0.0))
+        rows = np.array([means, counts, a, b])
+        rows.setflags(write=False)
         # a stable sort of ascending indices: ties in q keep j order
-        object.__setattr__(self, "by_q", tuple(sorted((j for j in range(self.J) if seen[j]), key=q.__getitem__)))
-        object.__setattr__(self, "unobserved", tuple(j for j in range(self.J) if not seen[j]))
-        columns = list(zip(counts, means, seen))
-        object.__setattr__(self, "a", _frozen_array([c * (m if s else 0.0) for c, m, s in columns]))
-        object.__setattr__(self, "b", _frozen_array([c * (M - m if s else 0.0) for c, m, s in columns]))
-        object.__setattr__(self, "binomial_terms", tuple({} for _ in range(self.J)))
+        by_q = sorted([j for j in range(J) if seen[j]], key=q.__getitem__)
+        # frozen: every field is written past __setattr__, in one update
+        self.__dict__.update(
+            length_profile=profile, n_rankers=sum(profile), mean_score=rows[0], score_count=rows[1],
+            Q=_frozen_array(self.Q), q=tuple(q), q_weight=tuple([c * M for c in counts]), observed=tuple(seen),
+            by_q=tuple(by_q), unobserved=tuple([j for j in range(J) if not seen[j]]), a=rows[2], b=rows[3],
+            binomial_terms=tuple([{} for _ in range(J)]))
 
 
 def _check_partial_shape(R: int, J: int):
@@ -324,12 +329,14 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
         rows = np.asarray(judges)
         if rows.ndim != 1 or rows.size and rows.dtype.kind not in "iu":
             raise ValueError(f"judges must be a 1-D sequence of integer indices, got {judges!r}")
-        if rows.size and not (0 <= rows.min() and rows.max() < I):
+        rows = rows.astype(np.intp, copy=False)
+        # one bound test: a negative index reads as a huge unsigned one
+        if rows.size and rows.view(np.uintp).max() >= I:
             raise ValueError(f"judge indices must lie in [0, {I})")
-        weights = np.bincount(rows.astype(np.intp, copy=False), minlength=I).astype(float)
+        weights = np.bincount(rows, minlength=I).astype(float)
     totals = np.dot(weights, table)
     count, sums, lengths = totals[:3 * J].reshape(3, J).tolist()
-    profile = tuple(int(n) for n in lengths)
+    profile = tuple(map(int, lengths))
     n_rankers = sum(profile)
     if not any(count) and not n_rankers:
         raise DegenerateDataError("dataset holds neither scores nor rankings")

@@ -147,15 +147,17 @@ class _SearchContext:
         row of under 8 values numpy sums from 0.0 left to right (_row_sum), so
         such a node with under 8 objects placed holds cross[c], that sum of
         QT[c] over its prefix, for every c: its parent's cross (carry) plus
-        the row of Q of its last object, or summed anew when carry is None.
-        Its free rows (free^2 <= free*J < BLOCK_CELLS) are that loop, inline."""
-        free = tuple(o for o in range(self.J) if o not in prefix)
+        the row of Q of its last object, 0.0 at the root, or summed anew when
+        carry is None. Its free rows (free^2 <= free*J < BLOCK_CELLS) are that
+        loop, inline."""
+        J = self.J
+        free = [o for o in range(J) if o not in prefix]
         cross = None
-        if len(free) * self.J < BLOCK_CELLS:
+        if len(free) * J < BLOCK_CELLS:
             QT, Q, mmin, col_total = self.lists
             if len(prefix) < 8:
                 cross = ([total + q for total, q in zip(carry, Q[prefix[-1]])] if carry else
-                         [_row_sum([row[u] for u in prefix]) for row in QT])
+                         [_row_sum([row[u] for u in prefix]) for row in QT] if prefix else [0.0] * J)
                 fixed_c = [fixed + col_total[c] - cross[c] for c in free]
             else:
                 fixed_c = [fixed + col_total[c] - _row_sum([QT[c][u] for u in prefix]) for c in free]
@@ -170,14 +172,21 @@ class _SearchContext:
             rows = children[:, None]
             fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
             free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()
+        entries = []
         if self.heuristic == "lp":
-            theta_parts = [self.theta_part(f, m, free[:i] + free[i + 1:])
-                           for i, (f, m) in enumerate(zip(fixed_c, free_min_c))]
-        else:
-            profile, cap = self.stats.length_profile, self.theta_max
-            theta_parts = [_scale_fit(max(f + m, 0.0), profile, cap)[2] for f, m in zip(fixed_c, free_min_c)]
-        return [(t + floor, next(counter), prefix + (c,), f, m, cross, t, None, pricer)
-                for c, f, m, t in zip(free, fixed_c, free_min_c, theta_parts)]
+            free = tuple(free)
+            for i, (c, f, m) in enumerate(zip(free, fixed_c, free_min_c)):
+                t = self.theta_part(f, m, free[:i] + free[i + 1:])
+                entries.append((t + floor, next(counter), prefix + (c,), f, m, cross, t, None, pricer))
+            return entries
+        profile, cap = self.stats.length_profile, self.theta_max
+        for c, f, m in zip(free, fixed_c, free_min_c):
+            d = f + m
+            if d < 0.0:  # max(d, 0.0), as theta_part clamps
+                d = 0.0
+            t = _scale_fit(d, profile, cap)[2]
+            entries.append((t + floor, next(counter), prefix + (c,), f, m, cross, t, None, pricer))
+        return entries
 
 
 def _lazy_floor(cost: float) -> float:

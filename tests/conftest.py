@@ -64,6 +64,34 @@ def pairwise_wins_oracle(dataset) -> np.ndarray:
     return wins
 
 
+def reference_stats(dataset, judges=None) -> dict:
+    """compute_stats of the panel made of judge rows judges (all when None),
+    one numpy array per field, from the resampled rows themselves: score
+    means and counts, Q from pairwise_wins_oracle, the length profile, and
+    the score view (q, its weights, the observed flags, by_q, unobserved, a
+    and b) as numpy computes it element by element."""
+    rows = np.arange(dataset.I) if judges is None else np.asarray(judges)
+    panel = Dataset(J=dataset.J, M=dataset.M, scores=dataset.scores[rows],
+                    rankings=tuple(dataset.rankings[i] for i in rows))
+    J, M = panel.J, panel.M
+    observed = ~np.isnan(panel.scores)
+    count = observed.sum(axis=0).astype(float)
+    sums = np.where(observed, panel.scores, 0.0).sum(axis=0)
+    seen = count > 0
+    mean = np.where(seen, sums / np.where(seen, count, 1.0), np.nan)
+    lengths = [len(r) for r in panel.rankings if r is not None]
+    wins = pairwise_wins_oracle(panel)
+    q = np.where(seen, mean / M, 0.0)
+    by_q = np.flatnonzero(seen)[np.argsort(q[seen], kind="stable")]
+    return {
+        "mean_score": mean, "score_count": count, "Q": wins / len(lengths) if lengths else wins,
+        "length_profile": tuple(lengths.count(R) for R in range(1, J + 1)), "n_rankers": len(lengths),
+        "q": q, "q_weight": count * M, "observed": tuple(seen.tolist()), "by_q": tuple(by_q.tolist()),
+        "unobserved": tuple(np.flatnonzero(~seen).tolist()),
+        "a": count * np.where(seen, mean, 0.0), "b": count * np.where(seen, M - mean, 0.0),
+    }
+
+
 def all_partial_rankings(J, R):
     return itertools.permutations(range(J), R)
 
@@ -436,7 +464,7 @@ def reference_child_costs(ctx, prefix, fixed, free_min, child, free):
     return fixed_c, free_min - drop
 
 
-def reference_bound(ctx, prefix, fixed, free_min, free, heuristic) -> float:
+def reference_theta_part(ctx, fixed, free_min, free, heuristic) -> float:
     # Below three free objects the LP has no triangle rows and equals the pairwise
     # minimum sum.
     if heuristic == "lp" and len(free) >= 3:
@@ -444,9 +472,13 @@ def reference_bound(ctx, prefix, fixed, free_min, free, heuristic) -> float:
             ctx._lp_cache[free] = lp_free_cost(ctx.Q, free, free_min)
         free_min = ctx._lp_cache[free]
     # L sums non-negative costs, but its incremental update can round a zero below it.
-    value = _scale_fit(max(fixed + free_min, 0.0), ctx.stats.length_profile, ctx.theta_max)[2]
+    return _scale_fit(max(fixed + free_min, 0.0), ctx.stats.length_profile, ctx.theta_max)[2]
+
+
+def reference_bound(ctx, prefix, fixed, free_min, free, heuristic) -> float:
     p = _fit_p_core(ctx.stats, prefix)
-    return value + reference_binomial_cost(p, ctx.stats.a, ctx.stats.b)
+    return (reference_theta_part(ctx, fixed, free_min, free, heuristic)
+            + reference_binomial_cost(p, ctx.stats.a, ctx.stats.b))
 
 
 def reference_children(ctx, prefix, fixed, free_min, heuristic):

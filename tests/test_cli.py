@@ -105,6 +105,11 @@ INGEST_ERRORS = {
     "unknown label": ("judge,a,b\nj1,1,2\n", "judge,rank1\nj1,zzz\n", "{r} row 2 column 2: unknown object label 'zzz'"),
     "duplicate object": ("judge,a,b\nj1,1,2\n", "judge,rank1,rank2\nj1,b,b\n", "{r} row 2: duplicate object in ranking"),
     "duplicate rankings judge": (None, "judge,rank1\nj1,a\nj2,b\n j1 ,b\n", "{r} row 4: duplicate judge id 'j1'"),
+    # a blank first cell, usually a spreadsheet artifact, would pair with a
+    # blank id in the other file
+    "blank scores judge id": ("judge,a,b\nj1,1,2\n,1,3\n", "judge,rank1,rank2\nj1,a,b\n,b,a\n",
+                              "{s} row 3: blank judge id"),
+    "blank rankings judge id": ("judge,a,b\nj1,1,2\n", "judge,rank1\nj1,a\n ,b\n", "{r} row 3: blank judge id"),
     "no objects": (None, "judge,rank1\nj1,\n", "no objects found in the input files"),
     "no data": ("judge,a,b\nj1,,\n", None, "dataset holds neither scores nor rankings"),
     "no paths": (None, None, "need at least one of --scores / --rankings"),
@@ -255,11 +260,16 @@ def exit_outcome(capsys, run, argv):
 
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["fot"], ["fit", "--scores", "x.csv"], *([name, "--help"] for name in COMMAND_NAMES),
+    ["-h"], ["--he"], ["-x", "fit"], ["fit", "--scale-max", "3", "extra"], ["fit", "--scale-max"],
+    ["fit", "--scale-max", "3", "--method", "nope"], ["bootstrap", "--scale-max", "3", "--B", "x"],
+    *([name, "-h"] for name in COMMAND_NAMES),
 ])
 def test_help_and_usage_errors_match_the_parser_with_every_flag(monkeypatch, capsys, argv):
+    # main declares only the subcommand its first argument names; help,
+    # usage and errors read as from the parser of all six, byte for byte
     monkeypatch.setenv("COLUMNS", "80")
     full = exit_outcome(capsys, cli.build_parser(COMMAND_NAMES).parse_args, argv)
-    assert full[0] == (0 if "--help" in argv else 2) and full[1] + full[2]
+    assert full[0] == (0 if {"-h", "--he", "--help"} & set(argv) else 2) and full[1] + full[2]
     assert exit_outcome(capsys, main, argv) == full
 
 
@@ -281,13 +291,13 @@ def test_a_fit_builds_no_flag_of_another_command(tmp_path, monkeypatch):
     out = simulate_files(tmp_path, seed=7, I=8, J=4, R=3, M=8, theta=2.0)
     built = []
     build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda flags_for: built.append(build_parser(flags_for)) or built[-1])
+    monkeypatch.setattr(cli, "build_parser", lambda commands: built.append(build_parser(commands)) or built[-1])
     assert main(["fit", *data_flags(out, 8), "--out", str(tmp_path / "fit.json")]) == EXIT_OK
     (parser,) = built
     full = subparsers(build_parser(COMMAND_NAMES))
-    for name, sub in subparsers(parser).items():
-        expected = full[name]._actions if name == "fit" else []
-        assert [action.option_strings for action in sub._actions] == [a.option_strings for a in expected]
+    assert list(subparsers(parser)) == ["fit"]
+    assert ([action.option_strings for action in subparsers(parser)["fit"]._actions]
+            == [action.option_strings for action in full["fit"]._actions])
 
 
 def test_fit_has_no_seed_flag(capsys):
@@ -377,6 +387,48 @@ def test_non_finite_score_cell_names_row_and_column(tmp_path, capsys):
     scores = write(tmp_path / "s.csv", "judge,a,b\nj1,1,2\nj2,nan,3\n")
     assert main(["fit", "--scores", scores, "--scale-max", "5"]) == EXIT_INPUT
     assert "row 3 column 2" in capsys.readouterr().err
+
+
+def _write_failure_cases(tmp_path):
+    """(argv, path named in the message) of every command that writes, each
+    with an output it cannot write: under a missing directory, or where a
+    directory or a file is in the way."""
+    out = simulate_files(tmp_path, seed=3, I=6, J=4, R=3, M=8, theta=2.0)
+    missing = tmp_path / "missing" / "dir"
+    boot, blocked = tmp_path / "boot.json", tmp_path / "blocked"
+    (tmp_path / "boot.json.ranks.csv").mkdir()  # the JSON lands, the rank CSV cannot
+    (blocked / "rankings.csv").mkdir(parents=True)  # scores.csv lands, rankings.csv cannot
+    a_file = write(tmp_path / "a_file", "")
+    run = ["--B", "3", "--seed", "1"]
+    grid = ["--grid-I", "4", "--grid-M", "5", "--grid-J", "3", "--grid-R", "2", "--grid-theta", "2", "--trials", "1"]
+    simulate = ["simulate", "--I", "4", "--J", "3", "--R", "2", "--M", "5", "--theta", "1", "--out-dir"]
+    return {
+        "fit": (["fit", *data_flags(out, 8), "--out", str(missing / "fit.json")], missing / "fit.json"),
+        "bootstrap json": (["bootstrap", *data_flags(out, 8), *run, "--out", str(missing / "b.json")],
+                           missing / "b.json"),
+        "bootstrap ranks csv": (["bootstrap", *data_flags(out, 8), *run, "--out", str(boot)],
+                                tmp_path / "boot.json.ranks.csv"),
+        "compare": (["compare", *data_flags(out, 8), *run, "--out", str(missing / "c.json")], missing / "c.json"),
+        "benchmark": (["benchmark", *grid, "--out", str(missing / "b.csv")], missing / "b.csv"),
+        "bias-demo": (["bias-demo", "--out", str(missing / "bias.json")], missing / "bias.json"),
+        "simulate onto a file": ([*simulate, a_file], a_file),
+        "simulate under a file": ([*simulate, str(Path(a_file) / "sim")], Path(a_file) / "sim"),
+        "simulate rankings csv": ([*simulate, str(blocked)], blocked / "rankings.csv"),
+    }
+
+
+WRITE_FAILURES = ["fit", "bootstrap json", "bootstrap ranks csv", "compare", "benchmark", "bias-demo",
+                  "simulate onto a file", "simulate under a file", "simulate rankings csv"]
+
+
+@pytest.mark.parametrize("case", WRITE_FAILURES)
+def test_an_output_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys, case):
+    argv, path = _write_failure_cases(tmp_path)[case]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: cannot write {path}: [Errno "), err
 
 
 def test_solver_failure_exits_4(tmp_path, monkeypatch):

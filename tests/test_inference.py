@@ -112,6 +112,27 @@ def test_bootstrap_replicates_equal_fits_of_resampled_panels():
             assert summary.replicate_ranks[rep].tolist() == fit.params.rank_places().tolist()
 
 
+def test_bootstrap_intervals_equal_one_quantile_call_per_bound():
+    # each interval pair comes from one np.quantile call of both levels; its
+    # bits are those of a call per bound, on replicate counts of every
+    # parity and levels whose bounds fall between and on order statistics
+    rng = np.random.default_rng(71)
+    for B, level in ((1, 0.9), (2, 0.5), (7, 0.8), (20, 0.95), (33, 0.9)):
+        ds = random_dataset(rng, J=5, I=8, missing_scores=0.2, missing_rankings=0.4)
+        summary = bootstrap(ds, method="greedy", B=B, level=level, seed=B)
+        lo, hi = (1 - level) / 2, (1 + level) / 2
+        p_int = np.column_stack([np.quantile(summary.replicate_p, lo, axis=0),
+                                 np.quantile(summary.replicate_p, hi, axis=0)])
+        assert summary.p_intervals.tobytes() == p_int.tobytes() and summary.p_intervals.shape == p_int.shape
+        theta = summary.replicate_theta[~np.isnan(summary.replicate_theta)]
+        want = None if not theta.size else (float(np.quantile(theta, lo)), float(np.quantile(theta, hi)))
+        if want is None:
+            assert summary.theta_interval is None
+        else:
+            assert [type(v) for v in summary.theta_interval] == [float, float]
+            assert [v.hex() for v in summary.theta_interval] == [v.hex() for v in want]
+
+
 def test_bootstrap_rank_intervals_contain_point_rank():
     rng = np.random.default_rng(13)
     ds = random_dataset(rng, J=5, I=6, theta=0.8)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_psi, enumerate_outcomes, length_profile, pairwise_wins_oracle, random_dataset
+from conftest import (
+    brute_psi,
+    enumerate_outcomes,
+    length_profile,
+    pairwise_wins_oracle,
+    random_dataset,
+    reference_stats,
+)
 from mallows_binomial import (
     Dataset,
     Parameters,
@@ -347,6 +354,63 @@ def test_stats_of_judge_rows_match_the_panel_built_from_them():
             if len(set(lengths)) > 1:
                 seen.add("mixed lengths")
     assert seen == {"no rankings", "zero-weight rankers", "unranked judges", "mixed lengths"}, seen
+
+
+def test_stats_fields_match_the_reference_construction_bitwise():
+    # every field of compute_stats on seeded resamples, the score view
+    # included, against the per-field numpy construction from the resampled
+    # rows (conftest.reference_stats), by bytes
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(150):
+        J, I = int(rng.integers(1, 11)), int(rng.integers(1, 15))
+        ds = random_dataset(rng, J=J, I=I, R=int(rng.integers(1, J + 1)),
+                            missing_scores=float(rng.choice([0.0, 0.3, 0.9])),
+                            missing_rankings=float(rng.choice([0.0, 0.4])))
+        for judges in (None, rng.integers(0, I, size=I), rng.integers(0, I, size=int(rng.integers(1, 2 * I + 1)))):
+            try:
+                want = reference_stats(ds, judges)
+            except ValueError:  # a draw of judges with neither scores nor rankings
+                continue
+            got = compute_stats(ds, judges)
+            for name in ("mean_score", "score_count", "Q", "a", "b"):
+                assert getattr(got, name).tobytes() == want[name].tobytes(), name
+            for name in ("q", "q_weight"):
+                assert np.array(getattr(got, name), dtype=float).tobytes() == want[name].tobytes(), name
+            for name in ("observed", "by_q", "unobserved", "length_profile", "n_rankers"):
+                assert getattr(got, name) == want[name], name
+            assert all(type(v) is float for v in got.q + got.q_weight)
+            checked += 1
+    assert checked >= 400
+
+
+def test_stats_arrays_are_read_only_and_alias_no_caller_array():
+    mean, count, Q = np.array([2.0, np.nan, 0.5]), np.array([3.0, 0.0, 2.0]), np.full((3, 3), 0.25)
+    stats = SufficientStats(J=3, M=4, mean_score=mean, score_count=count, Q=Q, length_profile=(0, 0, 4))
+    fields = {name: getattr(stats, name) for name in ("mean_score", "score_count", "Q", "a", "b")}
+    before = {name: array.tobytes() for name, array in fields.items()}
+    for name, array in fields.items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+        assert not any(np.shares_memory(array, caller) for caller in (mean, count, Q)), name
+    mean[0], count[0], Q[0, 1] = 3.0, 1.0, 0.5  # the caller's arrays stay theirs
+    assert {name: array.tobytes() for name, array in fields.items()} == before
+    assert stats.q == (0.5, 0.0, 0.125) and stats.observed == (True, False, True)
+    ds = random_dataset(np.random.default_rng(8), J=4, I=6)
+    for got in (compute_stats(ds), compute_stats(ds, [1, 1, 3])):
+        for name in ("mean_score", "score_count", "Q", "a", "b"):
+            assert not getattr(got, name).flags.writeable, name
+            assert not np.shares_memory(getattr(got, name), ds._judge_table), name
+    p = np.array([0.2, 0.6, 0.4])
+    params = Parameters(p=p, theta=1.0, consensus_order=(0, 2, 1))
+    assert not params.p.flags.writeable and not np.shares_memory(params.p, p)
+
+
+def test_stats_reject_score_columns_of_the_wrong_length():
+    with pytest.raises(ValueError, match="mean_score and score_count must hold 3 values"):
+        SufficientStats(J=3, M=4, mean_score=[1.0, 2.0], score_count=[1.0, 1.0, 1.0], Q=np.zeros((3, 3)),
+                        length_profile=(0, 0, 0))
 
 
 def test_stats_of_an_empty_draw_raise_like_the_dataset():

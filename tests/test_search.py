@@ -16,9 +16,11 @@ from conftest import (
     random_dataset,
     reference_astar,
     reference_best_fit,
+    reference_child_costs,
     reference_children,
     reference_greedy_order,
     reference_node_binomial_costs,
+    reference_theta_part,
     search_children,
 )
 from mallows_binomial import (
@@ -283,6 +285,46 @@ def test_children_carry_prefix_sums_bitwise(monkeypatch):
                      9: {"block", "started", "carried"}, 10: {"block", "started", "carried", "fallback"},
                      12: {"block", "started", "fallback"}, 20: {"block", "fallback"}}, kinds
     assert started == {6: {0}, 8: {1}, 9: {2}, 10: {4}, 12: {7}}, started
+
+
+def test_children_and_theta_parts_match_the_eager_reference_bitwise(monkeypatch):
+    # Every child a search generates, the root's included, under both
+    # heuristics: its fixed and free costs are the reference's numpy sums,
+    # its theta part is the reference's scale fit (after the LP, read from
+    # the search's own LP cache, whose clamps depend on which node came
+    # first), and its key is that part plus the node's floor. A root summed
+    # in Python holds cross sums of 0.0.
+    calls = []
+    children = search._SearchContext.children
+
+    def recorded(ctx, prefix, fixed, free_min, carry, floor, *rest):
+        entries = children(ctx, prefix, fixed, free_min, carry, floor, *rest)
+        calls.append((ctx, prefix, fixed, free_min, floor, entries))
+        return entries
+
+    monkeypatch.setattr(search._SearchContext, "children", recorded)
+    rng = np.random.default_rng(57)
+    roots = 0
+    for J, R, theta in ((2, 2, 1.0), (3, 2, 2.0), (5, 3, 0.5), (6, 3, 2.0), (7, 7, 0.3), (8, 8, 0.3), (10, 4, 0.5)):
+        stats = compute_stats(simulate_cell(12, 5, J, R, theta, rng)[1])
+        for heuristic in ("crude", "lp"):
+            calls.clear()
+            astar(stats, heuristic=heuristic)
+            if heuristic == "crude":
+                greedy(stats)
+            for ctx, prefix, fixed, free_min, floor, entries in calls:
+                free = tuple(o for o in range(J) if o not in prefix)
+                for entry in map(ChildEntry._make, entries):
+                    c = entry.prefix[-1]
+                    fixed_c, free_min_c = reference_child_costs(ctx, prefix, fixed, free_min, c, free)
+                    assert (entry.fixed.hex(), entry.free_min.hex()) == (fixed_c.hex(), free_min_c.hex())
+                    want = reference_theta_part(ctx, fixed_c, free_min_c, tuple(o for o in free if o != c), heuristic)
+                    assert entry.theta_part.hex() == want.hex(), (J, heuristic, entry.prefix)
+                    assert entry.key.hex() == (want + floor).hex()
+                    if not prefix and J * J < search.BLOCK_CELLS:
+                        assert entry.cross == [0.0] * J
+                roots += not prefix
+    assert roots == 7 * 2 + 7
 
 
 def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
