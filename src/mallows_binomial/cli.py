@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass
@@ -59,14 +61,21 @@ class ScoreScale:
     def M(self) -> int:
         return int(round((self.max - self.min) / self.step))
 
-    def to_integer(self, raw: float) -> int:
-        if not self.min - 1e-9 <= raw <= self.max + 1e-9:  # also rejects nan
-            raise IngestError(f"score {raw} outside [{self.min}, {self.max}]")
-        k = (raw - self.min) / self.step
-        if abs(k - round(k)) > 1e-6:
-            raise IngestError(f"score {raw} is not on the step-{self.step} lattice")
-        k = int(round(k))
-        return self.M - k if self.higher_is_better else k
+    def to_integer(self, raw: np.ndarray, missing=False, where=lambda i: "") -> np.ndarray:
+        """The canonical integers, as floats, of an array of raw scores, NaN where missing.
+        Raises on the first raw score in C order, not missing, outside [min, max] (NaN too)
+        or off the step lattice; where(its flat index) ends the message."""
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite scores fail the checks quietly
+            in_range = (self.min - 1e-9 <= raw) & (raw <= self.max + 1e-9)
+            k = (raw - self.min) / self.step
+            nearest = np.rint(k) + 0.0  # + 0.0 turns a -0.0 into 0.0
+            bad = ~(in_range & (np.abs(k - nearest) <= 1e-6) | missing)
+        if bad.any():
+            i = int(np.argmax(bad))
+            value = float(raw.flat[i])
+            raise IngestError((f"score {value} outside [{self.min}, {self.max}]" if not in_range.flat[i]
+                               else f"score {value} is not on the step-{self.step} lattice") + where(i))
+        return np.where(missing, np.nan, self.M - nearest if self.higher_is_better else nearest)
 
     def to_raw(self, canonical: float) -> float:
         if self.higher_is_better:
@@ -120,30 +129,43 @@ def ingest(
         raise IngestError("need at least one of --scores / --rankings")
 
     labels: list[str] = []
-    score_rows: dict[str, list[float]] = {}
+    score_judges: list[str] = []
     if scores_path is not None:
         labels, judges = _judge_rows(scores_path, "judge,<labels...>")
         if "" in labels:
             raise IngestError(f"{scores_path} column {labels.index('') + 2}: blank object label in header")
         if len(set(labels)) != len(labels):
             raise IngestError(f"{scores_path}: duplicate object labels in header")
-        for judge, (r, cells) in judges.items():
-            if len(cells) != len(labels):
-                raise IngestError(f"{scores_path} row {r}: expected {len(labels)} score cells")
-            values = []
-            for c, cell in enumerate(cells, start=2):
-                if not cell:
-                    values.append(np.nan)
-                    continue
-                try:
-                    raw = float(cell)
-                except ValueError as err:
-                    raise IngestError(f"{scores_path} row {r} column {c}: not a number: {cell!r}") from err
-                try:
-                    values.append(float(scale.to_integer(raw)))
-                except IngestError as err:  # the location is formatted only for the message
-                    raise IngestError(f"{err} ({scores_path} row {r} column {c})") from None
-            score_rows[judge] = values
+        # Rows are read up to a short row or a non-number, raised only once the
+        # cells before it pass the scale checks: the first fault in file order wins.
+        J, raw, rows, stop = len(labels), [], [], None
+        for r, cells in judges.values():
+            if len(cells) != J:
+                stop = IngestError(f"{scores_path} row {r}: expected {J} score cells")
+                break
+            try:
+                raw.append([float(cell) if cell else np.nan for cell in cells])
+            except ValueError:
+                for c, cell in enumerate(cells):
+                    try:
+                        float(cell or 0)
+                    except ValueError:
+                        break
+                stop = IngestError(f"{scores_path} row {r} column {c + 2}: not a number: {cell!r}")
+                cells = cells[:c] + [""] * (J - c)
+                raw.append([float(cell) if cell else np.nan for cell in cells])
+            rows.append((r, cells))
+            if stop:
+                break
+        values = np.array(raw).reshape(len(raw), J)
+        missing = np.isnan(values)
+        if np.count_nonzero(missing) != sum(cells.count("") for _, cells in rows):  # a cell reads "nan"
+            missing = np.array([[not cell for cell in cells] for _, cells in rows]).reshape(values.shape)
+        canonical = scale.to_integer(values, missing,
+                                     lambda i: f" ({scores_path} row {rows[i // J][0]} column {i % J + 2})")
+        if stop:
+            raise stop
+        score_judges = list(judges)
 
     ranking_rows: dict[str, tuple[int, ...] | None] = {}
     if rankings_path is not None:
@@ -170,15 +192,12 @@ def ingest(
     if not labels:
         raise IngestError("no objects found in the input files")
     J = len(labels)
-    judge_ids = list(dict.fromkeys([*score_rows, *ranking_rows]))  # the scores file's judges first
+    judge_ids = list(dict.fromkeys([*score_judges, *ranking_rows]))  # the scores file's judges first
     scores = np.full((len(judge_ids), J), np.nan)
-    rankings: list[tuple[int, ...] | None] = []
-    for i, judge in enumerate(judge_ids):
-        if judge in score_rows:
-            scores[i] = score_rows[judge]
-        rankings.append(ranking_rows.get(judge))
+    if score_judges:
+        scores[:len(score_judges)] = canonical
     try:
-        dataset = Dataset(J=J, M=scale.M, scores=scores, rankings=tuple(rankings))
+        dataset = Dataset(J=J, M=scale.M, scores=scores, rankings=tuple(map(ranking_rows.get, judge_ids)))
     except ValueError as err:
         raise IngestError(str(err)) from err
     return dataset, labels, judge_ids
@@ -193,6 +212,20 @@ def _write_file(path, write):
             write(fh)
     except OSError as err:
         raise IngestError(f"cannot write {path}: {err}") from err
+
+
+def _check_writable(path):
+    """Raise, before any work, the error that writing path would raise for a
+    missing directory or a directory in the way; creates nothing."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(parent) and not os.path.isdir(path):
+        return
+    try:
+        os.stat(parent)  # raises for a missing or unreadable directory on the way
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOTDIR
+    except OSError as err:
+        code = err.errno
+    raise IngestError(f"cannot write {path}: {OSError(code, os.strerror(code), str(path))}")
 
 
 def _dump_json(doc, out: str | None):
@@ -246,6 +279,8 @@ _RUN_OPTION_CHECKS = (
     ("candidate_cap", lambda v: v >= 1, "--node-budget and --candidate-cap must be positive"),
     ("seed", lambda v: v >= 0, "--seed must be non-negative"),
     ("trials", lambda v: v >= 1, "--trials must be at least 1"),
+    ("I", lambda v: v >= 1, "--I must be at least 1"),
+    ("grid_I", lambda v: min(_int_list(v), default=1) >= 1, "--grid-I entries must be at least 1"),
 )
 
 
@@ -308,10 +343,11 @@ def _bootstrap_doc(summary, labels, scale) -> dict:
 def cmd_bootstrap(args) -> int:
     if not args.out:
         raise IngestError("bootstrap requires --out (JSON path; rank CSV lands beside it)")
+    csv_path = Path(args.out).with_suffix(Path(args.out).suffix + ".ranks.csv")
+    _check_writable(csv_path)
     scale, dataset, labels = _ingest_args(args)
     summary = _bootstrap(args, dataset, args.method)
     _dump_json(_bootstrap_doc(summary, labels, scale), args.out)
-    csv_path = Path(args.out).with_suffix(Path(args.out).suffix + ".ranks.csv")
     _write_file(csv_path, lambda fh: csv.writer(fh).writerows(_rank_csv_rows(labels, summary)))
     return EXIT_BUDGET if summary.point.budget_exhausted or summary.n_budget_exhausted else EXIT_OK
 
@@ -507,38 +543,40 @@ COMMANDS = (
 )
 
 
-def build_parser(commands) -> argparse.ArgumentParser:
-    """The CLI parser with the subcommands named in commands declared, each
-    with its flags. Building a subcommand costs far more than parsing it, so
-    main declares only the one its first argument names. With some left out,
-    the metavar lists all six, so the usage line reads the same; it is set
-    only then, because argparse names the command argument by its metavar in
-    the errors about it, which only a parser of all six ever prints."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand declared, each with its flags."""
     parser = argparse.ArgumentParser(
         prog="mallows-binomial",
         description="Consensus fitting for panels of integer scores and top-R partial rankings",
     )
-    names = [name for name, *_ in COMMANDS]
-    metavar = None if set(names) <= set(commands) else "{" + ",".join(names) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_flags, handler in COMMANDS:
-        if name in commands:
-            sub = subs.add_parser(name, help=help_text)
-            add_flags(sub)
-            sub.set_defaults(func=handler)
+        sub = subs.add_parser(name, help=help_text)
+        add_flags(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A first argument naming a command is the one argparse runs, and the
-    # top-level parser reads nothing else. Otherwise (no command, -h, an
-    # option or an unknown name first) the parser prints help or an error,
-    # and every subcommand is declared, as its help lists them all.
-    names = [name for name, *_ in COMMANDS]
-    args = build_parser(argv[:1] if argv and argv[0] in names else names).parse_args(argv)
+    # A first argument naming a command is parsed by a parser of that
+    # command's flags alone, as build_parser's subparser for it would parse
+    # it: declaring every subcommand costs more than the parse. Anything it
+    # leaves over, and any other start (no command, -h, an option or an
+    # unknown name), goes to build_parser, whose help and errors list them all.
+    args = extra = None
+    for name, _, add_flags, handler in COMMANDS:
+        if argv[:1] == [name]:
+            parser = argparse.ArgumentParser(prog=f"mallows-binomial {name}")
+            add_flags(parser)
+            parser.set_defaults(command=name, func=handler)
+            args, extra = parser.parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         _check_run_options(args)
+        if getattr(args, "out", None):  # every command's --out, before its work
+            _check_writable(args.out)
         return args.func(args)
     except BruteForceCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)

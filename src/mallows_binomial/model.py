@@ -67,10 +67,10 @@ class Dataset:
             if ranking is None or len(ranking) == 0:
                 rankings.append(None)
                 continue
-            ranking = tuple(int(o) for o in ranking)
+            ranking = tuple(map(int, ranking))
             if len(set(ranking)) != len(ranking):
                 raise ValueError(f"judge {i}: ranking contains duplicates")
-            if any(not 0 <= o < self.J for o in ranking):
+            if min(ranking) < 0 or max(ranking) >= self.J:
                 raise ValueError(f"judge {i}: ranking references objects outside [0, J)")
             rankings.append(ranking)
         if len(rankings) != scores.shape[0]:

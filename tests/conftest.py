@@ -10,6 +10,7 @@ import numpy as np
 from scipy.special import xlog1py, xlogy
 
 from mallows_binomial import Dataset, Parameters, order_of, sample, search
+from mallows_binomial.cli import IngestError, _judge_rows
 from mallows_binomial.fitting import (
     THETA_FLOOR,
     _binomial_costs,
@@ -19,6 +20,89 @@ from mallows_binomial.fitting import (
     default_theta_max,
 )
 from mallows_binomial.kemeny_lp import PairLP, SimplexError, lp_free_cost
+
+
+# ingest as it converted and checked one score cell at a time; the one-pass
+# ingest must give the same Dataset bit for bit, and the same message on
+# every fault.
+
+def reference_to_integer(scale, raw: float) -> int:
+    if not scale.min - 1e-9 <= raw <= scale.max + 1e-9:  # also rejects nan
+        raise IngestError(f"score {raw} outside [{scale.min}, {scale.max}]")
+    k = (raw - scale.min) / scale.step
+    if abs(k - round(k)) > 1e-6:
+        raise IngestError(f"score {raw} is not on the step-{scale.step} lattice")
+    k = int(round(k))
+    return scale.M - k if scale.higher_is_better else k
+
+
+def reference_ingest(scores_path, rankings_path, scale):
+    if scores_path is None and rankings_path is None:
+        raise IngestError("need at least one of --scores / --rankings")
+
+    labels = []
+    score_rows = {}
+    if scores_path is not None:
+        labels, judges = _judge_rows(scores_path, "judge,<labels...>")
+        if "" in labels:
+            raise IngestError(f"{scores_path} column {labels.index('') + 2}: blank object label in header")
+        if len(set(labels)) != len(labels):
+            raise IngestError(f"{scores_path}: duplicate object labels in header")
+        for judge, (r, cells) in judges.items():
+            if len(cells) != len(labels):
+                raise IngestError(f"{scores_path} row {r}: expected {len(labels)} score cells")
+            values = []
+            for c, cell in enumerate(cells, start=2):
+                if not cell:
+                    values.append(np.nan)
+                    continue
+                try:
+                    raw = float(cell)
+                except ValueError as err:
+                    raise IngestError(f"{scores_path} row {r} column {c}: not a number: {cell!r}") from err
+                try:
+                    values.append(float(reference_to_integer(scale, raw)))
+                except IngestError as err:
+                    raise IngestError(f"{err} ({scores_path} row {r} column {c})") from None
+            score_rows[judge] = values
+
+    ranking_rows = {}
+    if rankings_path is not None:
+        _, judges = _judge_rows(rankings_path, "judge,rank1,...")
+        if scores_path is None:
+            labels = sorted({cell for _, cells in judges.values() for cell in cells if cell})
+        label_index = {lab: i for i, lab in enumerate(labels)}
+        for judge, (r, cells) in judges.items():
+            ranking = []
+            ended = False
+            for c, cell in enumerate(cells, start=2):
+                if not cell:
+                    ended = True
+                    continue
+                if ended:
+                    raise IngestError(f"{rankings_path} row {r}: ranking has a gap before column {c}")
+                if cell not in label_index:
+                    raise IngestError(f"{rankings_path} row {r} column {c}: unknown object label {cell!r}")
+                ranking.append(label_index[cell])
+            if len(set(ranking)) != len(ranking):
+                raise IngestError(f"{rankings_path} row {r}: duplicate object in ranking")
+            ranking_rows[judge] = tuple(ranking) if ranking else None
+
+    if not labels:
+        raise IngestError("no objects found in the input files")
+    J = len(labels)
+    judge_ids = list(dict.fromkeys([*score_rows, *ranking_rows]))
+    scores = np.full((len(judge_ids), J), np.nan)
+    rankings = []
+    for i, judge in enumerate(judge_ids):
+        if judge in score_rows:
+            scores[i] = score_rows[judge]
+        rankings.append(ranking_rows.get(judge))
+    try:
+        dataset = Dataset(J=J, M=scale.M, scores=scores, rankings=tuple(rankings))
+    except ValueError as err:
+        raise IngestError(str(err)) from err
+    return dataset, labels, judge_ids
 
 
 def pairwise_distance_oracle(ranking, order) -> int:

@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mallows_binomial
+from conftest import reference_ingest
 from mallows_binomial import Parameters, cli, order_of, sample
 from mallows_binomial.cli import (
     EXIT_BUDGET,
@@ -34,15 +37,13 @@ def write(path, text):
 def test_scale_aibs_shape():
     scale = ScoreScale(min=1.0, max=5.0, step=0.1)
     assert scale.M == 40
-    assert scale.to_integer(1.0) == 0
-    assert scale.to_integer(5.0) == 40
-    assert scale.to_integer(2.3) == 13
+    assert scale.to_integer(np.array([1.0, 5.0, 2.3])).tolist() == [0, 40, 13]
 
 
 def test_scale_higher_is_better_reverses():
     scale = ScoreScale(min=0.0, max=10.0, step=1.0, higher_is_better=True)
-    assert scale.to_integer(10.0) == 0
-    assert scale.to_integer(0.0) == 10
+    raw = np.array([[10.0, 0.0], [np.nan, 3.0]])
+    assert np.array_equal(scale.to_integer(raw, np.isnan(raw)), [[0, 10], [np.nan, 7]], equal_nan=True)
     assert scale.to_raw(0) == 10.0
     assert scale.expected_raw(0.2) == pytest.approx(8.0)
 
@@ -50,6 +51,17 @@ def test_scale_higher_is_better_reverses():
 def test_scale_rejects_bad_lattice():
     with pytest.raises(IngestError):
         ScoreScale(min=0.0, max=1.0, step=0.3)
+
+
+def test_scale_names_the_first_score_off_it_in_c_order():
+    scale = ScoreScale(min=1.0, max=3.0, step=0.5)
+    raw = np.array([[1.0, np.nan, 2.25], [7.0, 1.5, 2.0]])
+    with pytest.raises(IngestError) as info:
+        scale.to_integer(raw, np.isnan(raw), where=lambda i: f" at {i}")
+    assert str(info.value) == "score 2.25 is not on the step-0.5 lattice at 2"
+    with pytest.raises(IngestError) as info:
+        scale.to_integer(raw)  # NaN counts as a score unless it is missing
+    assert str(info.value) == "score nan outside [1.0, 3.0]"
 
 
 def test_ingest_basic(tmp_path):
@@ -99,6 +111,13 @@ INGEST_ERRORS = {
     "cell count": ("judge,a,b\nj1,1\n", None, "{s} row 2: expected 2 score cells"),
     "off-lattice after a blank row": ("judge,a,b\n\nj1,1,1.5\n", None,
                                       "score 1.5 is not on the step-1 lattice ({s} row 3 column 3)"),
+    # the first fault in file order wins, whichever check finds it
+    "short row after an off-lattice cell": ("judge,a,b\nj1,1,1.5\nj2,1\n", None,
+                                            "score 1.5 is not on the step-1 lattice ({s} row 2 column 3)"),
+    "non-number after an out-of-range cell": ("judge,a,b,c\nj1,1,7,x\n", None, "score 7.0 outside [0, 3] ({s} row 2 column 3)"),
+    "out-of-range cell after a non-number": ("judge,a,b,c\nj1,1,x,7\n", None, "{s} row 2 column 3: not a number: 'x'"),
+    "nan after a blank cell": ("judge,a,b\nj1,,2\nj2,,nan\n", None, "score nan outside [0, 3] ({s} row 3 column 3)"),
+    "short row before an off-lattice cell": ("judge,a,b\nj1,1\nj2,1.5,1\n", None, "{s} row 2: expected 2 score cells"),
     "duplicate scores judge": ("judge,a,b\nj1,1,2\n,,\nj1,0,1\n", None, "{s} row 4: duplicate judge id 'j1'"),
     "gap": ("judge,a,b,c\nj1,1,2,3\n", "judge,rank1,rank2,rank3\nj1,a,,b\n",
             "{r} row 2: ranking has a gap before column 4"),
@@ -175,6 +194,66 @@ def test_simulate_round_trips_through_ingest(tmp_path):
     assert ds.rankings == expected.rankings
     truth_doc = json.loads((out / "truth.json").read_text())
     assert truth_doc["consensus_order"] == [labels[j] for j in truth.consensus_order]
+
+
+def ingest_outcome(read, scores, rankings, scale):
+    """The score bytes, rankings, labels and judge ids an ingest gives, or
+    its error message."""
+    try:
+        dataset, labels, judges = read(scores, rankings, scale)
+    except IngestError as err:
+        return str(err)
+    return dataset.scores.tobytes(), dataset.rankings, labels, judges
+
+
+# Cells that put a raw score off the scale, given the scale and the raw
+# score of the cell they replace.
+FAULTY_CELLS = (
+    lambda scale, raw: "nan", lambda scale, raw: "inf", lambda scale, raw: "-inf", lambda scale, raw: "1e400",
+    lambda scale, raw: "x", lambda scale, raw: repr(raw + scale.step / 2), lambda scale, raw: repr(scale.max + scale.step),
+    lambda scale, raw: repr(scale.min - 1e-8), lambda scale, raw: f"{raw:.3f}z",
+)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_ingest_matches_the_per_cell_reference(tmp_path, seed):
+    # Seeded simulate panels on a raw scale, either polarity, with blank
+    # cells and cells at the edges of the tolerances: the Dataset is the
+    # per-cell reference's bit for bit. Then one to three faulty cells per
+    # variant, and sometimes a short row: the message is the reference's,
+    # so the first fault in file order is the one reported.
+    rng = np.random.default_rng(seed)
+    J = int(rng.integers(2, 7))
+    M, I = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+    out = simulate_files(tmp_path, seed=seed, I=I, J=J, R=int(rng.integers(1, J + 1)), M=M, theta=1.0)
+    step = [1.0, 0.5, 0.1, 0.25][seed % 4]
+    low = [0.0, 1.0, -2.0][seed % 3]
+    scale = ScoreScale(min=low, max=low + step * M, step=step, higher_is_better=bool(seed % 2))
+    header, *rows = [line.split(",") for line in (out / "scores.csv").read_text().splitlines()]
+    raws = [[scale.to_raw(int(cell)) for cell in row[1:]] for row in rows]
+
+    def edge(raw):  # a raw score the scale still takes: blank, -0, or within a tolerance
+        return rng.choice(["", repr(raw), repr(raw + 4e-10), repr(raw - 4e-10), "-0" if raw == 0 else " "])
+
+    clean = [[row[0], *(edge(raw) if rng.random() < 0.4 else repr(raw) for raw in raw_row)]
+             for row, raw_row in zip(rows, raws)]
+    variants = [clean]
+    for _ in range(6):
+        cells = [list(row) for row in clean]
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = int(rng.integers(len(cells))), int(rng.integers(1, J + 1))
+            cells[i][j] = FAULTY_CELLS[int(rng.integers(len(FAULTY_CELLS)))](scale, raws[i][j - 1])
+        if rng.random() < 0.3:
+            del cells[int(rng.integers(len(cells)))][-1]  # a short row
+        variants.append(cells)
+    outcomes = set()
+    for k, cells in enumerate(variants):
+        path = write(tmp_path / f"s{k}.csv", "\n".join(",".join(row) for row in [header, *cells]) + "\n")
+        for rankings in (None, str(out / "rankings.csv")):
+            expected = ingest_outcome(reference_ingest, path, rankings, scale)
+            assert ingest_outcome(ingest, path, rankings, scale) == expected
+            outcomes.add(type(expected))
+    assert outcomes == {tuple, str}
 
 
 def test_simulate_strong_consensus(tmp_path):
@@ -258,29 +337,49 @@ def exit_outcome(capsys, run, argv):
     return info.value.code, captured.out, captured.err
 
 
+def record_commands(monkeypatch) -> list[dict]:
+    """Swap every command's handler for one that records its parsed flags
+    and returns EXIT_OK; returns the list they land in."""
+    seen = []
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        (name, text, add_flags, lambda args: seen.append(vars(args)) or EXIT_OK)
+        for name, text, add_flags, _ in cli.COMMANDS))
+    return seen
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["fot"], ["fit", "--scores", "x.csv"], *([name, "--help"] for name in COMMAND_NAMES),
     ["-h"], ["--he"], ["-x", "fit"], ["fit", "--scale-max", "3", "extra"], ["fit", "--scale-max"],
     ["fit", "--scale-max", "3", "--method", "nope"], ["bootstrap", "--scale-max", "3", "--B", "x"],
     *([name, "-h"] for name in COMMAND_NAMES),
+    ["fit", "--scale-max", "3", "--", "x"], ["fit", "--scale-max", "3", "--"], ["fit", "--", "--scale-max", "3"],
+    ["fit", "--sco", "x.csv", "--scale-max", "3"], ["fit", "--scale-max=3"],
+    ["fit", "--scale-max", "3", "--method", "greedy", "--scale-max", "4"],
+    ["bootstrap", "--scale-max", "3", "--B", "2", "extra"], ["fit", "--scale-max", "3", "-x"],
 ])
 def test_help_and_usage_errors_match_the_parser_with_every_flag(monkeypatch, capsys, argv):
-    # main declares only the subcommand its first argument names; help,
-    # usage and errors read as from the parser of all six, byte for byte
+    # main parses with a parser of only the subcommand its first argument
+    # names; help, usage, errors and parsed flags read as from the parser of
+    # all six, byte for byte
     monkeypatch.setenv("COLUMNS", "80")
-    full = exit_outcome(capsys, cli.build_parser(COMMAND_NAMES).parse_args, argv)
-    assert full[0] == (0 if {"-h", "--he", "--help"} & set(argv) else 2) and full[1] + full[2]
-    assert exit_outcome(capsys, main, argv) == full
+    seen = record_commands(monkeypatch)
+    try:
+        full = (cli.build_parser().parse_args(argv), "", "")
+    except SystemExit as info:
+        captured = capsys.readouterr()
+        full = (info.code, captured.out, captured.err)
+        assert full[0] == (0 if {"-h", "--he", "--help"} & set(argv) else 2) and full[1] + full[2]
+        assert exit_outcome(capsys, main, argv) == full
+    else:
+        assert main(argv) == EXIT_OK and capsys.readouterr() == ("", "")
+        assert seen == [vars(full[0])]
 
 
 @pytest.mark.parametrize("command", COMMAND_NAMES)
 def test_every_flag_parses_as_with_the_parser_with_every_flag(monkeypatch, command):
-    seen = []
-    monkeypatch.setattr(cli, "COMMANDS", tuple(
-        (name, text, add_flags, lambda args: seen.append(vars(args)) or EXIT_OK)
-        for name, text, add_flags, _ in cli.COMMANDS))
+    seen = record_commands(monkeypatch)
     argv = [command, *EVERY_FLAG[command]]
-    full = cli.build_parser(COMMAND_NAMES)
+    full = cli.build_parser()
     flags = {flag for action in subparsers(full)[command]._actions for flag in action.option_strings}
     assert flags - {"-h", "--help"} <= set(argv)
     assert main(argv) == EXIT_OK
@@ -288,16 +387,22 @@ def test_every_flag_parses_as_with_the_parser_with_every_flag(monkeypatch, comma
 
 
 def test_a_fit_builds_no_flag_of_another_command(tmp_path, monkeypatch):
+    # no parser of every subcommand, and no flag of another command
     out = simulate_files(tmp_path, seed=7, I=8, J=4, R=3, M=8, theta=2.0)
+    full = subparsers(cli.build_parser())["fit"]
     built = []
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda commands: built.append(build_parser(commands)) or built[-1])
+
+    class Recorded(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Recorded))
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("built the parser of every subcommand"))
     assert main(["fit", *data_flags(out, 8), "--out", str(tmp_path / "fit.json")]) == EXIT_OK
     (parser,) = built
-    full = subparsers(build_parser(COMMAND_NAMES))
-    assert list(subparsers(parser)) == ["fit"]
-    assert ([action.option_strings for action in subparsers(parser)["fit"]._actions]
-            == [action.option_strings for action in full["fit"]._actions])
+    assert parser.format_help() == full.format_help() and parser.format_usage() == full.format_usage()
+    assert [action.option_strings for action in parser._actions] == [action.option_strings for action in full._actions]
 
 
 def test_fit_has_no_seed_flag(capsys):
@@ -341,13 +446,15 @@ RUN_OPTION_ERRORS = {
     "--candidate-cap": (["0"], "--node-budget and --candidate-cap must be positive"),
     "--seed": (["-1"], "--seed must be non-negative"),
     "--trials": (["0", "-2"], "--trials must be at least 1"),
+    "--I": (["0", "-2"], "--I must be at least 1"),
+    "--grid-I": (["0", "-1", "5,0"], "--grid-I entries must be at least 1"),
 }
 COMMAND_RUN_OPTIONS = {
     "fit": ("--theta-max", "--node-budget", "--candidate-cap"),
-    "bootstrap": tuple(flag for flag in RUN_OPTION_ERRORS if flag != "--trials"),
-    "compare": tuple(flag for flag in RUN_OPTION_ERRORS if flag != "--trials"),
-    "simulate": ("--seed",),
-    "benchmark": ("--theta-max", "--node-budget", "--seed", "--trials"),
+    "bootstrap": ("--B", "--level", "--theta-max", "--node-budget", "--candidate-cap", "--seed"),
+    "compare": ("--B", "--level", "--theta-max", "--node-budget", "--candidate-cap", "--seed"),
+    "simulate": ("--seed", "--I"),
+    "benchmark": ("--theta-max", "--node-budget", "--seed", "--trials", "--grid-I"),
 }
 
 
@@ -411,6 +518,8 @@ def _write_failure_cases(tmp_path):
         "compare": (["compare", *data_flags(out, 8), *run, "--out", str(missing / "c.json")], missing / "c.json"),
         "benchmark": (["benchmark", *grid, "--out", str(missing / "b.csv")], missing / "b.csv"),
         "bias-demo": (["bias-demo", "--out", str(missing / "bias.json")], missing / "bias.json"),
+        "fit under a file": (["fit", *data_flags(out, 8), "--out", str(Path(a_file) / "fit.json")],
+                             Path(a_file) / "fit.json"),
         "simulate onto a file": ([*simulate, a_file], a_file),
         "simulate under a file": ([*simulate, str(Path(a_file) / "sim")], Path(a_file) / "sim"),
         "simulate rankings csv": ([*simulate, str(blocked)], blocked / "rankings.csv"),
@@ -418,17 +527,28 @@ def _write_failure_cases(tmp_path):
 
 
 WRITE_FAILURES = ["fit", "bootstrap json", "bootstrap ranks csv", "compare", "benchmark", "bias-demo",
-                  "simulate onto a file", "simulate under a file", "simulate rankings csv"]
+                  "fit under a file", "simulate onto a file", "simulate under a file", "simulate rankings csv"]
 
 
 @pytest.mark.parametrize("case", WRITE_FAILURES)
-def test_an_output_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys, case):
+def test_an_output_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
     argv, path = _write_failure_cases(tmp_path)[case]
+    before = sorted(tmp_path.rglob("*"))
+    if not case.startswith("simulate"):
+        # an --out is checked before the data is read: no fit runs, no file is made
+        for module, name in ((cli, "ingest"), *((cli.inference, name) for name in (
+                "fit_method", "bootstrap", "benchmark_grid", "bias_enumeration"))):
+            monkeypatch.setattr(module, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} ran"))
     capsys.readouterr()
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1, err
     assert err.startswith(f"error: cannot write {path}: [Errno "), err
+    if not case.startswith("simulate"):
+        assert sorted(tmp_path.rglob("*")) == before
+        with pytest.raises(OSError) as info:  # the error writing would have raised
+            open(path, "w")
+        assert err == f"error: cannot write {path}: {info.value}\n"
 
 
 def test_solver_failure_exits_4(tmp_path, monkeypatch):

@@ -469,10 +469,12 @@ def test_dataset_rejects_bad_scores():
 
 
 def test_dataset_rejects_bad_rankings():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="judge 0: ranking contains duplicates"):
         Dataset(J=2, M=3, scores=np.array([[1.0, 2.0]]), rankings=((0, 0),))
-    with pytest.raises(ValueError):
-        Dataset(J=2, M=3, scores=np.array([[1.0, 2.0]]), rankings=((0, 5),))
+    for ranking in ((0, 5), (-1,), (1, 2)):
+        with pytest.raises(ValueError, match=r"judge 1: ranking references objects outside \[0, J\)"):
+            Dataset(J=2, M=3, scores=np.array([[1.0, 2.0], [0.0, 1.0]]), rankings=((1, 0), ranking))
+    assert Dataset(J=2, M=3, scores=np.array([[1.0, 2.0]]), rankings=(np.array([1, 0]),)).rankings == ((1, 0),)
 
 
 def test_dataset_requires_some_data():
