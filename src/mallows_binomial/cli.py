@@ -267,6 +267,14 @@ def _fit_doc(result: FitResult, labels: list[str], scale: ScoreScale, dataset: D
     }
 
 
+def _is_float_list(text: str) -> bool:
+    """Whether every comma-separated piece of text, blank ones included, reads as a float."""
+    try:
+        return bool([float(v) for v in text.split(",")])
+    except ValueError:
+        return False
+
+
 # Range checks on the run options, in the order they are reported; each runs
 # only for a command that has the option, whose default argparse holds.
 _RUN_OPTION_CHECKS = (
@@ -280,7 +288,18 @@ _RUN_OPTION_CHECKS = (
     ("seed", lambda v: v >= 0, "--seed must be non-negative"),
     ("trials", lambda v: v >= 1, "--trials must be at least 1"),
     ("I", lambda v: v >= 1, "--I must be at least 1"),
+    ("J", lambda v: v >= 1, "--J must be at least 1"),
+    ("R", lambda v: v is None or v >= 1, "--R must be at least 1 (need 1 <= R <= J)"),
+    ("M", lambda v: v >= 1, "--M, the score scale, must be at least 1"),
+    ("theta", lambda v: 0 < v < np.inf, "--theta must be positive and finite"),
+    ("theta0", lambda v: 0 < v < np.inf, "--theta0 must be positive and finite"),
     ("grid_I", lambda v: min(_int_list(v), default=1) >= 1, "--grid-I entries must be at least 1"),
+    ("grid_M", lambda v: min(_int_list(v), default=1) >= 1, "--grid-M entries must be at least 1"),
+    ("grid_J", lambda v: min(_int_list(v), default=1) >= 1, "--grid-J entries must be at least 1"),
+    ("grid_R", lambda v: min(_int_list(v), default=1) >= 1, "--grid-R entries must be at least 1"),
+    ("grid_theta", lambda v: all(0 < t < np.inf for t in _float_list(v)),
+     "--grid-theta entries must be positive and finite"),
+    ("p0", _is_float_list, "--p0 must be a comma-separated list of numbers"),
 )
 
 

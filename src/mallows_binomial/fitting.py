@@ -8,6 +8,7 @@ full fits.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -216,37 +217,11 @@ def _binomial_term(stats: SufficientStats, j: int, p_j: float) -> float:
     return term
 
 
-def _row_sum(values: Sequence[float]) -> float:
-    """np.array(values).sum() of a list of floats, bit for bit, as numpy sums
-    any C-contiguous float64 row: pairwise, added to the identity 0.0 (a row
-    of -0.0 sums to +0.0). Below 8 values a loop from 0.0; to 128, eight
-    accumulators seeded by the first eight take the whole blocks of 8 and
-    pair as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest is added in
-    order; longer rows sum halves split at n//2 less its remainder mod 8."""
-    n = len(values)
-    if n < 8:
-        total = 0.0  # from +0.0, never -0.0: adding the identity changes no bit
-        for v in values:
-            total += v
-        return total
-    if n > 128:
-        # 0.0 + x changes only a zero's sign, so each half may carry it
-        half = n // 2 - n // 2 % 8
-        return _row_sum(values[:half]) + _row_sum(values[half:])
-    stop, r = n - n % 8, list(values[:8])
-    for i in range(8, stop, 8):
-        r = [acc + v for acc, v in zip(r, values[i:i + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[stop:]:
-        total += v
-    return 0.0 + total
-
-
 def _binomial_costs(stats: SufficientStats, fits: Sequence[np.ndarray]) -> list[float]:
     """Negative Binomial loglikelihood, less its coefficients, of each quality
-    vector in fits: minus the row sum of its per-object terms, summed as
-    numpy sums the row."""
-    return [-_row_sum([_binomial_term(stats, j, p_j) for j, p_j in enumerate(p.tolist())]) for p in fits]
+    vector in fits: minus the correctly rounded sum (math.fsum) of its
+    per-object terms, which no summation order can change."""
+    return [-math.fsum([_binomial_term(stats, j, p_j) for j, p_j in enumerate(p.tolist())]) for p in fits]
 
 
 class _NodePricer:
@@ -260,7 +235,7 @@ class _NodePricer:
     later one, stays a singleton at its own q, because the tail is sorted.
     Each child's row is the prefix's template (chain terms at the stack's values, tail terms at
     their own q, 0 for unobserved objects) with only the entries of re-pooled
-    blocks replaced, and is summed by _row_sum.
+    blocks replaced, and is summed by math.fsum, as _binomial_costs sums.
     A pricer is built for the root and derived object by object down the
     tree; PAVA pushes one value at a time, so a derived stack and template
     are those a build from the whole prefix would give."""
@@ -322,7 +297,7 @@ class _NodePricer:
             for j in members[start:start + span]:
                 row[j] = _binomial_term(stats, j, v)
             start += span
-        return -_row_sum(row)
+        return -math.fsum(row)
 
 
 def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:
@@ -378,13 +353,15 @@ def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:
 
 
 def mean_kendall_distance(stats: SufficientStats, order: Sequence[int]) -> float:
-    """Average Kendall distance of the observed rankings to a full order,
-    recovered from the pairwise preference matrix."""
+    """Average Kendall distance of the observed rankings to a full order:
+    D / n_rankers, D the win counts of the pairs the order reverses, an
+    integer summed exactly; 0.0 without rankings. A search reaches the same
+    D through its own sums, so both give the scale fit the same key."""
     pos = np.empty(stats.J, dtype=int)
     for r, obj in enumerate(order):
         pos[obj] = r
     mask = pos[:, None] > pos[None, :]
-    return float(stats.Q[mask].sum())
+    return float(stats.W[mask].sum()) / (stats.n_rankers or 1)
 
 
 def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None = None) -> float:

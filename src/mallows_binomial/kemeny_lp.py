@@ -1,11 +1,11 @@
 """LP-relaxation lower bound on the ranking cost at a search node.
 
-At a prefix node the mean Kendall cost splits into a fixed part (pairs whose
-relative order the prefix settles) and a free part over the remaining
-objects. The search keeps the fixed part and the crude free part (pairwise
-minima of the preference matrix) incrementally; this module's LP free part
-solves the Kemeny linear relaxation over the free objects and is never
-looser. A small dense simplex with Bland's anti-cycling rule is
+At a prefix node the Kendall cost, counted in judges, splits into a fixed
+part (pairs whose relative order the prefix settles) and a free part over
+the remaining objects. The search keeps the fixed part and the crude free
+part (pairwise minima of the win counts W) incrementally; this module's LP
+free part solves the Kemeny linear relaxation over the free objects and is
+never looser. A small dense simplex with Bland's anti-cycling rule is
 embedded so bounds are exact and bit-deterministic.
 """
 from __future__ import annotations
@@ -30,7 +30,7 @@ class PairLP:
     One variable y_e per unordered pair e = (u, v) with u < v, meaning
     "u precedes v". Constraints: 0 <= y_e <= 1 and, per object triple,
     0 <= y_ab + y_bc - y_ac <= 1 (both cyclic orientations of the triangle
-    inequality). The objective constant collects the Q mass on canonical
+    inequality). The objective constant collects the W mass on canonical
     orientations so the LP optimum is the full free-pair cost.
     """
 
@@ -56,15 +56,16 @@ def _pair_lp_layout(k: int) -> tuple[np.ndarray, np.ndarray]:
     return ends, triangles
 
 
-def build_pair_lp(Q: np.ndarray, free: Sequence[int]) -> PairLP:
-    """Assemble the free-pair Kemeny LP for the given free objects."""
+def build_pair_lp(W: np.ndarray, free: Sequence[int]) -> PairLP:
+    """Assemble the free-pair Kemeny LP for the given free objects, W[u, v]
+    the cost of ordering v before u."""
     free = list(free)
     ends, triangles = _pair_lp_layout(len(free))
     u, v = np.array(free, dtype=np.intp)[ends].T
     n, t = len(ends), len(triangles)
-    # pair cost: Q_uv + (Q_vu - Q_uv) * y_uv; the constant sums Q_uv left to right
-    c = Q[v, u] - Q[u, v]
-    constant = np.add.accumulate(np.concatenate(([0.0], Q[u, v])))[-1]
+    # pair cost: W_uv + (W_vu - W_uv) * y_uv; the constant sums W_uv left to right
+    c = W[v, u] - W[u, v]
+    constant = np.add.accumulate(np.concatenate(([0.0], W[u, v])))[-1]
     row = np.zeros((t, n))
     row[np.arange(t)[:, None], triangles] = [1.0, 1.0, -1.0]  # y_ab + y_bd - y_ad <= 1
     A = np.concatenate((np.eye(n), np.stack((row, -row), axis=1).reshape(2 * t, n)))  # and >= 0
@@ -118,11 +119,11 @@ def solve_dense_lp(program: PairLP, max_pivots: int | None = None) -> tuple[floa
     raise SimplexError(f"pivot budget exceeded after {max_pivots} pivots")
 
 
-def lp_free_cost(Q: np.ndarray, free: Sequence[int], crude_free: float) -> float:
+def lp_free_cost(W: np.ndarray, free: Sequence[int], crude_free: float) -> float:
     """LP free-pair cost, clamped from below by the crude free cost (both are
     valid lower bounds). Falls back to the crude cost with a warning if the
     simplex hits its pivot budget."""
-    program = build_pair_lp(Q, free)
+    program = build_pair_lp(W, free)
     try:
         lp_free, _ = solve_dense_lp(program)
     except SimplexError as err:

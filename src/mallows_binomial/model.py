@@ -155,10 +155,11 @@ class SufficientStats:
 
     M is the panel's score scale: scores are Binomial(M, p_j), and every fit
     reads M from here. mean_score and score_count summarize observed cells
-    per object; Q[u, v] is the fraction of ranking-providing judges placing u
-    strictly above v. length_profile is the multiset of ranking lengths, all
-    the scale part reads of the rankings besides Q: entry R-1 counts the
-    judges ranking exactly R objects, and n_rankers is its sum.
+    per object; W[u, v] counts the ranking-providing judges placing u
+    strictly above v, an integer-valued float, so every sum of its entries
+    is exact in any order. length_profile is the multiset of ranking
+    lengths, all the scale part reads of the rankings besides W: entry R-1
+    counts the judges ranking exactly R objects, and n_rankers is its sum.
 
     The score view the p fits read is derived once, at construction: per
     object q = mean/M and its isotonic weight count*M (Python floats), the
@@ -166,7 +167,7 @@ class SufficientStats:
     objects in index order, and the Binomial weights a = count*mean and
     b = count*(M - mean), zero where unobserved. mean_score, score_count, a
     and b are the rows of one read-only array built from the caller's
-    values, and Q a read-only copy, so no field aliases a caller's array.
+    values, and W a read-only copy, so no field aliases a caller's array.
     binomial_terms holds, per object, its Binomial term at each p value the
     fits have met; the fitting module fills it.
     """
@@ -175,7 +176,7 @@ class SufficientStats:
     M: int
     mean_score: np.ndarray
     score_count: np.ndarray
-    Q: np.ndarray
+    W: np.ndarray
     length_profile: tuple[int, ...]
     n_rankers: int = field(init=False)
     q: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -210,7 +211,7 @@ class SufficientStats:
         # frozen: every field is written past __setattr__, in one update
         self.__dict__.update(
             length_profile=profile, n_rankers=sum(profile), mean_score=rows[0], score_count=rows[1],
-            Q=_frozen_array(self.Q), q=tuple(q), q_weight=tuple([c * M for c in counts]), observed=tuple(seen),
+            W=_frozen_array(self.W), q=tuple(q), q_weight=tuple([c * M for c in counts]), observed=tuple(seen),
             by_q=tuple(by_q), unobserved=tuple([j for j in range(J) if not seen[j]]), a=rows[2], b=rows[3],
             binomial_terms=tuple([{} for _ in range(J)]))
 
@@ -306,11 +307,11 @@ def sample(params: Parameters, I: int, M: int, R: int, rng) -> Dataset:
 
 def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> SufficientStats:
     """Sufficient statistics: per-object score means/counts and the pairwise
-    preference matrix Q.
+    win counts W.
 
-    Q's numerator counts judges whose ranking strictly implies u above v
+    W[u, v] counts the judges whose ranking strictly implies u above v
     (unranked objects sit below all ranked ones; unranked pairs contribute
-    nothing); the denominator is the number of ranking-providing judges.
+    nothing).
 
     judges, when given, a 1-D sequence of integer indices in [0, I), selects
     the panel made of those judge rows, repeats included (a bootstrap
@@ -340,12 +341,11 @@ def compute_stats(dataset: Dataset, judges: Sequence[int] | None = None) -> Suff
     n_rankers = sum(profile)
     if not any(count) and not n_rankers:
         raise DegenerateDataError("dataset holds neither scores nor rankings")
-    wins = totals[3 * J:].reshape(J, J)
     return SufficientStats(
         J=J,
         M=dataset.M,
         mean_score=[s / c if c > 0 else np.nan for s, c in zip(sums, count)],
         score_count=count,
-        Q=wins / n_rankers if n_rankers else wins,
+        W=totals[3 * J:].reshape(J, J),
         length_profile=profile,
     )

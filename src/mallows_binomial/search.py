@@ -14,7 +14,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .fitting import (
     _conditional_fit,
     _fit_p_core,
     _NodePricer,
-    _row_sum,
     _scale_fit,
     _theta_cap,
     fit_given_order,
@@ -38,7 +36,6 @@ DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_CANDIDATE_CAP = 1024
 BRUTE_CAP = 7
 MAX_LOCAL_ROUNDS = 100  # greedy_local's cap on improvement rounds
-BLOCK_CELLS = 64  # children whose cost rows hold this many entries are summed as one numpy block
 
 
 class BruteForceCapExceeded(DegenerateDataError):
@@ -85,38 +82,32 @@ class FitResult:
         )
 
 
-@lru_cache(maxsize=64)
-def _upper_triangle(J: int) -> np.ndarray:
-    """Flat indices of the pairs u < v of a J x J matrix, row by row (the
-    order of np.triu_indices(J, k=1)), read-only, built once per J."""
-    index = np.flatnonzero(np.triu(np.ones((J, J), dtype=bool), k=1))
-    index.setflags(write=False)
-    return index
-
-
 class _SearchContext:
-    """Precomputed arrays shared by every node of one search, and its bound.
+    """Precomputed lists shared by every node of one search, and its bound.
 
-    A node's exact bound is its theta part (theta_part: the scale part at a
-    lower bound on the mean Kendall distance of the node's orders, computed
-    for every child generated) plus the Binomial cost of its p fit, which
-    _best_first prices lazily. heuristic "crude" bounds the free pairs'
-    Kendall cost by each pair's cheaper orientation, "lp" by the Kemeny LP
-    over the free objects."""
+    Pair costs are counts of judges: W[u][v] judges place u above v. A
+    node's fixed cost counts the judges its prefix disagrees with on the
+    pairs it settles, and its free cost the cheaper orientation of each free
+    pair; both are sums of integer-valued floats, exact in any order, so a
+    terminal's fixed cost is its order's D bit for bit. A node's exact bound
+    is its theta part (theta_part: the scale part at the mean distance
+    (fixed + free) / n, computed for every child generated) plus the
+    Binomial cost of its p fit, which _best_first prices lazily. heuristic
+    "crude" bounds the free cost by each pair's cheaper orientation, "lp" by
+    the Kemeny LP over the free objects."""
 
     def __init__(self, stats: SufficientStats, *, theta_max: float | None, heuristic: str = "crude"):
         if heuristic not in ("crude", "lp"):
             raise ValueError(f"unknown heuristic {heuristic!r}")
         self.stats = stats
         self.J = stats.J
+        self.n = stats.n_rankers or 1  # without rankings every count is 0
         self.theta_max = _theta_cap(stats.J, theta_max)
         self.heuristic = heuristic
-        self.Q = stats.Q
-        self.QT = np.ascontiguousarray(stats.Q.T)
-        self.col_total = stats.Q.sum(axis=0)
-        self.mmin = np.minimum(stats.Q, stats.Q.T)
-        self.root_free_min = float(self.mmin.take(_upper_triangle(self.J)).sum())
-        self.lists = self.QT.tolist(), self.Q.tolist(), self.mmin.tolist(), self.col_total.tolist()  # for small nodes
+        mmin = np.minimum(stats.W, stats.W.T)
+        self.W_rows, self.mmin, self.col_total = stats.W.tolist(), mmin.tolist(), stats.W.sum(axis=0).tolist()
+        self.root_rows = mmin.sum(axis=1).tolist()
+        self.root_free_min = sum(self.root_rows) / 2  # every free pair is in two rows
         self._lp_cache: dict[tuple[int, ...], float] = {}
 
     def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...]) -> float:
@@ -128,65 +119,44 @@ class _SearchContext:
         # pairwise minimum sum.
         if self.heuristic == "lp" and len(free) >= 3:
             if free not in self._lp_cache:
-                self._lp_cache[free] = lp_free_cost(self.Q, free, free_min)
+                self._lp_cache[free] = lp_free_cost(self.stats.W, free, free_min)
             free_min = self._lp_cache[free]
-        # L sums non-negative costs, but its incremental update can round a zero below it.
-        return _scale_fit(max(fixed + free_min, 0.0), self.stats.length_profile, self.theta_max)[2]
+        return _scale_fit((fixed + free_min) / self.n, self.stats.length_profile, self.theta_max)[2]
 
-    def children(self, prefix: Ranking, fixed: float, free_min: float, carry: list[float] | None, floor: float,
+    def children(self, prefix: Ranking, fixed: float, free_min: float, carry: tuple | None, floor: float,
                  pricer: _NodePricer, counter) -> list[tuple]:
         """The heap entries of every child of a node, in object order: (theta
-        part + floor, next(counter), child prefix, fixed, free_min, the node's
-        cross, theta part, None, pricer), the lazy entry of _best_first.
+        part + floor, counter, child prefix, fixed, free_min, the node's
+        sums, theta part, None, pricer), the lazy entry of _best_first.
 
-        A child adds its column of Q, less the prefix rows, to the fixed cost and
-        drops its free pairs' minima, its own diagonal 0 included, from the free
-        cost. Both are row sums, bit for bit as numpy sums each row alone: one
-        numpy call on a C-contiguous child x object block from BLOCK_CELLS
-        entries (children x J) up, below it Python floats, faster there. A
-        row of under 8 values numpy sums from 0.0 left to right (_row_sum), so
-        such a node with under 8 objects placed holds cross[c], that sum of
-        QT[c] over its prefix, for every c: its parent's cross (carry) plus
-        the row of Q of its last object, 0.0 at the root, or summed anew when
-        carry is None. Its free rows (free^2 <= free*J < BLOCK_CELLS) are that
-        loop, inline."""
+        A node's sums are cross[c], the wins over c of its prefix, and
+        rows[c], the cheaper orientations of c's pairs with the free objects,
+        for every object c: its parent's sums (carry) updated by its last
+        object's row, or the root's when carry is None. A child c adds
+        col_total[c] - cross[c] to the fixed cost and drops rows[c] from the
+        free cost. Each counter is next(counter) plus (J - len(prefix)) << 40,
+        so of two entries with equal keys the deeper pops first."""
         J = self.J
-        free = [o for o in range(J) if o not in prefix]
-        cross = None
-        if len(free) * J < BLOCK_CELLS:
-            QT, Q, mmin, col_total = self.lists
-            if len(prefix) < 8:
-                cross = ([total + q for total, q in zip(carry, Q[prefix[-1]])] if carry else
-                         [_row_sum([row[u] for u in prefix]) for row in QT] if prefix else [0.0] * J)
-                fixed_c = [fixed + col_total[c] - cross[c] for c in free]
-            else:
-                fixed_c = [fixed + col_total[c] - _row_sum([QT[c][u] for u in prefix]) for c in free]
-            free_min_c = []
-            for c in free:
-                row, total = mmin[c], 0.0
-                for v in free:
-                    total += row[v]
-                free_min_c.append(free_min - total)
+        if carry is None:
+            cross, rows = [0.0] * J, self.root_rows
         else:
-            children = np.array(free)
-            rows = children[:, None]
-            fixed_c = (fixed + self.col_total[children] - self.QT[rows, list(prefix)].sum(axis=1)).tolist()
-            free_min_c = (free_min - self.mmin[rows, children].sum(axis=1)).tolist()
+            last = prefix[-1]
+            cross = [total + w for total, w in zip(carry[0], self.W_rows[last])]
+            rows = [total - m for total, m in zip(carry[1], self.mmin[last])]
+        free = [o for o in range(J) if o not in prefix]
+        sums, col_total, depth = (cross, rows), self.col_total, (J - len(prefix)) << 40
+        profile, cap, n, lp = self.stats.length_profile, self.theta_max, self.n, self.heuristic == "lp"
         entries = []
-        if self.heuristic == "lp":
-            free = tuple(free)
-            for i, (c, f, m) in enumerate(zip(free, fixed_c, free_min_c)):
-                t = self.theta_part(f, m, free[:i] + free[i + 1:])
-                entries.append((t + floor, next(counter), prefix + (c,), f, m, cross, t, None, pricer))
-            return entries
-        profile, cap = self.stats.length_profile, self.theta_max
-        for c, f, m in zip(free, fixed_c, free_min_c):
-            d = f + m
-            if d < 0.0:  # max(d, 0.0), as theta_part clamps
-                d = 0.0
-            t = _scale_fit(d, profile, cap)[2]
-            entries.append((t + floor, next(counter), prefix + (c,), f, m, cross, t, None, pricer))
+        for i, c in enumerate(free):
+            f, m = fixed + col_total[c] - cross[c], free_min - rows[c]
+            t = (self.theta_part(f, m, tuple(free[:i] + free[i + 1:])) if lp else
+                 _scale_fit((f + m) / n, profile, cap)[2])
+            entries.append((t + floor, next(counter) + depth, prefix + (c,), f, m, sums, t, None, pricer))
         return entries
+
+    def complete(self, prefix: Ranking) -> Ranking:
+        """The full order of a terminal prefix: the one object left goes last."""
+        return prefix + tuple(o for o in range(self.J) if o not in prefix)
 
 
 def _lazy_floor(cost: float) -> float:
@@ -195,14 +165,14 @@ def _lazy_floor(cost: float) -> float:
 
 
 def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, greedy: bool = False):
-    """Best-first search of the prefix tree, J > 1. Returns (order, nodes
-    expanded, children generated, budget exhausted).
+    """Best-first search of the prefix tree, J > 1. Returns (the terminal's
+    priced entry, nodes expanded, children generated, budget exhausted).
 
-    Nodes are expanded by least (exact bound, counter), the counter numbering
-    children in generation order (so prefixes are never compared); the first
-    terminal popped ends the search. greedy drops the open list before each
-    expansion, so every level keeps the child of least (exact bound, object
-    index) and the descent never backtracks.
+    Nodes are expanded by least (exact bound, counter), the counter ranking
+    deeper children first and then in generation order (so prefixes are never
+    compared); the first terminal popped ends the search. greedy drops the
+    open list before each expansion, so every level keeps the child of least
+    (exact bound, object index) and the descent never backtracks.
 
     A child is pushed under the lazy key "its theta part + its parent's
     Binomial part - 1e-9 |parent's part|". A child that pops with a lazy key
@@ -216,10 +186,10 @@ def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, 
     a search that priced every child at once, in the same order.
 
     If the budget runs out, the open terminal of least (exact bound,
-    counter) is returned, lazy ones priced then; order is None when no
+    counter) is returned, lazy ones priced then; the entry is None when no
     terminal was generated."""
     J = ctx.J
-    # An entry is (key, counter, prefix, fixed, free_min, the parent's cross
+    # An entry is (key, counter, prefix, fixed, free_min, the parent's sums
     # or None, theta part, cost, the parent's pricer); a lazy one has no cost yet.
     heap: list[tuple] = []
     counter = itertools.count()
@@ -241,9 +211,6 @@ def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, 
         cost = pricer.cost(prefix[-1:])
         return theta_part + cost, count, prefix, fixed, free_min, carry, theta_part, cost, pricer
 
-    def complete(prefix: Ranking) -> Ranking:
-        return prefix + tuple(o for o in range(J) if o not in prefix)
-
     root = _NodePricer(ctx.stats)
     expand((), 0.0, ctx.root_free_min, None, root, root.cost(()))
     while heap:
@@ -252,23 +219,23 @@ def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, 
             entry = heapq.heappushpop(heap, priced(entry))
         _, _, prefix, fixed, free_min, carry, _, cost, pricer = entry
         if len(prefix) == J - 1:
-            return complete(prefix), nodes, cands, False
+            return entry, nodes, cands, False
         if nodes >= node_budget:
             break
         expand(prefix, fixed, free_min, carry, pricer.child(prefix[-1]), cost)
 
     # a terminal leaves the open list only by ending the search, so every one generated is open
     terminals = [entry if entry[7] is not None else priced(entry) for entry in heap if len(entry[2]) == J - 1]
-    order = complete(min(terminals, key=lambda entry: entry[:2])[2]) if terminals else None
-    return order, nodes, cands, True
+    return min(terminals, key=lambda entry: entry[:2]) if terminals else None, nodes, cands, True
 
 
 def _greedy_descent(stats: SufficientStats, theta_max: float | None) -> tuple[Ranking, int]:
     """The greedy order under crude bounds and its children generated."""
     if stats.J == 1:
         return (0,), 0
-    order, _, cands, _ = _best_first(_SearchContext(stats, theta_max=theta_max), greedy=True)
-    return order, cands
+    ctx = _SearchContext(stats, theta_max=theta_max)
+    terminal, _, cands, _ = _best_first(ctx, greedy=True)
+    return ctx.complete(terminal[2]), cands
 
 
 def _theta_chord(d: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
@@ -332,27 +299,32 @@ def astar(
 ) -> FitResult:
     """Exact MLE by best-first search over prefix orderings (_best_first).
 
-    Nodes are expanded by least admissible total-cost bound, ties by
-    generation order; the first terminal dequeued carries the exact
-    conditional optimum and is the global MLE. heuristic selects the crude
-    pairwise-minimum bound or the tighter Kemeny LP bound. If the node
-    budget runs out, the generated terminal of least (bound, counter) is
-    returned with budget_exhausted=True, so optimal=False (falling back to
-    the greedy order, under crude bounds, when none exists yet).
-    nodes_expanded counts expansions and candidate_evaluations every
-    generated child, priced or not.
+    Nodes are expanded by least admissible total-cost bound, ties toward the
+    deeper node and then by generation order; the first terminal dequeued
+    carries the exact conditional optimum and is the global MLE. Its fixed
+    cost is its order's integer D and its priced cost its order's Binomial
+    cost, bit for bit, so the fit is built from the terminal with one p fit.
+    heuristic selects the crude pairwise-minimum bound or the tighter
+    Kemeny LP bound. If the node budget runs out, the generated terminal of
+    least (bound, counter) is returned with budget_exhausted=True, so
+    optimal=False (falling back to the greedy order, under crude bounds,
+    when none exists yet). nodes_expanded counts expansions and
+    candidate_evaluations every generated child, priced or not.
     """
     t0 = time.perf_counter()
     ctx = _SearchContext(stats, theta_max=theta_max, heuristic=heuristic)
     algorithm = f"exact-{heuristic}"
     if stats.J == 1:
         return FitResult.from_fit(stats, fit_given_order(stats, (0,), theta_max=theta_max), algorithm, t0, 0, 1)
-    order, nodes, cands, exhausted = _best_first(ctx, node_budget)
-    if order is None:
+    terminal, nodes, cands, exhausted = _best_first(ctx, node_budget)
+    if terminal is None:
         warnings.warn("node budget exhausted before any terminal; returning greedy order", RuntimeWarning)
-        order = _greedy_descent(stats, theta_max)[0]
-    return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), algorithm, t0,
-                              nodes, cands, budget_exhausted=exhausted)
+        cond = fit_given_order(stats, _greedy_descent(stats, theta_max)[0], theta_max=theta_max)
+    else:
+        _, _, prefix, fixed, _, _, _, cost, _ = terminal
+        order = ctx.complete(prefix)
+        cond = _conditional_fit(stats, order, _fit_p_core(stats, order), fixed / ctx.n, cost, theta_max)
+    return FitResult.from_fit(stats, cond, algorithm, t0, nodes, cands, budget_exhausted=exhausted)
 
 
 def brute_force(stats: SufficientStats, *, theta_max: float | None = None, cap: int = BRUTE_CAP) -> FitResult:

@@ -151,7 +151,7 @@ def pairwise_wins_oracle(dataset) -> np.ndarray:
 def reference_stats(dataset, judges=None) -> dict:
     """compute_stats of the panel made of judge rows judges (all when None),
     one numpy array per field, from the resampled rows themselves: score
-    means and counts, Q from pairwise_wins_oracle, the length profile, and
+    means and counts, W from pairwise_wins_oracle, the length profile, and
     the score view (q, its weights, the observed flags, by_q, unobserved, a
     and b) as numpy computes it element by element."""
     rows = np.arange(dataset.I) if judges is None else np.asarray(judges)
@@ -168,7 +168,7 @@ def reference_stats(dataset, judges=None) -> dict:
     q = np.where(seen, mean / M, 0.0)
     by_q = np.flatnonzero(seen)[np.argsort(q[seen], kind="stable")]
     return {
-        "mean_score": mean, "score_count": count, "Q": wins / len(lengths) if lengths else wins,
+        "mean_score": mean, "score_count": count, "W": wins,
         "length_profile": tuple(lengths.count(R) for R in range(1, J + 1)), "n_rankers": len(lengths),
         "q": q, "q_weight": count * M, "observed": tuple(seen.tolist()), "by_q": tuple(by_q.tolist()),
         "unobserved": tuple(np.flatnonzero(~seen).tolist()),
@@ -404,41 +404,41 @@ def reference_fit_p_core(stats, prefix, free) -> np.ndarray:
 # Kendall ranking-cost oracles at a search node, recomputed from scratch;
 # the search keeps the same quantities incrementally.
 
-def fixed_pair_cost(Q, prefix) -> float:
-    """Mean Kendall cost of the pairs the prefix already determines: each
-    prefix object above every later prefix object and every free object."""
-    J = Q.shape[0]
+def fixed_pair_cost(W, prefix) -> float:
+    """Kendall cost, in judges, of the pairs the prefix already determines:
+    each prefix object above every later prefix object and every free object."""
+    J = W.shape[0]
     in_prefix = np.zeros(J, dtype=bool)
     cost = 0.0
-    col_total = Q.sum(axis=0)
+    col_total = W.sum(axis=0)
     for v in prefix:
         in_prefix[v] = True
-        cost += col_total[v] - Q[in_prefix, v].sum()
+        cost += col_total[v] - W[in_prefix, v].sum()
     return float(cost)
 
 
-def min_pair_cost(Q, free) -> float:
-    """Crude free-pair cost: sum of min(Q_uv, Q_vu) over free pairs."""
+def min_pair_cost(W, free) -> float:
+    """Crude free-pair cost: sum of min(W_uv, W_vu) over free pairs."""
     free = np.asarray(list(free), dtype=int)
     if free.size < 2:
         return 0.0
-    sub = Q[np.ix_(free, free)]
+    sub = W[np.ix_(free, free)]
     lower = np.minimum(sub, sub.T)
     return float(lower[np.triu_indices(free.size, k=1)].sum())
 
 
 def crude_cost(stats, prefix) -> float:
-    """Admissible mean ranking cost L at the node of a prefix: fixed pairs
-    plus pairwise minima over free pairs."""
+    """Admissible ranking cost L, in judges, at the node of a prefix: fixed
+    pairs plus pairwise minima over free pairs."""
     free = tuple(o for o in range(stats.J) if o not in prefix)
-    return fixed_pair_cost(stats.Q, prefix) + min_pair_cost(stats.Q, free)
+    return fixed_pair_cost(stats.W, prefix) + min_pair_cost(stats.W, free)
 
 
 def lp_bound(stats, prefix) -> float:
-    """Tight admissible mean ranking cost L_LP at the node of a prefix:
-    fixed-pair cost plus the Kemeny LP optimum over free pairs."""
+    """Tight admissible ranking cost L_LP, in judges, at the node of a
+    prefix: fixed-pair cost plus the Kemeny LP optimum over free pairs."""
     free = tuple(o for o in range(stats.J) if o not in prefix)
-    return fixed_pair_cost(stats.Q, prefix) + lp_free_cost(stats.Q, free, min_pair_cost(stats.Q, free))
+    return fixed_pair_cost(stats.W, prefix) + lp_free_cost(stats.W, free, min_pair_cost(stats.W, free))
 
 
 # The Kemeny LP as it was built and solved one row, column and pivot row at a
@@ -535,16 +535,18 @@ def reference_solve_dense_lp(program: PairLP, max_pivots: int | None = None) -> 
 
 
 # The search's child loop as it ran one child at a time, with scipy's Binomial
-# terms; the node kernel must give every bound bit for bit. ctx is a
-# search._SearchContext.
+# terms and numpy's sums of the win counts; the node kernel must give every
+# bound bit for bit. ctx is a search._SearchContext.
 
 def reference_binomial_cost(p, a, b) -> float:
-    return float(-np.sum(xlogy(a, p) + xlog1py(b, -p)))
+    """The Binomial cost of p, its terms summed correctly rounded."""
+    return -math.fsum((xlogy(a, p) + xlog1py(b, -p)).tolist())
 
 
 def reference_child_costs(ctx, prefix, fixed, free_min, child, free):
-    fixed_c = fixed + float(ctx.col_total[child]) - float(ctx.Q[list(prefix), child].sum())
-    drop = float(ctx.mmin[list(free), child].sum())  # mmin[child, child] = 0
+    W = ctx.stats.W
+    fixed_c = fixed + float(W[:, child].sum()) - float(W[list(prefix), child].sum())
+    drop = float(np.minimum(W, W.T)[list(free), child].sum())  # min(W[c, c], W[c, c]) = 0
     return fixed_c, free_min - drop
 
 
@@ -553,10 +555,10 @@ def reference_theta_part(ctx, fixed, free_min, free, heuristic) -> float:
     # minimum sum.
     if heuristic == "lp" and len(free) >= 3:
         if free not in ctx._lp_cache:
-            ctx._lp_cache[free] = lp_free_cost(ctx.Q, free, free_min)
+            ctx._lp_cache[free] = lp_free_cost(ctx.stats.W, free, free_min)
         free_min = ctx._lp_cache[free]
-    # L sums non-negative costs, but its incremental update can round a zero below it.
-    return _scale_fit(max(fixed + free_min, 0.0), ctx.stats.length_profile, ctx.theta_max)[2]
+    # the scale part at the mean distance: the costs count judges
+    return _scale_fit((fixed + free_min) / (ctx.stats.n_rankers or 1), ctx.stats.length_profile, ctx.theta_max)[2]
 
 
 def reference_bound(ctx, prefix, fixed, free_min, free, heuristic) -> float:
@@ -582,19 +584,27 @@ def complete(prefix, J):
     return tuple(prefix) + tuple(o for o in range(J) if o not in prefix)
 
 
+def tie_rank(J, prefix) -> int:
+    """What the counter of a child of the node of prefix adds to its number,
+    so that of two entries with equal bounds the deeper pops first."""
+    return (J - len(prefix)) << 40
+
+
 def reference_greedy_order(ctx, popped=None):
     """The greedy descent as it ran before its children were priced lazily:
     every child gets its exact bound, and min keeps the first smallest.
     Returns (order, candidate evaluations). Each child kept is appended to
     popped as (prefix, bound bits, counter), the counter numbering every
-    generated child, as the search's heap records the descent."""
+    generated child plus its tie_rank, as the search's heap records the
+    descent."""
     prefix, fixed, free_min, evals = (), 0.0, ctx.root_free_min, 0
     while len(prefix) < ctx.J - 1:
         children = list(reference_children(ctx, prefix, fixed, free_min, "crude"))
         index = min(range(len(children)), key=lambda i: children[i][0])
+        rank = tie_rank(ctx.J, prefix)
         bound, prefix, fixed, free_min, _ = children[index]
         if popped is not None:
-            popped.append((prefix, bound.hex(), evals + index))
+            popped.append((prefix, bound.hex(), evals + index + rank))
         evals += len(children)
     return complete(prefix, ctx.J), evals
 
@@ -602,7 +612,7 @@ def reference_greedy_order(ctx, popped=None):
 def reference_astar(stats, *, theta_max=None, heuristic="crude", node_budget=search.DEFAULT_NODE_BUDGET):
     """The A* search as it ran before its children were priced lazily: every
     child is pushed with its exact bound from reference_children and a
-    counter in generation order. Returns a dict of the popped entries as
+    counter in generation order plus its tie_rank. Returns a dict of the popped entries as
     (prefix, bound bits, counter) in order, the bound of every generated
     node in order, the order found, the node and candidate counts and
     budget_exhausted. A budget cut returns the generated terminal of least
@@ -617,7 +627,7 @@ def reference_astar(stats, *, theta_max=None, heuristic="crude", node_budget=sea
         nonlocal cands
         for bound, child, fixed_c, free_min_c, _ in reference_children(ctx, prefix, fixed, free_min, heuristic):
             cands += 1
-            entry = (bound, next(counter), child, fixed_c, free_min_c)
+            entry = (bound, next(counter) + tie_rank(J, prefix), child, fixed_c, free_min_c)
             generated.append(bound)
             heapq.heappush(heap, entry)
             if len(child) == J - 1:
@@ -700,15 +710,25 @@ class ChildEntry(NamedTuple):
     prefix: tuple
     fixed: float
     free_min: float
-    cross: list | None  # the node's carried prefix sums, None where it holds none
+    sums: tuple  # the node's (cross, rows), which its children carry down
     theta_part: float
     cost: float | None
     pricer: object
 
 
-def search_children(ctx, prefix, fixed, free_min, carry=None, floor=0.0, pricer=None):
-    """ctx.children of a node as ChildEntry tuples, counters from 0. carry is
-    the parent's cross; None sums the node's prefix rows anew."""
+def node_sums(ctx, prefix):
+    """A node's (cross, rows) from scratch, as lists over every object:
+    cross[c] the wins over c of the prefix, rows[c] the sum of min(W[c, v],
+    W[v, c]) over the free objects v."""
+    W = ctx.stats.W
+    free = [o for o in range(ctx.J) if o not in prefix]
+    return W[list(prefix)].sum(axis=0).tolist(), np.minimum(W, W.T)[:, free].sum(axis=1).tolist()
+
+
+def search_children(ctx, prefix, fixed, free_min, floor=0.0, pricer=None):
+    """ctx.children of a node as ChildEntry tuples, counters from 0 plus the
+    tie rank, the parent's sums computed from scratch."""
+    carry = node_sums(ctx, prefix[:-1]) if prefix else None
     return [ChildEntry(*entry) for entry in
             ctx.children(prefix, fixed, free_min, carry, floor, pricer, itertools.count())]
 

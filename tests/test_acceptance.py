@@ -142,9 +142,9 @@ def test_criterion_3_admissibility_chain():
         for k in range(0, J):
             for prefix in itertools.permutations(range(J), k):
                 free = tuple(o for o in range(J) if o not in prefix)
-                fixed = sum(float(stats.Q[[u for u in range(J) if u not in prefix[:a + 1]], v].sum())
+                fixed = sum(float(stats.W[[u for u in range(J) if u not in prefix[:a + 1]], v].sum())
                             for a, v in enumerate(prefix))
-                free_min = sum(min(stats.Q[u, v], stats.Q[v, u])
+                free_min = sum(min(stats.W[u, v], stats.W[v, u])
                                for u, v in itertools.combinations(free, 2))
                 crude_b = node_bound(crude_ctx, prefix, fixed, free_min, free)
                 lp_b = node_bound(lp_ctx, prefix, fixed, free_min, free)
@@ -217,7 +217,7 @@ def test_criterion_5_isotonic_exactness():
         mean = np.array([pool[rng.integers(0, len(pool))] for _ in range(J)])
         count = rng.integers(1, 6, size=J).astype(float)
         stats = SufficientStats(J=J, M=M, mean_score=mean, score_count=count,
-                                Q=np.zeros((J, J)), length_profile=(0,) * J)
+                                W=np.zeros((J, J)), length_profile=(0,) * J)
         p = _fit_p_core(stats, prefix)
         cost = binomial_cost(p, mean, count, M)
         oracle_cost, _ = structural_oracle(mean, count, M, prefix, free)

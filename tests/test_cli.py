@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -448,13 +449,22 @@ RUN_OPTION_ERRORS = {
     "--trials": (["0", "-2"], "--trials must be at least 1"),
     "--I": (["0", "-2"], "--I must be at least 1"),
     "--grid-I": (["0", "-1", "5,0"], "--grid-I entries must be at least 1"),
+    "--J": (["0", "-1"], "--J must be at least 1"),
+    "--R": (["0", "-2"], "--R must be at least 1"),
+    "--M": (["0", "-1"], "--M, the score scale, must be at least 1"),
+    "--grid-M": (["0", "5,-1"], "--grid-M entries must be at least 1"),
+    "--grid-J": (["0", "-1"], "--grid-J entries must be at least 1"),
+    "--grid-R": (["-2", "3,0"], "--grid-R entries must be at least 1"),
+    "--theta": (["0", "-1", "inf", "nan"], "--theta must be positive and finite"),
+    "--grid-theta": (["-1", "2,0", "inf", "nan"], "--grid-theta entries must be positive and finite"),
 }
 COMMAND_RUN_OPTIONS = {
     "fit": ("--theta-max", "--node-budget", "--candidate-cap"),
     "bootstrap": ("--B", "--level", "--theta-max", "--node-budget", "--candidate-cap", "--seed"),
     "compare": ("--B", "--level", "--theta-max", "--node-budget", "--candidate-cap", "--seed"),
-    "simulate": ("--seed", "--I"),
-    "benchmark": ("--theta-max", "--node-budget", "--seed", "--trials", "--grid-I"),
+    "simulate": ("--seed", "--I", "--J", "--R", "--M", "--theta"),
+    "benchmark": ("--theta-max", "--node-budget", "--seed", "--trials",
+                  "--grid-I", "--grid-M", "--grid-J", "--grid-R", "--grid-theta"),
 }
 
 
@@ -475,6 +485,25 @@ def test_run_commands_reject_out_of_range_options(tmp_path, capsys, command, fla
     assert main([command, *base, flag, value]) == EXIT_INPUT
     assert RUN_OPTION_ERRORS[flag][1] in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--I", "4", "--J", "-1", "--R", "-2", "--M", "2", "--theta", "1"], "--J"),
+    (["simulate", "--I", "4", "--J", "3", "--R", "2", "--M", "-1", "--theta", "1"], "--M"),
+    (["benchmark", "--grid-J", "-1", "--grid-R", "-2"], "--grid-J"),
+    (["bias-demo", "--p0", ","], "--p0"),
+    (["bias-demo", "--theta0", "-1"], "--theta0"),
+])
+def test_numeric_flags_numpy_rejected_are_named(tmp_path, capsys, argv, flag):
+    # Each of these reached numpy, float() or the model's own checks and
+    # exited 2 with their message ("negative dimensions are not allowed",
+    # "n < 0", "could not convert string to float: ''", "theta must be
+    # positive and finite"), which named no flag.
+    out = ["--out-dir", str(tmp_path / "sim")] if argv[0] == "simulate" else ["--out", str(tmp_path / "x")]
+    assert main([*argv, *out]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {flag}\b", err) and err.count("\n") == 1 and "Traceback" not in err, err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flags,named", [

@@ -9,6 +9,7 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 from conftest import (
     length_profile,
+    pairwise_distance_oracle,
     random_dataset,
     reference_fit_p_core,
     reference_distance_variance_total,
@@ -38,7 +39,7 @@ def make_score_stats(mean, count, M):
     count = np.asarray(count, dtype=float)
     J = mean.size
     return SufficientStats(J=J, M=M, mean_score=mean, score_count=count,
-                           Q=np.zeros((J, J)), length_profile=(0,) * J)
+                           W=np.zeros((J, J)), length_profile=(0,) * J)
 
 
 def binomial_cost(p, mean, count, M):
@@ -366,11 +367,36 @@ def test_objective_kendall_term_zero_when_unanimous():
     with_rank = objective(stats, params)
     score_only = objective(
         SufficientStats(J=3, M=4, mean_score=stats.mean_score, score_count=stats.score_count,
-                        Q=np.zeros((3, 3)), length_profile=(0, 0, 0)),
+                        W=np.zeros((3, 3)), length_profile=(0, 0, 0)),
         params)
     from mallows_binomial.fitting import log_psi_total
 
     assert with_rank - score_only == pytest.approx(log_psi_total(2.0, (0, 0, 3)), abs=1e-12)
+
+
+def test_mean_distance_is_an_exact_count_over_the_rankers():
+    # mean_kendall_distance is D / n_rankers, D the discordant pairs summed
+    # over the judges as an exact integer: the search's fixed costs reach the
+    # same D, so a terminal and its conditional fit share one scale-fit key.
+    # The comparison is with the quotient, bit for bit; the product back,
+    # (D / n) * n, need not be D in floating point (D = 29, n = 7).
+    rng = np.random.default_rng(47)
+    seen = set()
+    for case in range(60):
+        J = int(rng.integers(2, 9))
+        kind = ("full", "top-R", "missing")[case % 3]
+        R = J if kind == "full" else int(rng.integers(1, J + 1))
+        ds = random_dataset(rng, J=J, I=int(rng.integers(1, 16)), R=R, missing_rankings=0.4 if kind == "missing" else 0.0)
+        stats = compute_stats(ds)
+        for _ in range(4):
+            order = tuple(rng.permutation(J).tolist())
+            D = sum(pairwise_distance_oracle(r, order) for r in ds.rankings if r is not None)
+            mean = mean_kendall_distance(stats, order)
+            assert mean.hex() == (D / stats.n_rankers if stats.n_rankers else 0.0).hex(), (case, order)
+            assert round(mean * stats.n_rankers) == D
+            seen.add(kind)
+            seen.add("product rounds" if mean * stats.n_rankers != D else "product exact")
+    assert seen == {"full", "top-R", "missing", "product rounds", "product exact"}, seen
 
 
 def test_objective_checks_a_given_M():
@@ -393,35 +419,6 @@ def test_objective_rejects_parameters_of_another_size():
         params = Parameters(p=np.linspace(0.2, 0.8, J), theta=1.0, consensus_order=tuple(range(J)))
         with pytest.raises(ValueError, match=f"parameters hold {J} objects, the data J=4"):
             objective(stats, params)
-
-
-def test_row_sum_matches_numpy_bitwise():
-    # numpy's pairwise order at every length to 300 (the left-to-right loop
-    # below 8, the eight accumulators and their remainder to 128, the split
-    # above), as ndarray.sum() and as each row of a C-contiguous block:
-    # magnitudes over 1e+-8, signed zeros, infinities and NaN
-    rng = np.random.default_rng(17)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        for n in range(301):
-            for kind in range(5):
-                for _ in range(4):
-                    if kind == 0:
-                        row = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-                    elif kind == 1:
-                        row = np.full(n, -0.0)
-                    elif kind == 2:
-                        row = rng.choice([-0.0, 0.0, 1e8, -1e8, 1e-8, -1e-8, 0.1], n)
-                    elif kind == 3:
-                        row = rng.standard_normal(n)
-                        hits = min(n, 2)
-                        row[rng.integers(n, size=hits) if n else []] = rng.choice([np.inf, -np.inf, np.nan], hits)
-                    else:
-                        row = rng.uniform(size=n) * 10.0 ** rng.integers(-8, 9)
-                    block = np.ascontiguousarray([row, rng.permutation(row)])
-                    for values, block_sum in zip(block, block.sum(axis=1)):
-                        got = np.float64(fitting._row_sum(values.tolist())).tobytes()
-                        assert got == values.sum().tobytes() == block_sum.tobytes(), (n, kind, values)
-    assert fitting._row_sum([-0.0] * 3).hex() == fitting._row_sum([-0.0] * 200).hex() == "0x0.0p+0"
 
 
 # ---------------------------------------------------------------------------

@@ -49,22 +49,23 @@ def test_zero_matrix_program():
 
 def test_condorcet_cycle_lp_value():
     stats = condorcet_stats()
-    program = build_pair_lp(stats.Q, [0, 1, 2])
+    program = build_pair_lp(stats.W, [0, 1, 2])
     optimum, _ = solve_dense_lp(program)
-    assert optimum == pytest.approx(4 / 3, abs=1e-9)
+    assert optimum == pytest.approx(4.0, abs=1e-9)  # 4/3 per judge, in counts of the 3 judges
 
 
 def test_condorcet_cycle_bounds():
     stats = condorcet_stats()
-    assert crude_cost(stats, ()) == pytest.approx(1.0, abs=1e-12)
-    assert lp_bound(stats, ()) == pytest.approx(4 / 3, abs=1e-9)
-    # every total order of the cycle costs 4/3, so the LP relaxation is tight here
+    # in counts of the 3 judges: 1 and 4/3 per judge
+    assert crude_cost(stats, ()) == pytest.approx(3.0, abs=1e-12)
+    assert lp_bound(stats, ()) == pytest.approx(4.0, abs=1e-9)
+    # every total order of the cycle costs 4 (4/3 per judge), so the LP relaxation is tight here
     costs = []
     for order in itertools.permutations(range(3)):
         pos = {o: r for r, o in enumerate(order)}
-        costs.append(sum(stats.Q[v, u] for u, v in itertools.permutations(range(3), 2)
+        costs.append(sum(stats.W[v, u] for u, v in itertools.permutations(range(3), 2)
                          if pos[u] < pos[v]))
-    assert min(costs) == pytest.approx(4 / 3, abs=1e-12)
+    assert min(costs) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_unanimous_judges_root_bound_zero():
@@ -139,7 +140,7 @@ def test_admissibility_chain_exhaustive():
                 for tail in itertools.permutations(free):
                     order = prefix + tail
                     pos = {o: r for r, o in enumerate(order)}
-                    cost = sum(stats.Q[v, u] for u, v in itertools.permutations(range(J), 2)
+                    cost = sum(stats.W[v, u] for u, v in itertools.permutations(range(J), 2)
                                if pos[u] < pos[v])
                     exact = min(exact, cost)
                 assert crude <= lp + 1e-9
@@ -255,6 +256,6 @@ def test_every_search_lp_matches_reference(monkeypatch):
         astar(stats, heuristic="lp")
         for program in solved[start:]:
             free = sorted({o for pair in program.pairs for o in pair})
-            assert_same_program(program, reference_build_pair_lp(stats.Q, free))
-            assert assert_same_solution(stats.Q, free)
+            assert_same_program(program, reference_build_pair_lp(stats.W, free))
+            assert assert_same_solution(stats.W, free)
     assert len(solved) > 100

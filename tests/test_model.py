@@ -236,21 +236,21 @@ def test_sample_deterministic_under_seed():
 def test_stats_symmetric_pair():
     ds = Dataset(J=2, M=1, scores=np.full((2, 2), np.nan), rankings=((0, 1), (1, 0)))
     stats = compute_stats(ds)
-    assert stats.Q[0, 1] == 0.5 and stats.Q[1, 0] == 0.5
+    assert stats.W[0, 1] == 1.0 and stats.W[1, 0] == 1.0
     assert stats.n_rankers == 2 and stats.length_profile == (0, 2)
 
 
 def test_stats_top1_unranked_rule():
     ds = Dataset(J=3, M=1, scores=np.full((1, 3), np.nan), rankings=((0,),))
     stats = compute_stats(ds)
-    assert stats.Q[0, 1] == 1.0 and stats.Q[0, 2] == 1.0
-    assert stats.Q[1, 2] == 0.0 and stats.Q[2, 1] == 0.0
+    assert stats.W[0, 1] == 1.0 and stats.W[0, 2] == 1.0
+    assert stats.W[1, 2] == 0.0 and stats.W[2, 1] == 0.0
 
 
 def test_stats_complete_ranking_upper_triangular():
     ds = Dataset(J=3, M=1, scores=np.full((1, 3), np.nan), rankings=((0, 1, 2),))
-    Q = compute_stats(ds).Q
-    assert np.array_equal(Q, np.triu(np.ones((3, 3)), k=1))
+    W = compute_stats(ds).W
+    assert np.array_equal(W, np.triu(np.ones((3, 3)), k=1))
 
 
 def test_stats_score_means_and_flags():
@@ -260,13 +260,13 @@ def test_stats_score_means_and_flags():
     assert stats.mean_score[0] == 2.0
     assert np.isnan(stats.mean_score[1]) and stats.score_count[1] == 0
     assert stats.n_rankers == 0
-    assert np.all(stats.Q == 0)
+    assert np.all(stats.W == 0)
 
 
 def test_stats_reject_a_length_profile_of_the_wrong_shape():
     # fit_theta reads J as the profile's length, so a profile of another
     # length would fit the scale on the wrong number of objects
-    base = dict(J=3, M=4, mean_score=np.full(3, 2.0), score_count=np.ones(3), Q=np.zeros((3, 3)))
+    base = dict(J=3, M=4, mean_score=np.full(3, 2.0), score_count=np.ones(3), W=np.zeros((3, 3)))
     assert SufficientStats(**base, length_profile=(1, 0, 2)).n_rankers == 3
     for profile in ((1, 2), (0, 0, 0, 1), (1, -1, 2)):
         with pytest.raises(ValueError, match="length_profile"):
@@ -279,9 +279,10 @@ def test_stats_invariants_random():
         ds = random_dataset(rng, missing_scores=0.2, missing_rankings=0.3)
         stats = compute_stats(ds)
         assert stats.M == ds.M
-        assert np.all(np.diag(stats.Q) == 0)
-        assert np.all(stats.Q >= 0)
-        assert np.all(stats.Q + stats.Q.T <= 1 + 1e-12)
+        assert np.all(np.diag(stats.W) == 0)
+        assert np.all(stats.W >= 0)
+        assert np.all(stats.W + stats.W.T <= stats.n_rankers)
+        assert np.array_equal(stats.W, np.rint(stats.W))  # counts of judges
         observed = stats.score_count > 0
         assert np.all(stats.mean_score[observed] >= 0)
         assert np.all(stats.mean_score[observed] <= ds.M)
@@ -294,10 +295,9 @@ def test_stats_win_matrix_matches_pairwise_oracle():
         ds = random_dataset(rng, J=J, R=int(rng.integers(1, J + 1)), missing_rankings=0.3)
         rankings = tuple(None if r is None else r[:int(rng.integers(1, len(r) + 1))] for r in ds.rankings)
         ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=rankings)
-        wins = pairwise_wins_oracle(ds)
-        n = sum(r is not None for r in rankings)
-        Q = wins / n if n else wins
-        assert compute_stats(ds).Q.tobytes() == Q.tobytes()
+        stats = compute_stats(ds)
+        assert stats.W.tobytes() == pairwise_wins_oracle(ds).tobytes()
+        assert stats.n_rankers == sum(r is not None for r in rankings)
 
 
 def _judge_rows(ds, idx):
@@ -307,7 +307,7 @@ def _judge_rows(ds, idx):
 def _assert_stats_bitwise_equal(got, want):
     assert (got.J, got.M, got.n_rankers, got.length_profile) == (want.J, want.M, want.n_rankers, want.length_profile)
     assert type(got.n_rankers) is int
-    for name in ("mean_score", "score_count", "Q"):
+    for name in ("mean_score", "score_count", "W"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
@@ -373,7 +373,7 @@ def test_stats_fields_match_the_reference_construction_bitwise():
             except ValueError:  # a draw of judges with neither scores nor rankings
                 continue
             got = compute_stats(ds, judges)
-            for name in ("mean_score", "score_count", "Q", "a", "b"):
+            for name in ("mean_score", "score_count", "W", "a", "b"):
                 assert getattr(got, name).tobytes() == want[name].tobytes(), name
             for name in ("q", "q_weight"):
                 assert np.array(getattr(got, name), dtype=float).tobytes() == want[name].tobytes(), name
@@ -385,21 +385,21 @@ def test_stats_fields_match_the_reference_construction_bitwise():
 
 
 def test_stats_arrays_are_read_only_and_alias_no_caller_array():
-    mean, count, Q = np.array([2.0, np.nan, 0.5]), np.array([3.0, 0.0, 2.0]), np.full((3, 3), 0.25)
-    stats = SufficientStats(J=3, M=4, mean_score=mean, score_count=count, Q=Q, length_profile=(0, 0, 4))
-    fields = {name: getattr(stats, name) for name in ("mean_score", "score_count", "Q", "a", "b")}
+    mean, count, W = np.array([2.0, np.nan, 0.5]), np.array([3.0, 0.0, 2.0]), np.full((3, 3), 1.0)
+    stats = SufficientStats(J=3, M=4, mean_score=mean, score_count=count, W=W, length_profile=(0, 0, 4))
+    fields = {name: getattr(stats, name) for name in ("mean_score", "score_count", "W", "a", "b")}
     before = {name: array.tobytes() for name, array in fields.items()}
     for name, array in fields.items():
         assert not array.flags.writeable, name
         with pytest.raises(ValueError):
             array[0] = 1.0
-        assert not any(np.shares_memory(array, caller) for caller in (mean, count, Q)), name
-    mean[0], count[0], Q[0, 1] = 3.0, 1.0, 0.5  # the caller's arrays stay theirs
+        assert not any(np.shares_memory(array, caller) for caller in (mean, count, W)), name
+    mean[0], count[0], W[0, 1] = 3.0, 1.0, 2.0  # the caller's arrays stay theirs
     assert {name: array.tobytes() for name, array in fields.items()} == before
     assert stats.q == (0.5, 0.0, 0.125) and stats.observed == (True, False, True)
     ds = random_dataset(np.random.default_rng(8), J=4, I=6)
     for got in (compute_stats(ds), compute_stats(ds, [1, 1, 3])):
-        for name in ("mean_score", "score_count", "Q", "a", "b"):
+        for name in ("mean_score", "score_count", "W", "a", "b"):
             assert not getattr(got, name).flags.writeable, name
             assert not np.shares_memory(getattr(got, name), ds._judge_table), name
     p = np.array([0.2, 0.6, 0.4])
@@ -409,7 +409,7 @@ def test_stats_arrays_are_read_only_and_alias_no_caller_array():
 
 def test_stats_reject_score_columns_of_the_wrong_length():
     with pytest.raises(ValueError, match="mean_score and score_count must hold 3 values"):
-        SufficientStats(J=3, M=4, mean_score=[1.0, 2.0], score_count=[1.0, 1.0, 1.0], Q=np.zeros((3, 3)),
+        SufficientStats(J=3, M=4, mean_score=[1.0, 2.0], score_count=[1.0, 1.0, 1.0], W=np.zeros((3, 3)),
                         length_profile=(0, 0, 0))
 
 

@@ -21,6 +21,9 @@ from conftest import (
     reference_greedy_order,
     reference_node_binomial_costs,
     reference_theta_part,
+    fixed_pair_cost,
+    min_pair_cost,
+    node_sums,
     search_children,
 )
 from mallows_binomial import (
@@ -130,7 +133,7 @@ def test_heuristic_admissibility_every_node():
             for prefix in itertools.permutations(range(J), k):
                 free = tuple(o for o in range(J) if o not in prefix)
                 fixed = crude_cost(stats, prefix) - sum(
-                    min(stats.Q[u, v], stats.Q[v, u])
+                    min(stats.W[u, v], stats.W[v, u])
                     for u, v in itertools.combinations(free, 2))
                 free_min = crude_cost(stats, prefix) - fixed
                 crude_b = node_bound(crude_ctx, prefix, fixed, free_min, free)
@@ -177,7 +180,7 @@ def test_lazy_search_matches_the_eager_reference_bitwise(monkeypatch):
                                 float(rng.uniform(0.2, 2.5)), rng)
         panels.append(compute_stats(data))
     for J in (10, 11, 12):
-        # crude only: prefixes reach 8 objects, where children stop carrying their prefix sums
+        # crude only: deep prefixes, whose children carry sums down long paths
         _, data = simulate_cell(int(rng.integers(3, 8)), 5, J, J, 1.5, rng)
         panels.append(compute_stats(data))
     seen = set()
@@ -217,6 +220,69 @@ def test_lazy_search_matches_the_eager_reference_bitwise(monkeypatch):
     assert {"optimal", "cut", "greedy fallback", "cut, unpriced terminal"} <= seen, seen
 
 
+def terminal_fit_panels():
+    """Seeded panels of every shape the terminal's fit must cover: full and
+    top-R rankings with missing ones, wholly unobserved objects, score-only,
+    rankings-only, unanimous rankings (theta at the cap) and two opposite
+    rankings (theta at the floor)."""
+    rng = np.random.default_rng(81)
+    kinds = ("full", "top-R", "unobserved", "scores", "rankings", "unanimous", "opposite")
+    for case in range(28):
+        kind, J = kinds[case % 7], 3 + case % 5
+        # weak consensus and a coarse scale, so that some searches backtrack
+        ds = random_dataset(rng, J=J, I=int(rng.integers(3, 10)), M=2, R=J if kind == "full" else 2, theta=0.3,
+                            missing_scores=0.2, missing_rankings=0.3)
+        scores, rankings = np.array(ds.scores), ds.rankings
+        if kind == "unobserved":
+            scores[:, rng.choice(J, size=max(1, J // 3), replace=False)] = np.nan
+        elif kind == "scores":
+            rankings = (None,) * ds.I
+        elif kind == "rankings":
+            scores[:] = np.nan
+        elif kind == "unanimous":
+            rankings = (tuple(rng.permutation(J).tolist()),) * ds.I
+        elif kind == "opposite":
+            order = tuple(rng.permutation(J).tolist())
+            rankings = tuple(order if i % 2 else order[::-1] for i in range(2 * (ds.I // 2)))
+            scores = scores[:len(rankings)]
+        yield kind, compute_stats(Dataset(J=J, M=ds.M, scores=scores, rankings=rankings))
+
+
+def test_astar_result_is_its_terminal_fit_bitwise(monkeypatch):
+    # A* builds its fit from the terminal it pops: the order's D is the
+    # terminal's fixed cost, its Binomial cost the terminal's priced cost, and
+    # one p fit is left. That is fit_given_order of the order bit for bit (p
+    # bytes, theta, flag and f), and no fit_given_order call follows the
+    # terminal; only a budget cut that generated no terminal fits the greedy
+    # order with fit_given_order, once.
+    order_fits = _counting(monkeypatch, search, "fit_given_order")
+
+    def bits(fit):
+        return (fit.params.consensus_order, fit.params.p.tobytes(), repr(fit.params.theta),
+                fit.params.theta_at_cap, fit.theta_flag, fit.f_value.hex())
+
+    seen = set()
+    for kind, stats in terminal_fit_panels():
+        # and every cut short of the optimum, up to 30 nodes
+        cuts = range(1, min(astar(stats).nodes_expanded, 31))
+        for heuristic, theta_max, node_budget in (("crude", None, search.DEFAULT_NODE_BUDGET),
+                                                  ("lp", None, search.DEFAULT_NODE_BUDGET),
+                                                  ("crude", 0.5, search.DEFAULT_NODE_BUDGET),
+                                                  *(("crude", None, cut) for cut in cuts)):
+            order_fits.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = astar(stats, heuristic=heuristic, theta_max=theta_max, node_budget=node_budget)
+            fell_to_greedy = bool(caught)
+            assert len(order_fits) == fell_to_greedy, (kind, heuristic, node_budget)
+            expected = fit_given_order(stats, result.params.consensus_order, theta_max=theta_max)
+            assert bits(result) == bits(expected), (kind, heuristic, theta_max, node_budget)
+            seen.update((kind, result.theta_flag))
+            seen.add("greedy fallback" if fell_to_greedy else "cut" if result.budget_exhausted else "optimal")
+    assert seen == {"full", "top-R", "unobserved", "scores", "rankings", "unanimous", "opposite", "interior",
+                    "cap", "floor", "undefined", "greedy fallback", "cut", "optimal"}, seen
+
+
 def test_searches_price_few_children(monkeypatch):
     # Lazy pricing that stopped skipping children would leave every result
     # unchanged; only the number of children priced shows it.
@@ -228,8 +294,9 @@ def test_searches_price_few_children(monkeypatch):
     assert (evals, len(priced)) == (209, 27)
     stats = compute_stats(simulate_cell(20, 2, 8, 8, 0.3, np.random.default_rng(78))[1])
     # The eager A* priced all 75 children; the lazy one prices 23, plus the
-    # root. Under the LP bound it prices 24 of 81.
-    for heuristic, expected in (("crude", (15, 75, 24)), ("lp", (16, 81, 25))):
+    # root. Under the LP bound it is the same: breaking key ties toward the
+    # deeper node took it from 16 nodes, 81 children and 25 priced to these.
+    for heuristic, expected in (("crude", (15, 75, 24)), ("lp", (15, 75, 24))):
         priced.clear()
         result = astar(stats, heuristic=heuristic)
         assert (result.nodes_expanded, result.candidate_evaluations, len(priced)) == expected, heuristic
@@ -238,13 +305,12 @@ def test_searches_price_few_children(monkeypatch):
 
 
 def test_children_carry_prefix_sums_bitwise(monkeypatch):
-    # A Python-summed node with fewer than 8 objects placed takes each
-    # child's prefix column from the cross sums carried down its path. On
-    # greedy descents and A* runs, every child's fixed and free cost must
-    # equal the per-child row sums bit for bit, and a node carries exactly
-    # when it may: from the root's children at J <= 8, from a node 2 and 4
-    # objects deep at J = 9 and 10, and nowhere from 8 placed objects on, so
-    # never at J = 20.
+    # Every node but the root takes its cross and free-row sums from its
+    # parent's, updated by its last object, at every depth. On greedy
+    # descents and A* runs up to J = 20, every child's fixed and free cost
+    # must equal numpy's per-child sums of the win counts and the node's
+    # costs summed from scratch, bit for bit, and the sums a node hands its
+    # children must equal its sums computed from scratch.
     calls = []
     children = search._SearchContext.children
 
@@ -253,9 +319,12 @@ def test_children_carry_prefix_sums_bitwise(monkeypatch):
         calls.append((ctx, prefix, fixed, free_min, carry, entries))
         return entries
 
+    def bits(values):
+        return [v.hex() for v in values]
+
     monkeypatch.setattr(search._SearchContext, "children", recorded)
     rng = np.random.default_rng(91)
-    kinds, started = {}, {}
+    depths = {}
     for J, R, theta in ((6, 3, 2.0), (8, 8, 0.3), (9, 9, 0.5), (10, 10, 0.5), (12, 12, 1.0), (20, 20, 0.4)):
         stats = compute_stats(simulate_cell(12, 5, J, R, theta, rng)[1])
         calls.clear()
@@ -264,27 +333,20 @@ def test_children_carry_prefix_sums_bitwise(monkeypatch):
             warnings.simplefilter("ignore", RuntimeWarning)  # a budget cut before any terminal
             astar(stats, node_budget=200)
         for ctx, prefix, fixed, free_min, carry, entries in calls:
-            QT, _, mmin, col_total = ctx.lists
-            free = [o for o in range(J) if o not in prefix]
-            in_python = len(free) * J < search.BLOCK_CELLS
-            kind = ("block" if not in_python else "fallback" if len(prefix) >= 8 else
-                    "carried" if carry is not None else "started")
-            kinds.setdefault(J, set()).add(kind)
-            if kind == "started":
-                started.setdefault(J, set()).add(len(prefix))
-            column = {c: fitting._row_sum([QT[c][u] for u in prefix]) for c in free}
+            assert (carry is None) == (not prefix), (J, prefix)
+            depths.setdefault(J, set()).add(len(prefix))
+            free = tuple(o for o in range(J) if o not in prefix)
+            cross, rows = node_sums(ctx, prefix)
             for entry in map(ChildEntry._make, entries):
                 c = entry.prefix[-1]
-                assert entry.fixed.hex() == (fixed + col_total[c] - column[c]).hex(), (J, prefix, c)
-                want = free_min - fitting._row_sum([mmin[c][v] for v in free])
-                assert entry.free_min.hex() == want.hex(), (J, prefix, c)
-                assert (entry.cross is None) == (kind in ("block", "fallback")), (J, prefix, kind)
-                if entry.cross is not None:
-                    assert [entry.cross[o].hex() for o in free] == [column[o].hex() for o in free]
-    assert kinds == {6: {"started", "carried"}, 8: {"block", "started", "carried"},
-                     9: {"block", "started", "carried"}, 10: {"block", "started", "carried", "fallback"},
-                     12: {"block", "started", "fallback"}, 20: {"block", "fallback"}}, kinds
-    assert started == {6: {0}, 8: {1}, 9: {2}, 10: {4}, 12: {7}}, started
+                fixed_c, free_min_c = reference_child_costs(ctx, prefix, fixed, free_min, c, free)
+                assert (entry.fixed.hex(), entry.free_min.hex()) == (fixed_c.hex(), free_min_c.hex()), (J, prefix, c)
+                from_scratch = (fixed_pair_cost(stats.W, entry.prefix),
+                                min_pair_cost(stats.W, tuple(o for o in free if o != c)))
+                assert (entry.fixed.hex(), entry.free_min.hex()) == tuple(v.hex() for v in from_scratch)
+                assert (bits(entry.sums[0]), bits(entry.sums[1])) == (bits(cross), bits(rows)), (J, prefix)
+    # greedy reaches every depth a node is expanded at
+    assert depths == {J: set(range(J - 1)) for J in (6, 8, 9, 10, 12, 20)}, depths
 
 
 def test_children_and_theta_parts_match_the_eager_reference_bitwise(monkeypatch):
@@ -292,8 +354,8 @@ def test_children_and_theta_parts_match_the_eager_reference_bitwise(monkeypatch)
     # heuristics: its fixed and free costs are the reference's numpy sums,
     # its theta part is the reference's scale fit (after the LP, read from
     # the search's own LP cache, whose clamps depend on which node came
-    # first), and its key is that part plus the node's floor. A root summed
-    # in Python holds cross sums of 0.0.
+    # first), and its key is that part plus the node's floor. A root holds
+    # cross sums of 0.0.
     calls = []
     children = search._SearchContext.children
 
@@ -321,15 +383,15 @@ def test_children_and_theta_parts_match_the_eager_reference_bitwise(monkeypatch)
                     want = reference_theta_part(ctx, fixed_c, free_min_c, tuple(o for o in free if o != c), heuristic)
                     assert entry.theta_part.hex() == want.hex(), (J, heuristic, entry.prefix)
                     assert entry.key.hex() == (want + floor).hex()
-                    if not prefix and J * J < search.BLOCK_CELLS:
-                        assert entry.cross == [0.0] * J
+                    if not prefix:
+                        assert entry.sums[0] == [0.0] * J
                 roots += not prefix
     assert roots == 7 * 2 + 7
 
 
 def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
-    # rows of up to 19 fixed pairs take numpy's pairwise sum; every child on
-    # greedy's path must still match the 1-D sums bit for bit
+    # the carried sums of up to 19 placed objects; every child on greedy's
+    # path must still match numpy's sums of the win counts bit for bit
     for R in (5, 20):
         stats = compute_stats(simulate_cell(10, 10, 20, R, 0.4, np.random.default_rng([62, R]))[1])
         ctx, reference = _SearchContext(stats, theta_max=None), _SearchContext(stats, theta_max=None)
@@ -602,15 +664,16 @@ def test_theta_memo_is_shared_by_searches_on_one_length_profile(monkeypatch):
     assert [len(r) for r in first.rankings] != [len(r) for r in second.rankings]
     solves = _counting(monkeypatch, fitting, "fit_theta")
     order_fits = _counting(monkeypatch, search, "fit_given_order")
+    final_fits = _counting(monkeypatch, search, "_conditional_fit")
 
     fitting._scale_fit.cache_clear()
     astar(compute_stats(first))
-    assert len(solves) > len(order_fits)
+    assert len(solves) > len(order_fits) == 0
     solves.clear()
-    order_fits.clear()
+    final_fits.clear()
     result = astar(compute_stats(second))
-    # the final conditional fit too reads the first search's solve
-    assert len(solves) == 0 and len(order_fits) == 1
+    # the final conditional fit, built from the terminal, too reads the first search's solve
+    assert len(solves) == 0 and len(order_fits) == 0 and len(final_fits) == 1
     assert result.params.consensus_order == astar(compute_stats(first)).params.consensus_order
 
 
