@@ -202,6 +202,28 @@ def _pava(stack: list[tuple[float, float, int]], v: float, w: float) -> int:
     return len(stack) - 1
 
 
+def _chain_costs(stats: SufficientStats, chain: Sequence[int], sign: float = 1.0) -> list[float]:
+    """The Binomial cost of the isotonic p fit of each prefix of a chain,
+    entry k that of chain[:k], from one PAVA pass: a block costs its
+    members' terms at its value, and unobserved objects cost nothing. With
+    sign -1 the pass pushes -q, so a reversed chain gives the cost of each
+    suffix of the chain, for a pool of negated values is the pool negated."""
+    q, weight, observed = stats.q, stats.q_weight, stats.observed
+    stack: list[tuple[float, float, int]] = []
+    members: list[int] = []
+    block_costs: list[float] = []  # one per block of the stack
+    costs = [0.0]
+    for j in chain:
+        if observed[j]:
+            members.append(j)
+            depth = _pava(stack, sign * q[j], weight[j])
+            v, _, span = stack[depth]
+            del block_costs[depth:]
+            block_costs.append(sum([_binomial_term(stats, member, sign * v) for member in members[-span:]]))
+        costs.append(-sum(block_costs))
+    return costs
+
+
 def _binomial_term(stats: SufficientStats, j: int, p_j: float) -> float:
     """xlogy(a, p) + xlog1py(b, -p) of object j at p_j, where a = count * mean
     and b = count * (M - mean), so 0*log(0) = 0 at the boundary and an
@@ -352,16 +374,22 @@ def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:
     return np.array(p)
 
 
-def mean_kendall_distance(stats: SufficientStats, order: Sequence[int]) -> float:
-    """Average Kendall distance of the observed rankings to a full order:
-    D / n_rankers, D the win counts of the pairs the order reverses, an
-    integer summed exactly; 0.0 without rankings. A search reaches the same
-    D through its own sums, so both give the scale fit the same key."""
+def _kendall_total(stats: SufficientStats, order: Sequence[int]) -> float:
+    """D: the win counts of the pairs a full order reverses, an integer
+    summed exactly."""
     pos = np.empty(stats.J, dtype=int)
     for r, obj in enumerate(order):
         pos[obj] = r
     mask = pos[:, None] > pos[None, :]
-    return float(stats.W[mask].sum()) / (stats.n_rankers or 1)
+    return float(stats.W[mask].sum())
+
+
+def mean_kendall_distance(stats: SufficientStats, order: Sequence[int]) -> float:
+    """Average Kendall distance of the observed rankings to a full order:
+    D / n_rankers (_kendall_total); 0.0 without rankings. A search reaches
+    the same D through its own sums, so both give the scale fit the same
+    key."""
+    return _kendall_total(stats, order) / (stats.n_rankers or 1)
 
 
 def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None = None) -> float:

@@ -21,8 +21,10 @@ from . import kendall
 from .fitting import (
     ConditionalFit,
     _binomial_costs,
+    _chain_costs,
     _conditional_fit,
     _fit_p_core,
+    _kendall_total,
     _NodePricer,
     _scale_fit,
     _theta_cap,
@@ -246,29 +248,50 @@ def _theta_chord(d: float, best: tuple[float, float], lo: tuple[float, float], h
     return y0 if x1 == x0 else y0 + (y1 - y0) * ((d - x0) / (x1 - x0))
 
 
-def _best_fit(stats, orders, *, theta_max, best: ConditionalFit | None = None) -> ConditionalFit | None:
-    """Conditional fit of each order in turn; the first one with a strictly
-    smaller f than the best so far (starting from best, a fit of these stats
-    under this theta_max) wins.
+def _adjacent_swaps(stats: SufficientStats, order: Ranking,
+                    total: float) -> tuple[list[Ranking], list[float], list[float]]:
+    """The adjacent-swap neighbours of an order whose Kendall total is total
+    (kendall.adjacent_neighbors), each one's Kendall total, exact because
+    swapping a and b (a first) adds the integer W[a][b] - W[b][a], and a
+    floor under its Binomial part: with the chain constraints on either side
+    of the swapped pair dropped, the p fit splits into the isotonic fits of
+    order[:i], of the pair and of order[i + 2:], whose summed cost is no
+    larger, less _lazy_floor's margin for rounding."""
+    W = stats.W
+    prefix = _chain_costs(stats, order)
+    suffix = _chain_costs(stats, order[::-1], -1.0)[::-1]  # suffix[k]: the cost of order[k:]
+    totals, floors = [], []
+    for i, (a, b) in enumerate(zip(order, order[1:])):
+        totals.append(total - W.item(b, a) + W.item(a, b))
+        floors.append(_lazy_floor(prefix[i] + _chain_costs(stats, (b, a))[2] + suffix[i + 2]))
+    return kendall.adjacent_neighbors(order), totals, floors
 
-    A first pass takes each order's mean Kendall distance d, and the scale
-    part g(d) = _scale_fit(d)[2] is read at the smallest and the largest. g
-    is a minimum over theta of functions affine in d with positive slope, so
-    it is concave and non-decreasing; on each side of the best's d_best, g
-    therefore lies on or above its chord from (d_best, g(d_best)) to that
-    side's end of the range, wherever d_best lies. An order is fitted only if
-    its exact Binomial part plus that chord does not exceed the best f by
-    more than 1e-9 f, which covers the rounding of g against the objective's
-    theta part. A skipped order is not strictly better, so the winner is the
-    same.
+
+def _best_fit(stats, orders, distances, *, theta_max, best: ConditionalFit | None = None,
+              floors=None) -> ConditionalFit | None:
+    """Conditional fit of each order in turn, given its mean Kendall distance
+    d (and, optionally, a floor under the Binomial cost of its p fit); the
+    first one with a strictly smaller f than the best so far (starting from
+    best, a fit of these stats under this theta_max) wins.
+
+    The scale part g(d) = _scale_fit(d)[2] is read at the smallest and the
+    largest d. g is a minimum over theta of functions affine in d with
+    positive slope, so it is concave and non-decreasing; on each side of the
+    best's d_best, g therefore lies on or above its chord from (d_best,
+    g(d_best)) to that side's end of the range, wherever d_best lies. An
+    order is fitted only if its Binomial part plus that chord does not exceed
+    the best f by more than 1e-9 f, which covers the rounding of g against
+    the objective's theta part. The order's floor is tested first, and its p
+    is fitted only if the floor passes: the floor is at most the exact
+    Binomial part and rounded addition is monotone, so an order its floor
+    skips would fail the exact test too. A skipped order is not strictly
+    better, so the winner is the same.
     A fit's p, d and Binomial part are the screen's, and its theta and
     g(d_best) come from the one scale-fit memo, so no order's p or distance
     is computed twice and a theta is solved again only once the memo has
     dropped it."""
-    orders = list(orders)
     if not orders:
         return best
-    distances = [mean_kendall_distance(stats, order) for order in orders]
     profile, cap = stats.length_profile, _theta_cap(stats.J, theta_max)
     lo, hi = [(d, _scale_fit(d, profile, cap)[2]) for d in (min(distances), max(distances))]
 
@@ -276,12 +299,16 @@ def _best_fit(stats, orders, *, theta_max, best: ConditionalFit | None = None) -
         # (d, g(d)) of a fit and the bound above which an order is skipped
         return (d, _scale_fit(d, profile, cap)[2]), fit.f_value + 1e-9 * abs(fit.f_value)
 
+    cutoff = math.inf  # until there is a best, nothing is skipped
     if best is not None:
         at_best, cutoff = point(best, mean_kendall_distance(stats, best.params.consensus_order))
-    for order, d in zip(orders, distances):
+    for order, d, floor in zip(orders, distances, itertools.repeat(-math.inf) if floors is None else floors):
+        chord = -math.inf if best is None else _theta_chord(d, at_best, lo, hi)
+        if floor + chord > cutoff:
+            continue
         p = _fit_p_core(stats, order)
         binomial = _binomial_costs(stats, [p])[0]
-        if best is not None and binomial + _theta_chord(d, at_best, lo, hi) > cutoff:
+        if binomial + chord > cutoff:
             continue
         cond = _conditional_fit(stats, order, p, d, binomial, theta_max)
         if best is None or cond.f_value < best.f_value:
@@ -335,7 +362,8 @@ def brute_force(stats: SufficientStats, *, theta_max: float | None = None, cap: 
     if stats.J > cap:
         raise BruteForceCapExceeded(f"J={stats.J} exceeds the brute-force cap {cap}")
     t0 = time.perf_counter()
-    best = _best_fit(stats, itertools.permutations(range(stats.J)), theta_max=theta_max)
+    orders = list(itertools.permutations(range(stats.J)))
+    best = _best_fit(stats, orders, [mean_kendall_distance(stats, order) for order in orders], theta_max=theta_max)
     return FitResult.from_fit(stats, best, "brute", t0, 0, math.factorial(stats.J))
 
 
@@ -358,21 +386,26 @@ def greedy_local(stats: SufficientStats, *, theta_max: float | None = None) -> F
     Each round evaluates every adjacent-transposition neighbor of the
     incumbent and moves to the best strictly improving one; stops when no
     neighbor improves (that final sweep counts as a round) or after
-    MAX_LOCAL_ROUNDS rounds.
+    MAX_LOCAL_ROUNDS rounds. After two passes over the incumbent, a
+    neighbor's distance and a floor under its Binomial part cost O(1) each
+    (_adjacent_swaps), and its p is fitted only if the floor passes the
+    order screen (_best_fit).
     """
     t0 = time.perf_counter()
     order, evals = _greedy_descent(stats, theta_max)
-    incumbent = fit_given_order(stats, order, theta_max=theta_max)
+    incumbent, total = fit_given_order(stats, order, theta_max=theta_max), _kendall_total(stats, order)
+    n = stats.n_rankers or 1
     rounds, capped = 0, True
     while rounds < MAX_LOCAL_ROUNDS:
         rounds += 1
-        neighbors = kendall.adjacent_neighbors(incumbent.params.consensus_order)
+        neighbors, totals, floors = _adjacent_swaps(stats, incumbent.params.consensus_order, total)
         evals += len(neighbors)
-        best = _best_fit(stats, neighbors, theta_max=theta_max, best=incumbent)
+        best = _best_fit(stats, neighbors, [t / n for t in totals], theta_max=theta_max, best=incumbent,
+                         floors=floors)
         if best is incumbent:
             capped = False
             break
-        incumbent = best
+        incumbent, total = best, totals[neighbors.index(best.params.consensus_order)]
     return FitResult.from_fit(stats, incumbent, "greedy-local", t0, max(stats.J - 1, 0), evals,
                               local_rounds=rounds, rounds_capped=capped)
 
@@ -436,5 +469,6 @@ def fv(
     candidates = set(bases)
     for base in bases:
         candidates.update(kendall.adjacent_neighbors(base))
-    best = _best_fit(stats, sorted(candidates), theta_max=theta_max)
+    orders = sorted(candidates)
+    best = _best_fit(stats, orders, [mean_kendall_distance(stats, order) for order in orders], theta_max=theta_max)
     return FitResult.from_fit(stats, best, "fv", t0, 0, len(candidates), candidate_cap_hit=cap_hit)

@@ -748,10 +748,11 @@ def reference_node_binomial_costs(stats, prefix, extensions):
     return _binomial_costs(stats, [_fit_p_core(stats, tuple(prefix) + tuple(ext)) for ext in extensions])
 
 
-def reference_best_fit(stats, orders, *, theta_max, best=None):
+def reference_best_fit(stats, orders, distances, *, theta_max, best=None, floors=None):
     """The order scan without its screen: every order gets its conditional
-    fit, and the first strictly smaller f wins. The fits go through
-    search.fit_given_order, where tests count them."""
+    fit, and the first strictly smaller f wins. It takes search._best_fit's
+    arguments and ignores the distances and floors, so each fit computes its
+    own. The fits go through search.fit_given_order, where tests count them."""
     for order in orders:
         cond = search.fit_given_order(stats, order, theta_max=theta_max)
         if best is None or cond.f_value < best.f_value:

@@ -1,14 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mallows_binomial
 from conftest import reference_ingest
@@ -812,3 +818,115 @@ def test_cli_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": str(Path(mallows_binomial.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the CLI boundary, fuzzed
+# ---------------------------------------------------------------------------
+
+# Small, negative, NaN, infinite and blank values of each kind of flag. Every
+# size stays small, so no drawn command runs long.
+_INTS = ["0", "1", "2", "-1", "nan", "inf", "", "1.5"]
+_FLOATS = ["0", "0.5", "1", "2", "-1", "nan", "inf", "-inf", "", "1e-9"]
+_LISTS = ["", ",", "2", "3", "2,3", "1,", "-1", "0", "nan", "inf", "x"]
+_CELLS = ["", "x", "nan", "-1", "1.5", "inf", "5", " 2"]
+_LABELS = ["a", "b", "", "d", " b", "judge"]
+_FLAGS = {
+    "fit": {"--scale-min": _FLOATS, "--scale-max": ["4", "2", "0", "nan", "inf", "", "-1"],
+            "--scale-step": _FLOATS, "--method": list(cli.inference.CORE_METHODS) + ["bogus"],
+            "--theta-max": _FLOATS, "--node-budget": _INTS, "--candidate-cap": _INTS},
+    "bootstrap": {"--B": ["1", "2", "0", "-1", "nan", ""], "--level": _FLOATS, "--seed": _INTS,
+                  "--jobs": ["1", "0", "-1", "nan", ""], "--method": ["greedy", "exact-crude", "bogus"]},
+    "simulate": {"--I": _INTS, "--J": _INTS, "--R": _INTS, "--M": _INTS, "--theta": _FLOATS,
+                 "--p": ["uniform", "0.2,0.8", "", "nan", "2,0", "0.5", "x"], "--seed": _INTS},
+    "benchmark": {"--grid-I": _LISTS, "--grid-M": _LISTS, "--grid-J": _LISTS, "--grid-R": _LISTS,
+                  "--grid-theta": _LISTS, "--trials": ["1", "0", "-1", "nan", ""],
+                  "--algorithms": ["greedy", "exact-crude", "", "bogus", "greedy,bogus"], "--theta-max": _FLOATS},
+    "bias-demo": {"--p0": ["0.5", "0.2,0.7", "", ",", "nan", "inf,0.5", "-1,0.5", "0.2,x", "1,0"],
+                  "--theta0": _FLOATS, "--M": ["1", "2", "0", "-1", "nan", ""], "--R": ["1", "2", "0", "-1", ""],
+                  "--theta-max": _FLOATS},
+}
+# Flags every drawn argv carries, drawn or at these values: without them a
+# command would run its default grid or B = 200 replicates.
+_BASE = {
+    "fit": ["--scale-max", "4"],
+    "bootstrap": ["--scale-max", "4", "--B", "2", "--jobs", "1"],
+    "simulate": ["--I", "2", "--J", "2", "--R", "2", "--M", "2", "--theta", "1"],
+    "benchmark": ["--grid-I", "2", "--grid-M", "2", "--grid-J", "2", "--grid-R", "2", "--grid-theta", "1",
+                  "--trials", "1", "--algorithms", "greedy"],
+    "bias-demo": ["--p0", "0.2,0.7", "--M", "1"],
+}
+
+
+@st.composite
+def _drawn_flags(draw, flags):
+    """Up to three of a command's flags, each with one of its drawn values."""
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
+    return [part for flag in chosen for part in (flag, draw(st.sampled_from(flags[flag])))]
+
+
+@st.composite
+def _csv_pair(draw):
+    """Scores and rankings CSV text over labels a, b, c: a well-formed pair
+    with up to two cells or rows made malformed."""
+    judges = [f"j{i + 1}" for i in range(draw(st.integers(1, 4)))]
+    scores = [["judge", "a", "b", "c"]] + [[judge] + draw(st.lists(st.sampled_from(["0", "1", "2", "4", ""]),
+                                                                   min_size=3, max_size=3)) for judge in judges]
+    rankings = [["judge", "rank1", "rank2"]] + [[judge] + draw(st.permutations(["a", "b", "c"]))[:2]
+                                                for judge in judges]
+    for _ in range(draw(st.integers(0, 2))):
+        rows = draw(st.sampled_from([scores, rankings]))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        column = draw(st.integers(0, len(row) - 1))
+        fault = draw(st.sampled_from(["cell", "drop", "extra"]))
+        if fault == "cell":
+            row[column] = draw(st.sampled_from(_CELLS if rows is scores else _LABELS))
+        elif fault == "drop":
+            del row[column]
+        else:
+            row.append(draw(st.sampled_from(_CELLS)))
+    return tuple("".join(",".join(row) + "\n" for row in rows) for rows in (scores, rankings))
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse's own errors
+            code = stop.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command, examples", [("fit", 60), ("bootstrap", 20), ("compare", 12), ("simulate", 25),
+                                               ("benchmark", 15), ("bias-demo", 25)])
+def test_fuzzed_argv_exits_cleanly(command, examples, tmp_path_factory):
+    # Whatever the flags and files hold, a command exits 0, 2 (bad input) or
+    # 3 (budget), with at most one error line and never a traceback (exit 4).
+    # Some drawn commands must run to the end, so the fuzz reaches the work.
+    flags = _FLAGS["bootstrap" if command == "compare" else command]
+    base = _BASE["bootstrap" if command == "compare" else command]
+    codes, base_dir = set(), tmp_path_factory.mktemp(command)
+
+    @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @given(_drawn_flags(flags), _csv_pair(), st.sampled_from(["files", "no-rankings", "no-scores", "missing",
+                                                                "bad-out"]))
+    def run(drawn, pair, files):
+        folder = Path(tempfile.mkdtemp(dir=base_dir))
+        argv = [command, *base, *drawn]
+        scores, rankings = write(folder / "s.csv", pair[0]), write(folder / "r.csv", pair[1])
+        out = str(folder / ("missing/out.json" if files == "bad-out" else "out.json"))
+        if command in ("fit", "bootstrap", "compare"):
+            argv += {"files": ["--scores", scores, "--rankings", rankings], "no-rankings": ["--scores", scores],
+                     "no-scores": ["--rankings", rankings], "missing": ["--scores", str(folder / "none.csv")],
+                     "bad-out": ["--scores", scores, "--rankings", rankings]}[files]
+        argv += ["--out-dir", out] if command == "simulate" else ["--out", out]
+        code, err = _run_cli(argv)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+        codes.add(code)
+
+    run()
+    assert {EXIT_OK, EXIT_INPUT} <= codes, codes

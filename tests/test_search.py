@@ -563,6 +563,60 @@ def test_order_screen_skips_order_fits(monkeypatch):
     assert screened_fits < len(fits)
 
 
+def floor_panels():
+    """Panels for the swap floor, J = 2..8: full, top-R and score-only
+    rankings, missing cells, and from J = 3 on an object with no scores,
+    objects tied in q, and q at 0 and at 1."""
+    rng = np.random.default_rng(76)
+    for J in range(2, 9):
+        for kind in ("full", "top-R", "scores"):
+            ds = random_dataset(rng, J=J, I=6, R=J if kind == "full" else max(1, J - 2), theta=0.5,
+                                missing_scores=0.15)
+            scores, rankings = np.array(ds.scores), ds.rankings
+            if J >= 3:
+                scores[:, 0] = np.nan
+                scores[:, 1] = scores[:, 2] = np.arange(ds.I) % (ds.M + 1)
+                scores[0, 1] = scores[0, 2] = 1.0  # not all missing, whatever the draw
+            if J >= 5:
+                scores[:, 3], scores[:, 4] = 0.0, ds.M
+            if kind == "scores":
+                rankings = (None,) * ds.I
+            yield Dataset(J=J, M=ds.M, scores=scores, rankings=rankings)
+
+
+def test_swap_floor_bounds_every_adjacent_neighbour():
+    # For every adjacent swap of several orders (the q-sorted order, whose
+    # swaps all pool, its reverse, a random one and greedy's), the floor lies
+    # at or below the neighbour's exact Binomial part, and its O(1) distance
+    # is mean_kendall_distance's, bit for bit.
+    rng = np.random.default_rng(77)
+    checked, pooled = 0, 0
+    for ds in floor_panels():
+        stats = compute_stats(ds)
+        by_q = tuple(sorted(range(ds.J), key=lambda j: (stats.q[j], j)))
+        for order in (by_q, by_q[::-1], tuple(rng.permutation(ds.J).tolist()), search._greedy_descent(stats, None)[0]):
+            neighbours, totals, floors = search._adjacent_swaps(stats, order, fitting._kendall_total(stats, order))
+            for neighbour, total, floor in zip(neighbours, totals, floors):
+                exact = fitting._binomial_costs(stats, [fitting._fit_p_core(stats, neighbour)])[0]
+                assert floor <= exact, (ds, order, neighbour, floor, exact)
+                distance = total / (stats.n_rankers or 1)
+                assert distance.hex() == mean_kendall_distance(stats, neighbour).hex(), (order, neighbour)
+                checked += 1
+                pooled += floor > 0.9 * exact > 0
+    assert checked >= 300 and pooled >= checked // 4, (checked, pooled)
+
+
+def test_greedy_local_screens_most_neighbours_before_their_p_fit(monkeypatch):
+    # The unfloored scan fitted the p of all J - 1 neighbours every round, and
+    # greedy's order once more; the floor leaves fewer p fits than that.
+    _, data = simulate_cell(10, 10, 20, 20, 0.4, np.random.default_rng(74))
+    stats = compute_stats(data)
+    p_fits = _counting(monkeypatch, search, "_fit_p_core")
+    monkeypatch.setattr(fitting, "_fit_p_core", search._fit_p_core)
+    result = greedy_local(stats)
+    assert len(p_fits) < (stats.J - 1) * result.local_rounds, (len(p_fits), result.local_rounds)
+
+
 def test_order_screen_chord_is_a_lower_bound(monkeypatch):
     # Every chord an order is screened by lies at or below g(d) =
     # _scale_fit(d)[2], up to 1e-12 |f|, and every point it is drawn through is
@@ -600,8 +654,9 @@ def test_order_screen_chord_is_a_lower_bound(monkeypatch):
             # optimum scanning the optimum's neighbours, and the other way round
             order = results[2].params.consensus_order
             for scanned, incoming in ((order, order[::-1]), (order[::-1], order)):
-                search._best_fit(stats, kendall.adjacent_neighbors(scanned), theta_max=theta_max,
-                                 best=fit_given_order(stats, incoming, theta_max=theta_max))
+                neighbours = kendall.adjacent_neighbors(scanned)
+                search._best_fit(stats, neighbours, [mean_kendall_distance(stats, o) for o in neighbours],
+                                 theta_max=theta_max, best=fit_given_order(stats, incoming, theta_max=theta_max))
             f = min(abs(result.f_value) for result in results)
             cap = fitting._theta_cap(J, theta_max)
             g = {}
