@@ -267,10 +267,11 @@ def _fit_doc(result: FitResult, labels: list[str], scale: ScoreScale, dataset: D
     }
 
 
-def _is_float_list(text: str) -> bool:
-    """Whether every comma-separated piece of text, blank ones included, reads as a float."""
+def _is_quality_list(text: str) -> bool:
+    """Whether every comma-separated piece of text, blank ones included, reads
+    as a float in [0, 1] (NaN fails)."""
     try:
-        return bool([float(v) for v in text.split(",")])
+        return all(0 <= float(v) <= 1 for v in text.split(","))
     except ValueError:
         return False
 
@@ -299,7 +300,9 @@ _RUN_OPTION_CHECKS = (
     ("grid_R", lambda v: min(_int_list(v), default=1) >= 1, "--grid-R entries must be at least 1"),
     ("grid_theta", lambda v: all(0 < t < np.inf for t in _float_list(v)),
      "--grid-theta entries must be positive and finite"),
-    ("p0", _is_float_list, "--p0 must be a comma-separated list of numbers"),
+    ("p", lambda v: v == "uniform" or _is_quality_list(v),
+     "--p must be 'uniform' or a comma-separated list of numbers in [0, 1]"),
+    ("p0", _is_quality_list, "--p0 must be a comma-separated list of numbers in [0, 1]"),
 )
 
 
@@ -381,8 +384,6 @@ def cmd_simulate(args) -> int:
         p = np.array([float(v) for v in args.p.split(",")])
         if p.size != args.J:
             raise IngestError("--p length must equal --J")
-        if np.any(p < 0) or np.any(p > 1):
-            raise IngestError("--p entries must lie in [0, 1]")
     truth = Parameters(p=p, theta=args.theta, consensus_order=order_of(p))
     dataset = sample(truth, args.I, args.M, args.R, rng)
     labels = [f"o{j + 1}" for j in range(args.J)]

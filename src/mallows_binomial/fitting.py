@@ -128,9 +128,10 @@ def fit_theta(
     The result is a function of the bits of (mean_distance, the profile,
     cap) alone, and each step's numpy operations are fixed element for
     element, so every solve of one input returns the same theta.
-    The searches rely on it: _scale_fit memoizes the solve on that key, and
-    a bound, an order screen and a conditional fit that meet one key all
-    read the same theta and scale part, whichever of them solved it.
+    The searches rely on it: _scale_fit memoizes the solve on (the Kendall
+    total D, profile, cap), mean_distance being D / n, and a bound, an
+    order screen and a conditional fit that meet one key all read the same
+    theta and scale part, whichever of them solved it.
     """
     theta_max = _theta_cap(len(length_profile), theta_max)
     n = sum(length_profile)
@@ -171,20 +172,24 @@ def fit_theta(
 
 
 @lru_cache(maxsize=4096)
-def _scale_fit(mean_distance: float, profile: tuple[int, ...],
-               theta_max: float) -> tuple[float | None, str, float, float]:
-    """(theta, flag, g, log psi): fit_theta(mean_distance, profile, theta_max)
-    for a resolved cap, log psi = log_psi_total(theta, profile) and g = theta
-    * (mean_distance * n) + log psi, the scale part of f that the searches
-    bound; (None, "undefined", 0.0, 0.0) when there are no rankings. One memo
+def _scale_fit(total: float, profile: tuple[int, ...], theta_max: float) -> tuple[float | None, str, float]:
+    """(theta, flag, g) of the rankings' Kendall total D: fit_theta(D / n,
+    profile, theta_max) for a resolved cap, n = sum(profile), and g =
+    _scale_part(theta, D, profile), the scale part of f that the searches
+    bound; (None, "undefined", 0.0) when there are no rankings. One memo
     serves every bound, order screen and conditional fit; keyed on the O(J)
     profile, not the judges, it holds at most 4096 * O(J) values."""
+    theta, flag = fit_theta(total / (sum(profile) or 1), profile, theta_max)
+    return theta, flag, _scale_part(theta, total, profile)
+
+
+def _scale_part(theta: float | None, total: float, profile: tuple[int, ...]) -> float:
+    """theta * D + the summed log psi of the judges of a length profile, D
+    the Kendall total of their rankings; 0.0 without rankings. theta * D is
+    taken as theta * ((D / n) * n), the mean distance fit_theta solves for
+    times n, the bits every search key is built from."""
     n = sum(profile)
-    if not n:
-        return None, "undefined", 0.0, 0.0
-    theta, flag = fit_theta(mean_distance, profile, theta_max)
-    log_psi = log_psi_total(theta, profile)
-    return theta, flag, float(theta * (mean_distance * n) + log_psi), log_psi
+    return float(theta * (total / n * n) + log_psi_total(theta, profile)) if n else 0.0
 
 
 def _pava(stack: list[tuple[float, float, int]], v: float, w: float) -> int:
@@ -239,17 +244,17 @@ def _binomial_term(stats: SufficientStats, j: int, p_j: float) -> float:
     return term
 
 
-def _binomial_costs(stats: SufficientStats, fits: Sequence[np.ndarray]) -> list[float]:
-    """Negative Binomial loglikelihood, less its coefficients, of each quality
-    vector in fits: minus the correctly rounded sum (math.fsum) of its
-    per-object terms, which no summation order can change."""
-    return [-math.fsum([_binomial_term(stats, j, p_j) for j, p_j in enumerate(p.tolist())]) for p in fits]
+def _binomial_cost(stats: SufficientStats, p: np.ndarray) -> float:
+    """Negative Binomial loglikelihood, less its coefficients, of the quality
+    vector p: minus the correctly rounded sum (math.fsum) of its per-object
+    terms, which no summation order can change."""
+    return -math.fsum([_binomial_term(stats, j, p_j) for j, p_j in enumerate(p.tolist())])
 
 
 class _NodePricer:
     """The Binomial cost of the p fit of the children of one search node,
     one child at a time: the cost of prefix + ext is, bit for bit,
-    _binomial_costs(stats, [_fit_p_core(stats, prefix + ext)])[0].
+    _binomial_cost(stats, _fit_p_core(stats, prefix + ext)).
 
     The pricer holds the PAVA stack of the prefix chain. A child resumes from
     it, pushes its extension, then pushes the q-sorted free tail only while a
@@ -257,7 +262,7 @@ class _NodePricer:
     later one, stays a singleton at its own q, because the tail is sorted.
     Each child's row is the prefix's template (chain terms at the stack's values, tail terms at
     their own q, 0 for unobserved objects) with only the entries of re-pooled
-    blocks replaced, and is summed by math.fsum, as _binomial_costs sums.
+    blocks replaced, and is summed by math.fsum, as _binomial_cost sums.
     A pricer is built for the root and derived object by object down the
     tree; PAVA pushes one value at a time, so a derived stack and template
     are those a build from the whole prefix would give."""
@@ -375,8 +380,10 @@ def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:
 
 
 def _kendall_total(stats: SufficientStats, order: Sequence[int]) -> float:
-    """D: the win counts of the pairs a full order reverses, an integer
-    summed exactly."""
+    """D: the summed Kendall distance of the observed rankings to a full
+    order, the win counts of the pairs it reverses, an integer summed
+    exactly; 0.0 without rankings. A search reaches the same D through its
+    own sums, so both give the scale fit the same key."""
     pos = np.empty(stats.J, dtype=int)
     for r, obj in enumerate(order):
         pos[obj] = r
@@ -384,39 +391,22 @@ def _kendall_total(stats: SufficientStats, order: Sequence[int]) -> float:
     return float(stats.W[mask].sum())
 
 
-def mean_kendall_distance(stats: SufficientStats, order: Sequence[int]) -> float:
-    """Average Kendall distance of the observed rankings to a full order:
-    D / n_rankers (_kendall_total); 0.0 without rankings. A search reaches
-    the same D through its own sums, so both give the scale fit the same
-    key."""
-    return _kendall_total(stats, order) / (stats.n_rankers or 1)
-
-
 def objective(data: Dataset | SufficientStats, params: Parameters, M: int | None = None) -> float:
     """Negative joint loglikelihood less the binomial-coefficient constants,
-    generalized to per-judge ranking lengths and missing score cells. The
-    score scale is read from data; M, when given, must equal it."""
+    generalized to per-judge ranking lengths and missing score cells: the
+    Binomial part of p plus the scale part theta * D + sum log psi, D the
+    Kendall total of the rankings to the consensus order, added as a search
+    adds its keys. The score scale is read from data; M, when given, must
+    equal it."""
     stats = compute_stats(data) if isinstance(data, Dataset) else data
     if M is not None and M != stats.M:
         raise ValueError(f"M={M} disagrees with the data's score scale M={stats.M}")
     if params.J != stats.J:
         raise ValueError(f"parameters hold {params.J} objects, the data J={stats.J}")
-    d_mean = log_psi = None
-    if stats.n_rankers:
-        if params.theta is None:
-            raise ValueError("rankings present but parameters carry no theta")
-        d_mean = mean_kendall_distance(stats, params.consensus_order)
-        log_psi = log_psi_total(params.theta, stats.length_profile)
-    return _objective(stats, _binomial_costs(stats, [params.p])[0], params.theta, d_mean, log_psi)
-
-
-def _objective(stats: SufficientStats, binomial: float, theta: float | None, d_mean: float | None,
-               log_psi: float | None) -> float:
-    # objective from the Binomial cost of p, theta, the mean Kendall distance
-    # of the rankings to the consensus order and log psi at theta
-    if not stats.n_rankers:
-        return float(binomial)
-    return float(binomial + theta * d_mean * stats.n_rankers + log_psi)
+    if stats.n_rankers and params.theta is None:
+        raise ValueError("rankings present but parameters carry no theta")
+    total = _kendall_total(stats, params.consensus_order)
+    return _binomial_cost(stats, params.p) + _scale_part(params.theta, total, stats.length_profile)
 
 
 class ConditionalFit(NamedTuple):
@@ -436,19 +426,17 @@ def fit_given_order(
     if sorted(order) != list(range(stats.J)):
         raise ValueError("order is not a permutation of the objects")
     p = _fit_p_core(stats, order)
-    return _conditional_fit(stats, order, p, mean_kendall_distance(stats, order), _binomial_costs(stats, [p])[0],
-                            theta_max)
+    return _conditional_fit(stats, order, p, _kendall_total(stats, order), _binomial_cost(stats, p), theta_max)
 
 
-def _conditional_fit(stats: SufficientStats, order: Ranking, p: np.ndarray, d_mean: float, binomial: float,
+def _conditional_fit(stats: SufficientStats, order: Ranking, p: np.ndarray, total: float, binomial: float,
                      theta_max: float | None) -> ConditionalFit:
-    """The conditional fit of a permutation from its p fit, its mean Kendall
-    distance and the Binomial cost of p: the theta solve is all that is left,
+    """The conditional fit of a permutation from its p fit, its Kendall
+    total D and the Binomial cost of p: the theta solve is all that is left,
     and it is read from the scale-fit memo, which the search that found the
-    order has mostly filled, with log psi at that theta. Every conditional
-    fit is built here, so its value is the objective's."""
-    theta, flag, log_psi = None, "undefined", None
-    if stats.n_rankers:
-        theta, flag, _, log_psi = _scale_fit(d_mean, stats.length_profile, _theta_cap(stats.J, theta_max))
+    order has mostly filled. f is the Binomial cost plus the memo's scale
+    part g(D), the sum a search's key takes, so every conditional fit's
+    value is the objective's at its parameters, bit for bit."""
+    theta, flag, g = _scale_fit(total, stats.length_profile, _theta_cap(stats.J, theta_max))
     params = Parameters(p=p, theta=theta, consensus_order=order, theta_at_cap=flag == "cap")
-    return ConditionalFit(params, _objective(stats, binomial, theta, d_mean, log_psi), flag)
+    return ConditionalFit(params, binomial + g, flag)

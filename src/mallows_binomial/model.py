@@ -157,9 +157,11 @@ class SufficientStats:
     reads M from here. mean_score and score_count summarize observed cells
     per object; W[u, v] counts the ranking-providing judges placing u
     strictly above v, an integer-valued float, so every sum of its entries
-    is exact in any order. length_profile is the multiset of ranking
-    lengths, all the scale part reads of the rankings besides W: entry R-1
-    counts the judges ranking exactly R objects, and n_rankers is its sum.
+    is exact in any order; a W that is not a J x J array of such counts
+    with a zero diagonal raises ValueError. length_profile is the multiset
+    of ranking lengths, all the scale part reads of the rankings besides W:
+    entry R-1 counts the judges ranking exactly R objects, and n_rankers is
+    its sum.
 
     The score view the p fits read is derived once, at construction: per
     object q = mean/M and its isotonic weight count*M (Python floats), the
@@ -206,12 +208,18 @@ class SufficientStats:
             b.append(c * (M - m if s else 0.0))
         rows = np.array([means, counts, a, b])
         rows.setflags(write=False)
+        W = _frozen_array(self.W)
+        # Python floats, cheaper than numpy calls at a bootstrap's J: is_integer fails NaN and inf,
+        # and flat[::J + 1] is the diagonal
+        flat = W.ravel().tolist()
+        if W.shape != (J, J) or not all(map(float.is_integer, flat)) or min(flat) < 0 or any(flat[::J + 1]):
+            raise ValueError(f"W must be a {J} x {J} array of non-negative integer counts with a zero diagonal")
         # a stable sort of ascending indices: ties in q keep j order
         by_q = sorted([j for j in range(J) if seen[j]], key=q.__getitem__)
         # frozen: every field is written past __setattr__, in one update
         self.__dict__.update(
             length_profile=profile, n_rankers=sum(profile), mean_score=rows[0], score_count=rows[1],
-            W=_frozen_array(self.W), q=tuple(q), q_weight=tuple([c * M for c in counts]), observed=tuple(seen),
+            W=W, q=tuple(q), q_weight=tuple([c * M for c in counts]), observed=tuple(seen),
             by_q=tuple(by_q), unobserved=tuple([j for j in range(J) if not seen[j]]), a=rows[2], b=rows[3],
             binomial_terms=tuple([{} for _ in range(J)]))
 
@@ -294,7 +302,8 @@ def sample(params: Parameters, I: int, M: int, R: int, rng) -> Dataset:
     v = np.empty((I, R), dtype=int)
     for level in range(R):
         width = J - level  # V takes values 0..width-1
-        weights = np.exp(-params.theta * np.arange(width))
+        with np.errstate(over="ignore"):  # at a huge theta, -inf: weight 0 past the first place
+            weights = np.exp(-params.theta * np.arange(width))
         cum = np.cumsum(weights)
         cum /= cum[-1]
         v[:, level] = np.searchsorted(cum, rng.random(I), side="left")

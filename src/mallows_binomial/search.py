@@ -20,7 +20,7 @@ import numpy as np
 from . import kendall
 from .fitting import (
     ConditionalFit,
-    _binomial_costs,
+    _binomial_cost,
     _chain_costs,
     _conditional_fit,
     _fit_p_core,
@@ -29,7 +29,6 @@ from .fitting import (
     _scale_fit,
     _theta_cap,
     fit_given_order,
-    mean_kendall_distance,
 )
 from .kemeny_lp import lp_free_cost
 from .model import Dataset, DegenerateDataError, Parameters, Ranking, SufficientStats
@@ -91,9 +90,9 @@ class _SearchContext:
     node's fixed cost counts the judges its prefix disagrees with on the
     pairs it settles, and its free cost the cheaper orientation of each free
     pair; both are sums of integer-valued floats, exact in any order, so a
-    terminal's fixed cost is its order's D bit for bit. A node's exact bound
-    is its theta part (theta_part: the scale part at the mean distance
-    (fixed + free) / n, computed for every child generated) plus the
+    terminal's fixed cost is its order's Kendall total D bit for bit. A
+    node's exact bound is its theta part (theta_part: the scale part g at
+    the total fixed + free, computed for every child generated) plus the
     Binomial cost of its p fit, which _best_first prices lazily. heuristic
     "crude" bounds the free cost by each pair's cheaper orientation, "lp" by
     the Kemeny LP over the free objects."""
@@ -103,7 +102,6 @@ class _SearchContext:
             raise ValueError(f"unknown heuristic {heuristic!r}")
         self.stats = stats
         self.J = stats.J
-        self.n = stats.n_rankers or 1  # without rankings every count is 0
         self.theta_max = _theta_cap(stats.J, theta_max)
         self.heuristic = heuristic
         mmin = np.minimum(stats.W, stats.W.T)
@@ -123,7 +121,7 @@ class _SearchContext:
             if free not in self._lp_cache:
                 self._lp_cache[free] = lp_free_cost(self.stats.W, free, free_min)
             free_min = self._lp_cache[free]
-        return _scale_fit((fixed + free_min) / self.n, self.stats.length_profile, self.theta_max)[2]
+        return _scale_fit(fixed + free_min, self.stats.length_profile, self.theta_max)[2]
 
     def children(self, prefix: Ranking, fixed: float, free_min: float, carry: tuple | None, floor: float,
                  pricer: _NodePricer, counter) -> list[tuple]:
@@ -147,12 +145,12 @@ class _SearchContext:
             rows = [total - m for total, m in zip(carry[1], self.mmin[last])]
         free = [o for o in range(J) if o not in prefix]
         sums, col_total, depth = (cross, rows), self.col_total, (J - len(prefix)) << 40
-        profile, cap, n, lp = self.stats.length_profile, self.theta_max, self.n, self.heuristic == "lp"
+        profile, cap, lp = self.stats.length_profile, self.theta_max, self.heuristic == "lp"
         entries = []
         for i, c in enumerate(free):
             f, m = fixed + col_total[c] - cross[c], free_min - rows[c]
             t = (self.theta_part(f, m, tuple(free[:i] + free[i + 1:])) if lp else
-                 _scale_fit((f + m) / n, profile, cap)[2])
+                 _scale_fit(f + m, profile, cap)[2])
             entries.append((t + floor, next(counter) + depth, prefix + (c,), f, m, sums, t, None, pricer))
         return entries
 
@@ -240,12 +238,12 @@ def _greedy_descent(stats: SufficientStats, theta_max: float | None) -> tuple[Ra
     return ctx.complete(terminal[2]), cands
 
 
-def _theta_chord(d: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
-    """A lower bound on the scale part g(d) = _scale_fit(d)[2] for
-    lo[0] <= d <= hi[0], given the points (d, g(d)) best, lo and hi: g's
-    chord from best to the end of the range on d's side."""
-    (x0, y0), (x1, y1) = (best, hi) if d >= best[0] else (lo, best)
-    return y0 if x1 == x0 else y0 + (y1 - y0) * ((d - x0) / (x1 - x0))
+def _theta_chord(D: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
+    """A lower bound on the scale part g(D) = _scale_fit(D)[2] for
+    lo[0] <= D <= hi[0], given the points (D, g(D)) best, lo and hi: g's
+    chord from best to the end of the range on D's side."""
+    (x0, y0), (x1, y1) = (best, hi) if D >= best[0] else (lo, best)
+    return y0 if x1 == x0 else y0 + (y1 - y0) * ((D - x0) / (x1 - x0))
 
 
 def _adjacent_swaps(stats: SufficientStats, order: Ranking,
@@ -267,53 +265,53 @@ def _adjacent_swaps(stats: SufficientStats, order: Ranking,
     return kendall.adjacent_neighbors(order), totals, floors
 
 
-def _best_fit(stats, orders, distances, *, theta_max, best: ConditionalFit | None = None,
+def _best_fit(stats, orders, totals, *, theta_max, best: ConditionalFit | None = None,
               floors=None) -> ConditionalFit | None:
-    """Conditional fit of each order in turn, given its mean Kendall distance
-    d (and, optionally, a floor under the Binomial cost of its p fit); the
+    """Conditional fit of each order in turn, given its Kendall total D
+    (and, optionally, a floor under the Binomial cost of its p fit); the
     first one with a strictly smaller f than the best so far (starting from
     best, a fit of these stats under this theta_max) wins.
 
-    The scale part g(d) = _scale_fit(d)[2] is read at the smallest and the
-    largest d. g is a minimum over theta of functions affine in d with
+    The scale part g(D) = _scale_fit(D)[2] is read at the smallest and the
+    largest D. g is a minimum over theta of functions affine in D with
     positive slope, so it is concave and non-decreasing; on each side of the
-    best's d_best, g therefore lies on or above its chord from (d_best,
-    g(d_best)) to that side's end of the range, wherever d_best lies. An
+    best's D_best, g therefore lies on or above its chord from (D_best,
+    g(D_best)) to that side's end of the range, wherever D_best lies. An
     order is fitted only if its Binomial part plus that chord does not exceed
-    the best f by more than 1e-9 f, which covers the rounding of g against
-    the objective's theta part. The order's floor is tested first, and its p
+    the best f by more than 1e-9 f, which covers the rounding of g and of
+    the chord. The order's floor is tested first, and its p
     is fitted only if the floor passes: the floor is at most the exact
     Binomial part and rounded addition is monotone, so an order its floor
     skips would fail the exact test too. A skipped order is not strictly
     better, so the winner is the same.
-    A fit's p, d and Binomial part are the screen's, and its theta and
-    g(d_best) come from the one scale-fit memo, so no order's p or distance
+    A fit's p, D and Binomial part are the screen's, and its theta and
+    g(D_best) come from the one scale-fit memo, so no order's p or distance
     is computed twice and a theta is solved again only once the memo has
     dropped it."""
     if not orders:
         return best
     profile, cap = stats.length_profile, _theta_cap(stats.J, theta_max)
-    lo, hi = [(d, _scale_fit(d, profile, cap)[2]) for d in (min(distances), max(distances))]
+    lo, hi = [(D, _scale_fit(D, profile, cap)[2]) for D in (min(totals), max(totals))]
 
-    def point(fit: ConditionalFit, d: float) -> tuple[tuple[float, float], float]:
-        # (d, g(d)) of a fit and the bound above which an order is skipped
-        return (d, _scale_fit(d, profile, cap)[2]), fit.f_value + 1e-9 * abs(fit.f_value)
+    def point(fit: ConditionalFit, D: float) -> tuple[tuple[float, float], float]:
+        # (D, g(D)) of a fit and the bound above which an order is skipped
+        return (D, _scale_fit(D, profile, cap)[2]), fit.f_value + 1e-9 * abs(fit.f_value)
 
     cutoff = math.inf  # until there is a best, nothing is skipped
     if best is not None:
-        at_best, cutoff = point(best, mean_kendall_distance(stats, best.params.consensus_order))
-    for order, d, floor in zip(orders, distances, itertools.repeat(-math.inf) if floors is None else floors):
-        chord = -math.inf if best is None else _theta_chord(d, at_best, lo, hi)
+        at_best, cutoff = point(best, _kendall_total(stats, best.params.consensus_order))
+    for order, D, floor in zip(orders, totals, itertools.repeat(-math.inf) if floors is None else floors):
+        chord = -math.inf if best is None else _theta_chord(D, at_best, lo, hi)
         if floor + chord > cutoff:
             continue
         p = _fit_p_core(stats, order)
-        binomial = _binomial_costs(stats, [p])[0]
+        binomial = _binomial_cost(stats, p)
         if binomial + chord > cutoff:
             continue
-        cond = _conditional_fit(stats, order, p, d, binomial, theta_max)
+        cond = _conditional_fit(stats, order, p, D, binomial, theta_max)
         if best is None or cond.f_value < best.f_value:
             best = cond
-            at_best, cutoff = point(best, d)
+            at_best, cutoff = point(best, D)
     return best
 
 
@@ -329,8 +327,9 @@ def astar(
     Nodes are expanded by least admissible total-cost bound, ties toward the
     deeper node and then by generation order; the first terminal dequeued
     carries the exact conditional optimum and is the global MLE. Its fixed
-    cost is its order's integer D and its priced cost its order's Binomial
-    cost, bit for bit, so the fit is built from the terminal with one p fit.
+    cost is its order's Kendall total D and its priced cost its order's
+    Binomial cost, bit for bit, so the fit is built from the terminal with
+    one p fit, and its f, the Binomial cost plus g(D), is the terminal's key.
     heuristic selects the crude pairwise-minimum bound or the tighter
     Kemeny LP bound. If the node budget runs out, the generated terminal of
     least (bound, counter) is returned with budget_exhausted=True, so
@@ -350,7 +349,7 @@ def astar(
     else:
         _, _, prefix, fixed, _, _, _, cost, _ = terminal
         order = ctx.complete(prefix)
-        cond = _conditional_fit(stats, order, _fit_p_core(stats, order), fixed / ctx.n, cost, theta_max)
+        cond = _conditional_fit(stats, order, _fit_p_core(stats, order), fixed, cost, theta_max)
     return FitResult.from_fit(stats, cond, algorithm, t0, nodes, cands, budget_exhausted=exhausted)
 
 
@@ -363,7 +362,7 @@ def brute_force(stats: SufficientStats, *, theta_max: float | None = None, cap: 
         raise BruteForceCapExceeded(f"J={stats.J} exceeds the brute-force cap {cap}")
     t0 = time.perf_counter()
     orders = list(itertools.permutations(range(stats.J)))
-    best = _best_fit(stats, orders, [mean_kendall_distance(stats, order) for order in orders], theta_max=theta_max)
+    best = _best_fit(stats, orders, [_kendall_total(stats, order) for order in orders], theta_max=theta_max)
     return FitResult.from_fit(stats, best, "brute", t0, 0, math.factorial(stats.J))
 
 
@@ -394,14 +393,12 @@ def greedy_local(stats: SufficientStats, *, theta_max: float | None = None) -> F
     t0 = time.perf_counter()
     order, evals = _greedy_descent(stats, theta_max)
     incumbent, total = fit_given_order(stats, order, theta_max=theta_max), _kendall_total(stats, order)
-    n = stats.n_rankers or 1
     rounds, capped = 0, True
     while rounds < MAX_LOCAL_ROUNDS:
         rounds += 1
         neighbors, totals, floors = _adjacent_swaps(stats, incumbent.params.consensus_order, total)
         evals += len(neighbors)
-        best = _best_fit(stats, neighbors, [t / n for t in totals], theta_max=theta_max, best=incumbent,
-                         floors=floors)
+        best = _best_fit(stats, neighbors, totals, theta_max=theta_max, best=incumbent, floors=floors)
         if best is incumbent:
             capped = False
             break
@@ -470,5 +467,5 @@ def fv(
     for base in bases:
         candidates.update(kendall.adjacent_neighbors(base))
     orders = sorted(candidates)
-    best = _best_fit(stats, orders, [mean_kendall_distance(stats, order) for order in orders], theta_max=theta_max)
+    best = _best_fit(stats, orders, [_kendall_total(stats, order) for order in orders], theta_max=theta_max)
     return FitResult.from_fit(stats, best, "fv", t0, 0, len(candidates), candidate_cap_hit=cap_hit)

@@ -13,7 +13,7 @@ from mallows_binomial import Dataset, Parameters, order_of, sample, search
 from mallows_binomial.cli import IngestError, _judge_rows
 from mallows_binomial.fitting import (
     THETA_FLOOR,
-    _binomial_costs,
+    _binomial_cost,
     _fit_p_core,
     _NodePricer,
     _scale_fit,
@@ -557,8 +557,8 @@ def reference_theta_part(ctx, fixed, free_min, free, heuristic) -> float:
         if free not in ctx._lp_cache:
             ctx._lp_cache[free] = lp_free_cost(ctx.stats.W, free, free_min)
         free_min = ctx._lp_cache[free]
-    # the scale part at the mean distance: the costs count judges
-    return _scale_fit((fixed + free_min) / (ctx.stats.n_rankers or 1), ctx.stats.length_profile, ctx.theta_max)[2]
+    # the scale part at the Kendall total: the costs count judges
+    return _scale_fit(fixed + free_min, ctx.stats.length_profile, ctx.theta_max)[2]
 
 
 def reference_bound(ctx, prefix, fixed, free_min, free, heuristic) -> float:
@@ -745,13 +745,13 @@ def exact_children(ctx, prefix, fixed, free_min):
 def reference_node_binomial_costs(stats, prefix, extensions):
     """The Binomial part of each node's bound as the search priced it before
     a node's children shared one PAVA stack: a full p fit per node, one matrix."""
-    return _binomial_costs(stats, [_fit_p_core(stats, tuple(prefix) + tuple(ext)) for ext in extensions])
+    return [_binomial_cost(stats, _fit_p_core(stats, tuple(prefix) + tuple(ext))) for ext in extensions]
 
 
-def reference_best_fit(stats, orders, distances, *, theta_max, best=None, floors=None):
+def reference_best_fit(stats, orders, totals, *, theta_max, best=None, floors=None):
     """The order scan without its screen: every order gets its conditional
     fit, and the first strictly smaller f wins. It takes search._best_fit's
-    arguments and ignores the distances and floors, so each fit computes its
+    arguments and ignores the totals and floors, so each fit computes its
     own. The fits go through search.fit_given_order, where tests count them."""
     for order in orders:
         cond = search.fit_given_order(stats, order, theta_max=theta_max)

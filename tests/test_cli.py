@@ -463,12 +463,16 @@ RUN_OPTION_ERRORS = {
     "--grid-R": (["-2", "3,0"], "--grid-R entries must be at least 1"),
     "--theta": (["0", "-1", "inf", "nan"], "--theta must be positive and finite"),
     "--grid-theta": (["-1", "2,0", "inf", "nan"], "--grid-theta entries must be positive and finite"),
+    "--p": (["0.1,nan,0.3", "0.1,1.5,0.3", "0.1,-0.1,0.3", "x"],
+            "--p must be 'uniform' or a comma-separated list of numbers in [0, 1]"),
+    "--p0": (["0.1,nan", "nan", "0.5,1.5", "0.5,-0.2", ","], "--p0 must be a comma-separated list of numbers in [0, 1]"),
 }
 COMMAND_RUN_OPTIONS = {
     "fit": ("--theta-max", "--node-budget", "--candidate-cap"),
     "bootstrap": ("--B", "--level", "--theta-max", "--node-budget", "--candidate-cap", "--seed"),
     "compare": ("--B", "--level", "--theta-max", "--node-budget", "--candidate-cap", "--seed"),
-    "simulate": ("--seed", "--I", "--J", "--R", "--M", "--theta"),
+    "simulate": ("--seed", "--I", "--J", "--R", "--M", "--theta", "--p"),
+    "bias-demo": ("--p0",),
     "benchmark": ("--theta-max", "--node-budget", "--seed", "--trials",
                   "--grid-I", "--grid-M", "--grid-J", "--grid-R", "--grid-theta"),
 }
@@ -487,6 +491,7 @@ def test_run_commands_reject_out_of_range_options(tmp_path, capsys, command, fla
         "simulate": ["--I", "4", "--J", "3", "--R", "3", "--M", "2", "--theta", "1",
                      "--out-dir", str(tmp_path / "sim")],
         "benchmark": ["--out", str(out)],
+        "bias-demo": ["--out", str(out)],
     }.get(command, ["--scores", str(tmp_path / "absent.csv"), "--scale-max", "5", "--out", str(out)])
     assert main([command, *base, flag, value]) == EXIT_INPUT
     assert RUN_OPTION_ERRORS[flag][1] in capsys.readouterr().err

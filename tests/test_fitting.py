@@ -31,7 +31,7 @@ from mallows_binomial import (
     objective,
 )
 from mallows_binomial import fitting
-from mallows_binomial.fitting import THETA_FLOOR, _fit_p_core, log_psi_total, mean_kendall_distance
+from mallows_binomial.fitting import THETA_FLOOR, _fit_p_core, _kendall_total, log_psi_total
 
 
 def make_score_stats(mean, count, M):
@@ -361,7 +361,7 @@ def test_objective_kendall_term_zero_when_unanimous():
     order = (2, 0, 1)
     ds = Dataset(J=3, M=4, scores=np.array([[2.0, 3.0, 1.0]] * 3), rankings=(order,) * 3)
     stats = compute_stats(ds)
-    assert mean_kendall_distance(stats, order) == 0.0
+    assert _kendall_total(stats, order) == 0.0
     p = np.array([0.5, 0.75, 0.25])
     params = Parameters(p=p, theta=2.0, consensus_order=order)
     with_rank = objective(stats, params)
@@ -374,12 +374,12 @@ def test_objective_kendall_term_zero_when_unanimous():
     assert with_rank - score_only == pytest.approx(log_psi_total(2.0, (0, 0, 3)), abs=1e-12)
 
 
-def test_mean_distance_is_an_exact_count_over_the_rankers():
-    # mean_kendall_distance is D / n_rankers, D the discordant pairs summed
-    # over the judges as an exact integer: the search's fixed costs reach the
-    # same D, so a terminal and its conditional fit share one scale-fit key.
-    # The comparison is with the quotient, bit for bit; the product back,
-    # (D / n) * n, need not be D in floating point (D = 29, n = 7).
+def test_kendall_total_is_an_exact_count_over_the_rankers():
+    # _kendall_total is D, the discordant pairs summed over the judges as an
+    # exact integer: the search's fixed costs reach the same D, so a terminal
+    # and its conditional fit share one scale-fit key. The scale fit solves
+    # for the mean D / n and its scale part reads (D / n) * n, which need not
+    # be D in floating point (D = 29, n = 7).
     rng = np.random.default_rng(47)
     seen = set()
     for case in range(60):
@@ -391,9 +391,12 @@ def test_mean_distance_is_an_exact_count_over_the_rankers():
         for _ in range(4):
             order = tuple(rng.permutation(J).tolist())
             D = sum(pairwise_distance_oracle(r, order) for r in ds.rankings if r is not None)
-            mean = mean_kendall_distance(stats, order)
-            assert mean.hex() == (D / stats.n_rankers if stats.n_rankers else 0.0).hex(), (case, order)
+            total = _kendall_total(stats, order)
+            assert total.hex() == float(D).hex(), (case, order)
+            mean = total / (stats.n_rankers or 1)
             assert round(mean * stats.n_rankers) == D
+            cap = fitting.default_theta_max(J)
+            assert fitting._scale_fit(total, stats.length_profile, cap)[:2] == fit_theta(mean, stats.length_profile, cap)
             seen.add(kind)
             seen.add("product rounds" if mean * stats.n_rankers != D else "product exact")
     assert seen == {"full", "top-R", "missing", "product rounds", "product exact"}, seen

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,18 @@ def test_moments_match_sampler():
 # sample
 # ---------------------------------------------------------------------------
 
+def test_sample_at_a_huge_theta_draws_the_consensus_prefix():
+    # -theta * k overflows to -inf at theta = 1e308, so the insertion weights
+    # are 1 at the first place and 0 past it; the overflow must not warn.
+    order = (2, 0, 3, 1)
+    params = Parameters(p=[0.4, 0.9, 0.1, 0.5], theta=1e308, consensus_order=order)
+    for R in (1, 3, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = sample(params, 12, 5, R, np.random.default_rng(R))
+        assert ds.rankings == (order[:R],) * 12
+
+
 def test_sample_degenerate_binomial():
     params = Parameters(p=np.zeros(3), theta=1.0, consensus_order=(0, 1, 2))
     ds = sample(params, 50, M=4, R=3, rng=np.random.default_rng(0))
@@ -271,6 +284,26 @@ def test_stats_reject_a_length_profile_of_the_wrong_shape():
     for profile in ((1, 2), (0, 0, 0, 1), (1, -1, 2)):
         with pytest.raises(ValueError, match="length_profile"):
             SufficientStats(**base, length_profile=profile)
+
+
+def test_stats_reject_a_W_that_is_not_counts():
+    # The fits read W's sums as exact Kendall totals: the old mean matrix
+    # Q = W / n_rankers, a negative, NaN or infinite entry, a judge counted
+    # against itself or a W of another shape would fit the wrong scale part.
+    ds = random_dataset(np.random.default_rng(48), J=4, I=7)
+    stats = compute_stats(ds)
+    base = dict(J=4, M=stats.M, mean_score=stats.mean_score, score_count=stats.score_count,
+                length_profile=stats.length_profile)
+    assert SufficientStats(**base, W=stats.W).W.tobytes() == stats.W.tobytes()
+    bad = [stats.W / stats.n_rankers]
+    for value in (-1.0, np.nan, np.inf, 0.5):
+        W = stats.W.copy()
+        W[0, 1] = value
+        bad.append(W)
+    bad += [stats.W + np.eye(4), stats.W[:3, :3], stats.W.ravel(), np.zeros((4, 4, 1))]
+    for W in bad:
+        with pytest.raises(ValueError, match="W must be a 4 x 4 array of non-negative integer counts"):
+            SufficientStats(**base, W=W)
 
 
 def test_stats_invariants_random():
@@ -385,7 +418,7 @@ def test_stats_fields_match_the_reference_construction_bitwise():
 
 
 def test_stats_arrays_are_read_only_and_alias_no_caller_array():
-    mean, count, W = np.array([2.0, np.nan, 0.5]), np.array([3.0, 0.0, 2.0]), np.full((3, 3), 1.0)
+    mean, count, W = np.array([2.0, np.nan, 0.5]), np.array([3.0, 0.0, 2.0]), np.ones((3, 3)) - np.eye(3)
     stats = SufficientStats(J=3, M=4, mean_score=mean, score_count=count, W=W, length_profile=(0, 0, 4))
     fields = {name: getattr(stats, name) for name in ("mean_score", "score_count", "W", "a", "b")}
     before = {name: array.tobytes() for name, array in fields.items()}

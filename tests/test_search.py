@@ -39,7 +39,7 @@ from mallows_binomial import (
     objective,
 )
 from mallows_binomial import fitting, kendall, search
-from mallows_binomial.fitting import THETA_FLOOR, mean_kendall_distance
+from mallows_binomial.fitting import THETA_FLOOR, _kendall_total
 from mallows_binomial.inference import bootstrap, simulate_cell
 from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
 
@@ -587,20 +587,19 @@ def floor_panels():
 def test_swap_floor_bounds_every_adjacent_neighbour():
     # For every adjacent swap of several orders (the q-sorted order, whose
     # swaps all pool, its reverse, a random one and greedy's), the floor lies
-    # at or below the neighbour's exact Binomial part, and its O(1) distance
-    # is mean_kendall_distance's, bit for bit.
+    # at or below the neighbour's exact Binomial part, and its O(1) Kendall
+    # total is _kendall_total's, bit for bit.
     rng = np.random.default_rng(77)
     checked, pooled = 0, 0
     for ds in floor_panels():
         stats = compute_stats(ds)
         by_q = tuple(sorted(range(ds.J), key=lambda j: (stats.q[j], j)))
         for order in (by_q, by_q[::-1], tuple(rng.permutation(ds.J).tolist()), search._greedy_descent(stats, None)[0]):
-            neighbours, totals, floors = search._adjacent_swaps(stats, order, fitting._kendall_total(stats, order))
+            neighbours, totals, floors = search._adjacent_swaps(stats, order, _kendall_total(stats, order))
             for neighbour, total, floor in zip(neighbours, totals, floors):
-                exact = fitting._binomial_costs(stats, [fitting._fit_p_core(stats, neighbour)])[0]
+                exact = fitting._binomial_cost(stats, fitting._fit_p_core(stats, neighbour))
                 assert floor <= exact, (ds, order, neighbour, floor, exact)
-                distance = total / (stats.n_rankers or 1)
-                assert distance.hex() == mean_kendall_distance(stats, neighbour).hex(), (order, neighbour)
+                assert total.hex() == _kendall_total(stats, neighbour).hex(), (order, neighbour)
                 checked += 1
                 pooled += floor > 0.9 * exact > 0
     assert checked >= 300 and pooled >= checked // 4, (checked, pooled)
@@ -618,18 +617,18 @@ def test_greedy_local_screens_most_neighbours_before_their_p_fit(monkeypatch):
 
 
 def test_order_screen_chord_is_a_lower_bound(monkeypatch):
-    # Every chord an order is screened by lies at or below g(d) =
-    # _scale_fit(d)[2], up to 1e-12 |f|, and every point it is drawn through is
+    # Every chord an order is screened by lies at or below g(D) =
+    # _scale_fit(D)[2], up to 1e-12 |f|, and every point it is drawn through is
     # g itself, bit for bit, whether solved at an end of the scan or read
     # from a fit. Covered: full, top-R and score-only panels, a cap below
     # and at its default, an incoming best inside, above and below the
-    # scan's range of d, and a best replaced mid-scan.
+    # scan's range of D, and a best replaced mid-scan.
     chords, scans, seen = [], [], set()
     chord, best_fit = search._theta_chord, search._best_fit
 
-    def recorded_chord(d, best, lo, hi):
-        value = chord(d, best, lo, hi)
-        chords.append((len(scans), d, best, lo, hi, value))
+    def recorded_chord(D, best, lo, hi):
+        value = chord(D, best, lo, hi)
+        chords.append((len(scans), D, best, lo, hi, value))
         return value
 
     def recorded_scan(*args, **kwargs):
@@ -655,18 +654,18 @@ def test_order_screen_chord_is_a_lower_bound(monkeypatch):
             order = results[2].params.consensus_order
             for scanned, incoming in ((order, order[::-1]), (order[::-1], order)):
                 neighbours = kendall.adjacent_neighbors(scanned)
-                search._best_fit(stats, neighbours, [mean_kendall_distance(stats, o) for o in neighbours],
+                search._best_fit(stats, neighbours, [_kendall_total(stats, o) for o in neighbours],
                                  theta_max=theta_max, best=fit_given_order(stats, incoming, theta_max=theta_max))
             f = min(abs(result.f_value) for result in results)
             cap = fitting._theta_cap(J, theta_max)
             g = {}
-            for scan, d, best, lo, hi, value in chords:
-                for x, g_x in (best, lo, hi, (d, None)):
+            for scan, D, best, lo, hi, value in chords:
+                for x, g_x in (best, lo, hi, (D, None)):
                     if x not in g:
                         g[x] = fitting._scale_fit(x, profile, cap)[2]
                     assert g_x is None or g_x.hex() == g[x].hex(), (x, g_x, g[x])
-                assert lo[0] <= d <= hi[0]
-                assert value <= g[d] + 1e-12 * f, (d, best, lo, hi, value, g[d])
+                assert lo[0] <= D <= hi[0]
+                assert value <= g[D] + 1e-12 * f, (D, best, lo, hi, value, g[D])
                 seen.add((kind, theta_max))
                 seen.add("above" if best[0] > hi[0] else "below" if best[0] < lo[0] else "inside")
             for earlier, later in zip(chords, chords[1:]):
@@ -742,9 +741,9 @@ def test_conditional_fit_reads_the_search_solve(monkeypatch):
     bound_keys, solves_at_bound = [], []
     scale_fit = search._scale_fit
 
-    def recorded(d, profile, cap):
-        value = scale_fit(d, profile, cap)
-        bound_keys.append(d)
+    def recorded(total, profile, cap):
+        value = scale_fit(total, profile, cap)
+        bound_keys.append(total)
         solves_at_bound.append(len(solves))
         return value
 
@@ -756,7 +755,7 @@ def test_conditional_fit_reads_the_search_solve(monkeypatch):
     def fresh(stats, params, theta_max):
         theta, flag = None, "undefined"
         if stats.n_rankers:
-            d = mean_kendall_distance(stats, params.consensus_order)
+            d = _kendall_total(stats, params.consensus_order) / stats.n_rankers
             theta, flag = fresh_solve(d, stats.length_profile, theta_max)
         return bits(theta, flag, objective(stats, Parameters(params.p, theta, params.consensus_order)))
 
@@ -789,9 +788,9 @@ def test_conditional_fit_reads_the_search_solve(monkeypatch):
                     assert got == fresh(stats, fit.params, theta_max), (name, theta_max, warm)
                     flags.add(fit.theta_flag)
                     if name == "astar" and stats.n_rankers:
-                        d = mean_kendall_distance(stats, fit.params.consensus_order)
+                        D = _kendall_total(stats, fit.params.consensus_order)
                         after_last_bound = len(solves) - solves_at_bound[-1]
-                        if warm or d in bound_keys:
+                        if warm or D in bound_keys:
                             assert after_last_bound == 0, (theta_max, warm)
                             memoized_finals += not warm
                         else:
@@ -801,7 +800,7 @@ def test_conditional_fit_reads_the_search_solve(monkeypatch):
 
 
 def test_conditional_fit_values_equal_the_objective_bitwise():
-    # A conditional fit adds the log psi its scale fit memoized, where
+    # A conditional fit adds the scale part its scale fit memoized, where
     # objective() computes its own: every method's f_value is still the
     # objective at its parameters, bit for bit, with the memo cold and warm.
     rng = np.random.default_rng(78)
@@ -830,16 +829,39 @@ def test_conditional_fit_values_equal_the_objective_bitwise():
     assert flags == {"interior", "cap", "undefined"}, flags
 
 
+def test_astar_f_is_its_terminal_key(monkeypatch):
+    # A*'s f is the Binomial cost plus the scale part g(D), the sum its
+    # terminal's key took, so the fit returns the key it popped, bit for bit:
+    # either heuristic, on full, top-R, score-only and ranking-only panels.
+    rng = np.random.default_rng(79)
+    kinds = set()
+    for case in range(24):
+        kind, J = ("full", "top-R", "scores", "rankings")[case % 4], 3 + case % 5
+        ds = random_dataset(rng, J=J, I=8, R=3 if kind == "top-R" else J, theta=0.4, missing_scores=0.1)
+        if kind == "scores":
+            ds = Dataset(J=J, M=ds.M, scores=ds.scores, rankings=(None,) * ds.I)
+        elif kind == "rankings":
+            ds = Dataset(J=J, M=ds.M, scores=np.full(ds.scores.shape, np.nan), rankings=ds.rankings)
+        stats = compute_stats(ds)
+        for heuristic in ("crude", "lp"):
+            traffic, result = astar_traffic(monkeypatch, stats, heuristic=heuristic)
+            prefix, key, _ = traffic.popped[-1]
+            assert len(prefix) == J - 1 and result.optimal
+            assert result.f_value.hex() == key, (case, kind, heuristic)
+            kinds.add(kind)
+    assert kinds == {"full", "top-R", "scores", "rankings"}
+
+
 def test_theta_memo_has_a_fixed_size():
     size = fitting._scale_fit.cache_info().maxsize
     assert size is not None
     fitting._scale_fit.cache_clear()
     profile = (1, 2)  # judges' lengths 2, 2 and 1
     for k in range(size + 10):
-        theta, flag, g, log_psi = fitting._scale_fit(0.01 * k, profile, 4.0)
-        assert log_psi == fitting.log_psi_total(theta, profile)
+        theta, flag, g = fitting._scale_fit(0.01 * k, profile, 4.0)
+        assert g == theta * (0.01 * k / 3 * 3) + fitting.log_psi_total(theta, profile)
     assert fitting._scale_fit.cache_info().currsize == size
-    assert fitting._scale_fit(0.0, (0, 0), 4.0) == (None, "undefined", 0.0, 0.0)
+    assert fitting._scale_fit(0.0, (0, 0), 4.0) == (None, "undefined", 0.0)
     fitting._scale_fit.cache_clear()
 
 
@@ -985,7 +1007,8 @@ def test_fv_with_two_never_scored_objects_warns_nothing():
     # Objects 2 and 3 have no score average, so both tie-break keys are inf;
     # subtracting them as numpy floats warns, which the test settings make an
     # error. Each stays a group of its own: the f bits are those of the numpy
-    # comparison with its warning silenced.
+    # comparison with its warning silenced, f summed as the Binomial part
+    # plus the scale part.
     ds = Dataset(J=4, M=4, scores=np.array([[0.0, 2.0, np.nan, np.nan], [1.0, 3.0, np.nan, np.nan]]),
                  rankings=((0, 1), (1, 0)))
     with warnings.catch_warnings():
@@ -993,7 +1016,7 @@ def test_fv_with_two_never_scored_objects_warns_nothing():
         result = fv(compute_stats(ds), ds)
     assert result.params.consensus_order == (0, 1, 2, 3)
     assert result.candidate_evaluations == 8
-    assert result.f_value.hex() == "0x1.59349a0b33c59p+3"
+    assert result.f_value.hex() == "0x1.59349a0b33c5ap+3"
 
 
 def test_fv_never_beats_exact():

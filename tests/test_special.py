@@ -14,7 +14,7 @@ from conftest import (
     reference_level_weights,
 )
 from mallows_binomial import compute_stats, fit_given_order, kendall, log_density, log_psi, moments, objective, special
-from mallows_binomial.fitting import log_psi_total, mean_kendall_distance
+from mallows_binomial.fitting import log_psi_total
 
 
 def bits(values) -> bytes:
@@ -64,11 +64,14 @@ def test_gammaln_matches_scipy_at_every_integer_to_1e5():
 
 
 def scipy_objective(stats, params) -> float:
-    total = reference_binomial_cost(params.p, stats.a, stats.b)
+    # the Binomial part plus the scale part theta * ((D / n) * n) + sum log psi,
+    # D the Kendall total of the rankings to the order, added as the package adds them
+    scale = 0.0
     if stats.n_rankers:
-        total += params.theta * mean_kendall_distance(stats, params.consensus_order) * stats.n_rankers
-        total += log_psi_total(params.theta, stats.length_profile)
-    return float(total)
+        order, n = params.consensus_order, stats.n_rankers
+        D = float(sum(stats.W[v, u] for i, u in enumerate(order) for v in order[i + 1:]))
+        scale = float(params.theta * (D / n * n) + log_psi_total(params.theta, stats.length_profile))
+    return float(reference_binomial_cost(params.p, stats.a, stats.b) + scale)
 
 
 def scipy_log_density(row, ranking, params, M) -> float:
