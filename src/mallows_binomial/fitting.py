@@ -77,7 +77,8 @@ def log_psi_total(theta: float, profile: tuple[int, ...]) -> float:
     """Sum of log normalizing constants over the judges of a length profile
     (entry R-1 counts the judges ranking R of J = len(profile) objects)."""
     w, k, sum_r, *_ = _level_weights(profile)
-    return float(np.sum(w * np.log(-np.expm1(-theta * k))) - sum_r * np.log(-np.expm1(-theta)))
+    with np.errstate(over="ignore"):  # theta * k = inf near theta = 1e308, where log 1 = 0 is right
+        return float(np.sum(w * np.log(-np.expm1(-theta * k))) - sum_r * np.log(-np.expm1(-theta)))
 
 
 def _expected_distance_total(theta: float, levels: _Levels) -> tuple[float, float]:
@@ -214,19 +215,33 @@ def _chain_costs(stats: SufficientStats, chain: Sequence[int], sign: float = 1.0
     sign -1 the pass pushes -q, so a reversed chain gives the cost of each
     suffix of the chain, for a pool of negated values is the pool negated."""
     q, weight, observed = stats.q, stats.q_weight, stats.observed
-    stack: list[tuple[float, float, int]] = []
-    members: list[int] = []
-    block_costs: list[float] = []  # one per block of the stack
-    costs = [0.0]
+    stack, members, block_costs, costs = [], [], [], [0.0]  # block_costs: one per block of the stack
     for j in chain:
         if observed[j]:
             members.append(j)
-            depth = _pava(stack, sign * q[j], weight[j])
-            v, _, span = stack[depth]
-            del block_costs[depth:]
-            block_costs.append(sum([_binomial_term(stats, member, sign * v) for member in members[-span:]]))
+            v = sign * q[j]
+            if stack and stack[-1][0] > v:  # it pools: the blocks it joins are costed again
+                depth = _pava(stack, v, weight[j])
+                v, _, span = stack[depth]
+                del block_costs[depth:]
+                block_costs.append(sum([_binomial_term(stats, member, sign * v) for member in members[-span:]]))
+            else:  # a block of its own, at its own q: what _pava and the sum of one term would give
+                stack.append((v, weight[j], 1))
+                block_costs.append(0 + _binomial_term(stats, j, q[j]))
         costs.append(-sum(block_costs))
     return costs
+
+
+def _pair_cost(stats: SufficientStats, first: int, second: int) -> float:
+    """_chain_costs(stats, (first, second))[2], bit for bit: both terms at their
+    own q, or at _pava's pool if q[first] > q[second]; the pass if one is unobserved."""
+    q, weight, observed = stats.q, stats.q_weight, stats.observed
+    if not (observed[first] and observed[second]):
+        return _chain_costs(stats, (first, second))[2]
+    v, w = q[first], q[second]
+    if v > w:
+        v = w = (weight[first] * v + weight[second] * w) / (weight[first] + weight[second])
+    return -(_binomial_term(stats, first, v) + _binomial_term(stats, second, w))
 
 
 def _binomial_term(stats: SufficientStats, j: int, p_j: float) -> float:

@@ -56,18 +56,13 @@ def fit_method(
     if method in COMPARISON_MODELS:
         return comparison_fit(dataset, method, theta_max=theta_max, rng=rng, node_budget=node_budget)
     stats = compute_stats(dataset, judges)
-    if method == "exact-crude":
-        return astar(stats, theta_max=theta_max, heuristic="crude", node_budget=node_budget)
-    if method == "exact-lp":
-        return astar(stats, theta_max=theta_max, heuristic="lp", node_budget=node_budget)
+    if method in ("exact-crude", "exact-lp"):
+        return astar(stats, theta_max=theta_max, heuristic=method[len("exact-"):], node_budget=node_budget)
     if method == "fv":
         return fv(stats, dataset, theta_max=theta_max, candidate_cap=candidate_cap)
-    if method == "greedy":
-        return greedy(stats, theta_max=theta_max)
-    if method == "greedy-local":
-        return greedy_local(stats, theta_max=theta_max)
-    if method == "brute":
-        return brute_force(stats, theta_max=theta_max)
+    if method in ("greedy", "greedy-local", "brute"):
+        fit = {"greedy": greedy, "greedy-local": greedy_local, "brute": brute_force}[method]
+        return fit(stats, theta_max=theta_max)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -394,11 +389,8 @@ def bias_enumeration(
 
 def grid_cells(I_values, M_values, J_values, R_values, theta_values) -> list[tuple]:
     """Every (I, M, J, R, theta) of the grid with R <= J, in product order."""
-    cells = []
-    for I, M, J, R, theta in product(I_values, M_values, J_values, R_values, theta_values):
-        if R <= J:
-            cells.append((int(I), int(M), int(J), int(R), float(theta)))
-    return cells
+    return [(int(I), int(M), int(J), int(R), float(theta))
+            for I, M, J, R, theta in product(I_values, M_values, J_values, R_values, theta_values) if R <= J]
 
 
 def simulate_cell(I, M, J, R, theta, rng) -> tuple[Parameters, Dataset]:

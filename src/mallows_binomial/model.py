@@ -250,7 +250,8 @@ def log_psi(theta: float, R: int, J: int) -> float:
     if theta == 0:
         return float(gammaln(J + 1) - gammaln(J - R + 1))
     k = np.arange(J, J - R, -1, dtype=float)
-    return float(np.sum(np.log(-np.expm1(-theta * k))) - R * np.log(-np.expm1(-theta)))
+    with np.errstate(over="ignore"):  # theta * k = inf near theta = 1e308, where log 1 = 0 is right
+        return float(np.sum(np.log(-np.expm1(-theta * k))) - R * np.log(-np.expm1(-theta)))
 
 
 def psi(theta: float, R: int, J: int) -> float:

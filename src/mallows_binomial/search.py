@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .fitting import (
     _fit_p_core,
     _kendall_total,
     _NodePricer,
+    _pair_cost,
     _scale_fit,
     _theta_cap,
     fit_given_order,
@@ -109,6 +111,8 @@ class _SearchContext:
         self.root_rows = mmin.sum(axis=1).tolist()
         self.root_free_min = sum(self.root_rows) / 2  # every free pair is in two rows
         self._lp_cache: dict[tuple[int, ...], float] = {}
+        # crude bounds' g(D) of each total D read, so the memo's key, with its J-long profile, is hashed once per D
+        self._scale_parts: dict[float, float] = {}
 
     def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...]) -> float:
         """Admissible scale part of the bound of a node with pair costs
@@ -131,32 +135,42 @@ class _SearchContext:
 
         A node's sums are cross[c], the wins over c of its prefix, and
         rows[c], the cheaper orientations of c's pairs with the free objects,
-        for every object c: its parent's sums (carry) updated by its last
-        object's row, or the root's when carry is None. A child c adds
-        col_total[c] - cross[c] to the fixed cost and drops rows[c] from the
-        free cost. Each counter is next(counter) plus (J - len(prefix)) << 40,
-        so of two entries with equal keys the deeper pops first."""
+        for every object c, and its free objects: its parent's (carry)
+        updated by its last object, or the root's when carry is None. A child c
+        adds col_total[c] - cross[c] to the fixed cost and drops rows[c]
+        from the free cost. Each counter is next(counter) plus
+        (J - len(prefix)) << 40, so of two entries with equal keys the
+        deeper pops first."""
         J = self.J
         if carry is None:
-            cross, rows = [0.0] * J, self.root_rows
+            cross, rows, free = [0.0] * J, self.root_rows, list(range(J))
         else:
             last = prefix[-1]
-            cross = [total + w for total, w in zip(carry[0], self.W_rows[last])]
-            rows = [total - m for total, m in zip(carry[1], self.mmin[last])]
-        free = [o for o in range(J) if o not in prefix]
-        sums, col_total, depth = (cross, rows), self.col_total, (J - len(prefix)) << 40
-        profile, cap, lp = self.stats.length_profile, self.theta_max, self.heuristic == "lp"
+            cross = list(map(operator.add, carry[0], self.W_rows[last]))
+            rows = list(map(operator.sub, carry[1], self.mmin[last]))
+            free = carry[2][:]
+            free.remove(last)
+        sums, col_total, depth = (cross, rows, free), self.col_total, (J - len(prefix)) << 40
+        profile, cap, lp, parts = self.stats.length_profile, self.theta_max, self.heuristic == "lp", self._scale_parts
         entries = []
         for i, c in enumerate(free):
             f, m = fixed + col_total[c] - cross[c], free_min - rows[c]
-            t = (self.theta_part(f, m, tuple(free[:i] + free[i + 1:])) if lp else
-                 _scale_fit(f + m, profile, cap)[2])
+            if lp:
+                t = self.theta_part(f, m, tuple(free[:i] + free[i + 1:]))
+            else:
+                t = parts.get(f + m)
+                if t is None:
+                    t = parts[f + m] = _scale_fit(f + m, profile, cap)[2]
             entries.append((t + floor, next(counter) + depth, prefix + (c,), f, m, sums, t, None, pricer))
         return entries
 
-    def complete(self, prefix: Ranking) -> Ranking:
-        """The full order of a terminal prefix: the one object left goes last."""
-        return prefix + tuple(o for o in range(self.J) if o not in prefix)
+    def terminal_fit(self, terminal: tuple) -> tuple[ConditionalFit, float]:
+        """The conditional fit of a priced terminal's order (the object left
+        goes last) and its Kendall total D: D is the terminal's fixed cost and
+        its priced cost the Binomial part, bit for bit, so one p fit is left."""
+        _, _, prefix, fixed, _, _, _, cost, _ = terminal
+        order = prefix + tuple(o for o in range(self.J) if o not in prefix)
+        return _conditional_fit(self.stats, order, _fit_p_core(self.stats, order), fixed, cost, self.theta_max), fixed
 
 
 def _lazy_floor(cost: float) -> float:
@@ -229,13 +243,13 @@ def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, 
     return min(terminals, key=lambda entry: entry[:2]) if terminals else None, nodes, cands, True
 
 
-def _greedy_descent(stats: SufficientStats, theta_max: float | None) -> tuple[Ranking, int]:
-    """The greedy order under crude bounds and its children generated."""
+def _greedy_descent(stats: SufficientStats, theta_max: float | None) -> tuple[ConditionalFit, float, int]:
+    """Greedy's conditional fit, built from its terminal; its Kendall total; the children generated."""
     if stats.J == 1:
-        return (0,), 0
+        return fit_given_order(stats, (0,), theta_max=theta_max), 0.0, 0
     ctx = _SearchContext(stats, theta_max=theta_max)
     terminal, _, cands, _ = _best_first(ctx, greedy=True)
-    return ctx.complete(terminal[2]), cands
+    return *ctx.terminal_fit(terminal), cands
 
 
 def _theta_chord(D: float, best: tuple[float, float], lo: tuple[float, float], hi: tuple[float, float]) -> float:
@@ -254,23 +268,24 @@ def _adjacent_swaps(stats: SufficientStats, order: Ranking,
     floor under its Binomial part: with the chain constraints on either side
     of the swapped pair dropped, the p fit splits into the isotonic fits of
     order[:i], of the pair and of order[i + 2:], whose summed cost is no
-    larger, less _lazy_floor's margin for rounding."""
+    larger, less _lazy_floor's margin for rounding; a pair costs O(1) (_pair_cost)."""
     W = stats.W
     prefix = _chain_costs(stats, order)
     suffix = _chain_costs(stats, order[::-1], -1.0)[::-1]  # suffix[k]: the cost of order[k:]
     totals, floors = [], []
     for i, (a, b) in enumerate(zip(order, order[1:])):
         totals.append(total - W.item(b, a) + W.item(a, b))
-        floors.append(_lazy_floor(prefix[i] + _chain_costs(stats, (b, a))[2] + suffix[i + 2]))
+        floors.append(_lazy_floor(prefix[i] + _pair_cost(stats, b, a) + suffix[i + 2]))
     return kendall.adjacent_neighbors(order), totals, floors
 
 
-def _best_fit(stats, orders, totals, *, theta_max, best: ConditionalFit | None = None,
+def _best_fit(stats, orders, totals, *, theta_max, best: ConditionalFit | None = None, best_total: float | None = None,
               floors=None) -> ConditionalFit | None:
     """Conditional fit of each order in turn, given its Kendall total D
     (and, optionally, a floor under the Binomial cost of its p fit); the
     first one with a strictly smaller f than the best so far (starting from
-    best, a fit of these stats under this theta_max) wins.
+    best, a fit of these stats under this theta_max whose order's Kendall
+    total is best_total) wins.
 
     The scale part g(D) = _scale_fit(D)[2] is read at the smallest and the
     largest D. g is a minimum over theta of functions affine in D with
@@ -287,7 +302,7 @@ def _best_fit(stats, orders, totals, *, theta_max, best: ConditionalFit | None =
     A fit's p, D and Binomial part are the screen's, and its theta and
     g(D_best) come from the one scale-fit memo, so no order's p or distance
     is computed twice and a theta is solved again only once the memo has
-    dropped it."""
+    dropped it; only a winner is wrapped in a ConditionalFit."""
     if not orders:
         return best
     profile, cap = stats.length_profile, _theta_cap(stats.J, theta_max)
@@ -299,7 +314,7 @@ def _best_fit(stats, orders, totals, *, theta_max, best: ConditionalFit | None =
 
     cutoff = math.inf  # until there is a best, nothing is skipped
     if best is not None:
-        at_best, cutoff = point(best, _kendall_total(stats, best.params.consensus_order))
+        at_best, cutoff = point(best, best_total)
     for order, D, floor in zip(orders, totals, itertools.repeat(-math.inf) if floors is None else floors):
         chord = -math.inf if best is None else _theta_chord(D, at_best, lo, hi)
         if floor + chord > cutoff:
@@ -308,10 +323,10 @@ def _best_fit(stats, orders, totals, *, theta_max, best: ConditionalFit | None =
         binomial = _binomial_cost(stats, p)
         if binomial + chord > cutoff:
             continue
-        cond = _conditional_fit(stats, order, p, D, binomial, theta_max)
-        if best is None or cond.f_value < best.f_value:
-            best = cond
-            at_best, cutoff = point(best, D)
+        if best is not None and not binomial + _scale_fit(D, profile, cap)[2] < best.f_value:
+            continue
+        best = _conditional_fit(stats, order, p, D, binomial, theta_max)
+        at_best, cutoff = point(best, D)
     return best
 
 
@@ -345,11 +360,9 @@ def astar(
     terminal, nodes, cands, exhausted = _best_first(ctx, node_budget)
     if terminal is None:
         warnings.warn("node budget exhausted before any terminal; returning greedy order", RuntimeWarning)
-        cond = fit_given_order(stats, _greedy_descent(stats, theta_max)[0], theta_max=theta_max)
+        cond = _greedy_descent(stats, theta_max)[0]
     else:
-        _, _, prefix, fixed, _, _, _, cost, _ = terminal
-        order = ctx.complete(prefix)
-        cond = _conditional_fit(stats, order, _fit_p_core(stats, order), fixed, cost, theta_max)
+        cond = ctx.terminal_fit(terminal)[0]
     return FitResult.from_fit(stats, cond, algorithm, t0, nodes, cands, budget_exhausted=exhausted)
 
 
@@ -371,12 +384,12 @@ def greedy(stats: SufficientStats, *, theta_max: float | None = None) -> FitResu
     best-first loop keeping only the newest children (_best_first).
 
     At each level the child with the smallest crude total-cost bound is kept
-    (ties: lexicographic); the final order gets the exact conditional fit.
+    (ties: lexicographic); the final order gets the exact conditional fit,
+    built from the terminal the descent pops, as astar builds its own.
     """
     t0 = time.perf_counter()
-    order, evals = _greedy_descent(stats, theta_max)
-    return FitResult.from_fit(stats, fit_given_order(stats, order, theta_max=theta_max), "greedy", t0,
-                              max(stats.J - 1, 0), evals)
+    cond, _, evals = _greedy_descent(stats, theta_max)
+    return FitResult.from_fit(stats, cond, "greedy", t0, max(stats.J - 1, 0), evals)
 
 
 def greedy_local(stats: SufficientStats, *, theta_max: float | None = None) -> FitResult:
@@ -385,20 +398,19 @@ def greedy_local(stats: SufficientStats, *, theta_max: float | None = None) -> F
     Each round evaluates every adjacent-transposition neighbor of the
     incumbent and moves to the best strictly improving one; stops when no
     neighbor improves (that final sweep counts as a round) or after
-    MAX_LOCAL_ROUNDS rounds. After two passes over the incumbent, a
-    neighbor's distance and a floor under its Binomial part cost O(1) each
-    (_adjacent_swaps), and its p is fitted only if the floor passes the
-    order screen (_best_fit).
+    MAX_LOCAL_ROUNDS rounds; greedy's terminal fit is the first incumbent.
+    After two passes over the incumbent, a neighbor's distance and a floor
+    under its Binomial part cost O(1) each (_adjacent_swaps), and its p is
+    fitted only if the floor passes the order screen (_best_fit).
     """
     t0 = time.perf_counter()
-    order, evals = _greedy_descent(stats, theta_max)
-    incumbent, total = fit_given_order(stats, order, theta_max=theta_max), _kendall_total(stats, order)
+    incumbent, total, evals = _greedy_descent(stats, theta_max)
     rounds, capped = 0, True
     while rounds < MAX_LOCAL_ROUNDS:
         rounds += 1
         neighbors, totals, floors = _adjacent_swaps(stats, incumbent.params.consensus_order, total)
         evals += len(neighbors)
-        best = _best_fit(stats, neighbors, totals, theta_max=theta_max, best=incumbent, floors=floors)
+        best = _best_fit(stats, neighbors, totals, theta_max=theta_max, best=incumbent, best_total=total, floors=floors)
         if best is incumbent:
             capped = False
             break

@@ -9,13 +9,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import xlog1py, xlogy
 
-from mallows_binomial import Dataset, Parameters, order_of, sample, search
+from mallows_binomial import Dataset, Parameters, kendall, order_of, sample, search
 from mallows_binomial.cli import IngestError, _judge_rows
 from mallows_binomial.fitting import (
     THETA_FLOOR,
     _binomial_cost,
+    _binomial_term,
+    _chain_costs,
     _fit_p_core,
     _NodePricer,
+    _pava,
     _scale_fit,
     default_theta_max,
 )
@@ -710,19 +713,19 @@ class ChildEntry(NamedTuple):
     prefix: tuple
     fixed: float
     free_min: float
-    sums: tuple  # the node's (cross, rows), which its children carry down
+    sums: tuple  # the node's (cross, rows, free), which its children carry down
     theta_part: float
     cost: float | None
     pricer: object
 
 
 def node_sums(ctx, prefix):
-    """A node's (cross, rows) from scratch, as lists over every object:
-    cross[c] the wins over c of the prefix, rows[c] the sum of min(W[c, v],
-    W[v, c]) over the free objects v."""
+    """A node's (cross, rows, free) from scratch: lists over every object,
+    cross[c] the wins over c of the prefix and rows[c] the sum of min(W[c, v],
+    W[v, c]) over the free objects v, and the free objects in index order."""
     W = ctx.stats.W
     free = [o for o in range(ctx.J) if o not in prefix]
-    return W[list(prefix)].sum(axis=0).tolist(), np.minimum(W, W.T)[:, free].sum(axis=1).tolist()
+    return W[list(prefix)].sum(axis=0).tolist(), np.minimum(W, W.T)[:, free].sum(axis=1).tolist(), free
 
 
 def search_children(ctx, prefix, fixed, free_min, floor=0.0, pricer=None):
@@ -748,7 +751,47 @@ def reference_node_binomial_costs(stats, prefix, extensions):
     return [_binomial_cost(stats, _fit_p_core(stats, tuple(prefix) + tuple(ext))) for ext in extensions]
 
 
-def reference_best_fit(stats, orders, totals, *, theta_max, best=None, floors=None):
+def reference_chain_costs(stats, chain, sign=1.0):
+    """_chain_costs as it ran before its pass skipped _pava for a value that
+    pools with nothing: every push goes through _pava, and the block it tops
+    is costed by summing its members' terms."""
+    stack, members, block_costs, costs = [], [], [], [0.0]
+    for j in chain:
+        if stats.observed[j]:
+            members.append(j)
+            depth = _pava(stack, sign * stats.q[j], stats.q_weight[j])
+            v, _, span = stack[depth]
+            del block_costs[depth:]
+            block_costs.append(sum([_binomial_term(stats, member, sign * v) for member in members[-span:]]))
+        costs.append(-sum(block_costs))
+    return costs
+
+
+def reference_pair_cost(stats, first, second) -> float:
+    """The Binomial cost of the isotonic fit of the chain (first, second),
+    from the general chain pass."""
+    return float(_chain_costs(stats, (first, second))[2])
+
+
+def reference_greedy_local(stats, *, theta_max=None):
+    """greedy_local as it ran before its floors and screens: from the eager
+    greedy order's fit_given_order, each round fits every adjacent-swap
+    neighbour and moves to the first of least f if it is strictly smaller.
+    Returns (fit, candidate evaluations, rounds)."""
+    order, evals = reference_greedy_order(search._SearchContext(stats, theta_max=theta_max))
+    incumbent, rounds = search.fit_given_order(stats, order, theta_max=theta_max), 0
+    while rounds < search.MAX_LOCAL_ROUNDS:
+        rounds += 1
+        neighbours = kendall.adjacent_neighbors(incumbent.params.consensus_order)
+        evals += len(neighbours)
+        best = reference_best_fit(stats, neighbours, None, theta_max=theta_max, best=incumbent)
+        if best is incumbent:
+            break
+        incumbent = best
+    return incumbent, evals, rounds
+
+
+def reference_best_fit(stats, orders, totals, *, theta_max, best=None, best_total=None, floors=None):
     """The order scan without its screen: every order gets its conditional
     fit, and the first strictly smaller f wins. It takes search._best_fit's
     arguments and ignores the totals and floors, so each fit computes its

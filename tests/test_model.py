@@ -19,6 +19,7 @@ from mallows_binomial import (
     Dataset,
     Parameters,
     SufficientStats,
+    astar,
     compute_stats,
     log_density,
     log_psi,
@@ -27,6 +28,7 @@ from mallows_binomial import (
     psi,
     sample,
 )
+from mallows_binomial import fitting
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,21 @@ def test_psi_large_theta_no_overflow():
 def test_paper_quantities_reject_a_bad_theta(quantity, theta):
     with pytest.raises(ValueError, match="theta"):
         quantity(theta, 3, 5)
+
+
+def test_log_psi_at_the_largest_finite_theta_does_not_warn():
+    # theta * k overflows to inf at theta = 1e308, where every level's log 1
+    # = 0 is right: both log psi helpers, and an A* fit whose scale sits at a
+    # 1e308 cap, return those values without a warning.
+    stats = compute_stats(Dataset(J=3, M=4, scores=np.array([[1.0, 3.0, 2.0]] * 3), rankings=((2, 0, 1),) * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_psi(1e308, 2, 2) == 0.0 == log_psi(math.inf, 2, 2)
+        assert fitting.log_psi_total(1e308, stats.length_profile) == 0.0
+        fit = astar(stats, theta_max=1e308)
+    assert (fit.params.consensus_order, fit.params.theta, fit.theta_flag) == ((2, 0, 1), 1e308, "cap")
+    # D = 0, so f is the Binomial part alone
+    assert fit.f_value == fitting._binomial_cost(stats, fit.params.p)
 
 
 def test_paper_quantities_take_the_limit_at_infinite_theta():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     ChildEntry,
+    HeapTraffic,
     astar_traffic,
     crude_cost,
     enumerate_outcomes,
@@ -16,10 +17,13 @@ from conftest import (
     random_dataset,
     reference_astar,
     reference_best_fit,
+    reference_chain_costs,
     reference_child_costs,
     reference_children,
     reference_greedy_order,
+    reference_greedy_local,
     reference_node_binomial_costs,
+    reference_pair_cost,
     reference_theta_part,
     fixed_pair_cost,
     min_pair_cost,
@@ -212,7 +216,8 @@ def test_lazy_search_matches_the_eager_reference_bitwise(monkeypatch):
                     priced = {count for prefix, _, count in traffic.popped if len(prefix) == stats.J - 1}
                     seen.add("cut, unpriced terminal" if lazy - priced else "cut, terminals priced")
                 seen.add("greedy fallback" if fell_to_greedy else "optimal" if result.optimal else "cut")
-        assert search._greedy_descent(stats, None) == reference_greedy_order(_SearchContext(stats, theta_max=None))
+        fit, _, evals = search._greedy_descent(stats, None)
+        assert (fit.params.consensus_order, evals) == reference_greedy_order(_SearchContext(stats, theta_max=None))
         reference_order, evals = reference_greedy_order(_SearchContext(stats, theta_max=0.5))
         fit = greedy(stats, theta_max=0.5)
         assert (fit.params.consensus_order, fit.candidate_evaluations) == (reference_order, evals)
@@ -253,8 +258,8 @@ def test_astar_result_is_its_terminal_fit_bitwise(monkeypatch):
     # terminal's fixed cost, its Binomial cost the terminal's priced cost, and
     # one p fit is left. That is fit_given_order of the order bit for bit (p
     # bytes, theta, flag and f), and no fit_given_order call follows the
-    # terminal; only a budget cut that generated no terminal fits the greedy
-    # order with fit_given_order, once.
+    # terminal. greedy builds its fit from the terminal its descent pops the
+    # same way, and so does a budget cut that generated no terminal.
     order_fits = _counting(monkeypatch, search, "fit_given_order")
 
     def bits(fit):
@@ -274,11 +279,17 @@ def test_astar_result_is_its_terminal_fit_bitwise(monkeypatch):
                 warnings.simplefilter("always")
                 result = astar(stats, heuristic=heuristic, theta_max=theta_max, node_budget=node_budget)
             fell_to_greedy = bool(caught)
-            assert len(order_fits) == fell_to_greedy, (kind, heuristic, node_budget)
+            assert not order_fits, (kind, heuristic, node_budget)
             expected = fit_given_order(stats, result.params.consensus_order, theta_max=theta_max)
             assert bits(result) == bits(expected), (kind, heuristic, theta_max, node_budget)
             seen.update((kind, result.theta_flag))
             seen.add("greedy fallback" if fell_to_greedy else "cut" if result.budget_exhausted else "optimal")
+        for theta_max in (None, 0.5):
+            order_fits.clear()
+            result = greedy(stats, theta_max=theta_max)
+            assert not order_fits, (kind, theta_max)
+            expected = fit_given_order(stats, result.params.consensus_order, theta_max=theta_max)
+            assert bits(result) == bits(expected), (kind, "greedy", theta_max)
     assert seen == {"full", "top-R", "unobserved", "scores", "rankings", "unanimous", "opposite", "interior",
                     "cap", "floor", "undefined", "greedy fallback", "cut", "optimal"}, seen
 
@@ -288,7 +299,7 @@ def test_searches_price_few_children(monkeypatch):
     # unchanged; only the number of children priced shows it.
     priced = _counting(monkeypatch, fitting._NodePricer, "cost")
     stats = compute_stats(simulate_cell(10, 10, 20, 20, 0.4, np.random.default_rng(76))[1])
-    _, evals = search._greedy_descent(stats, None)
+    *_, evals = search._greedy_descent(stats, None)
     # The eager descent priced all 209 children it generated; the lazy one
     # prices 26 of them, plus the root's own cost.
     assert (evals, len(priced)) == (209, 27)
@@ -305,12 +316,12 @@ def test_searches_price_few_children(monkeypatch):
 
 
 def test_children_carry_prefix_sums_bitwise(monkeypatch):
-    # Every node but the root takes its cross and free-row sums from its
-    # parent's, updated by its last object, at every depth. On greedy
-    # descents and A* runs up to J = 20, every child's fixed and free cost
-    # must equal numpy's per-child sums of the win counts and the node's
-    # costs summed from scratch, bit for bit, and the sums a node hands its
-    # children must equal its sums computed from scratch.
+    # Every node but the root takes its cross and free-row sums and its free
+    # objects from its parent's, updated by its last object, at every depth.
+    # On greedy descents and A* runs up to J = 20, every child's fixed and
+    # free cost must equal numpy's per-child sums of the win counts and the
+    # node's costs summed from scratch, bit for bit, and the sums and free
+    # objects a node hands its children must equal those computed from scratch.
     calls = []
     children = search._SearchContext.children
 
@@ -336,7 +347,7 @@ def test_children_carry_prefix_sums_bitwise(monkeypatch):
             assert (carry is None) == (not prefix), (J, prefix)
             depths.setdefault(J, set()).add(len(prefix))
             free = tuple(o for o in range(J) if o not in prefix)
-            cross, rows = node_sums(ctx, prefix)
+            cross, rows, free_list = node_sums(ctx, prefix)
             for entry in map(ChildEntry._make, entries):
                 c = entry.prefix[-1]
                 fixed_c, free_min_c = reference_child_costs(ctx, prefix, fixed, free_min, c, free)
@@ -345,6 +356,7 @@ def test_children_carry_prefix_sums_bitwise(monkeypatch):
                                 min_pair_cost(stats.W, tuple(o for o in free if o != c)))
                 assert (entry.fixed.hex(), entry.free_min.hex()) == tuple(v.hex() for v in from_scratch)
                 assert (bits(entry.sums[0]), bits(entry.sums[1])) == (bits(cross), bits(rows)), (J, prefix)
+                assert entry.sums[2] == free_list, (J, prefix)
     # greedy reaches every depth a node is expanded at
     assert depths == {J: set(range(J - 1)) for J in (6, 8, 9, 10, 12, 20)}, depths
 
@@ -594,7 +606,8 @@ def test_swap_floor_bounds_every_adjacent_neighbour():
     for ds in floor_panels():
         stats = compute_stats(ds)
         by_q = tuple(sorted(range(ds.J), key=lambda j: (stats.q[j], j)))
-        for order in (by_q, by_q[::-1], tuple(rng.permutation(ds.J).tolist()), search._greedy_descent(stats, None)[0]):
+        greedy_order = search._greedy_descent(stats, None)[0].params.consensus_order
+        for order in (by_q, by_q[::-1], tuple(rng.permutation(ds.J).tolist()), greedy_order):
             neighbours, totals, floors = search._adjacent_swaps(stats, order, _kendall_total(stats, order))
             for neighbour, total, floor in zip(neighbours, totals, floors):
                 exact = fitting._binomial_cost(stats, fitting._fit_p_core(stats, neighbour))
@@ -603,6 +616,79 @@ def test_swap_floor_bounds_every_adjacent_neighbour():
                 checked += 1
                 pooled += floor > 0.9 * exact > 0
     assert checked >= 300 and pooled >= checked // 4, (checked, pooled)
+
+
+def test_chain_costs_match_the_general_pass_bitwise():
+    # Prefix and suffix passes over the orders the swap floor reads, and
+    # over orders that pool everywhere and nowhere, on every floor panel.
+    rng = np.random.default_rng(78)
+    singletons = pooled = 0
+    for ds in floor_panels():
+        stats = compute_stats(ds)
+        by_q = tuple(sorted(range(ds.J), key=lambda j: (stats.q[j], j)))
+        for order in (by_q, by_q[::-1], tuple(rng.permutation(ds.J).tolist())):
+            for chain, sign in ((order, 1.0), (order[::-1], -1.0)):
+                got = fitting._chain_costs(stats, chain, sign)
+                want = reference_chain_costs(stats, chain, sign)
+                assert [float(c).hex() for c in got] == [float(c).hex() for c in want], (ds, chain, sign)
+                blocks = []
+                for j in chain:
+                    if stats.observed[j]:
+                        fitting._pava(blocks, sign * stats.q[j], stats.q_weight[j])
+                singletons += sum(span == 1 for _, _, span in blocks)
+                pooled += sum(span > 1 for _, _, span in blocks)
+    assert singletons > 200 and pooled > 50, (singletons, pooled)
+
+
+def test_pair_cost_is_the_chain_pass_bitwise():
+    # Every ordered pair of every floor panel and of its rankings-only copy:
+    # pooled and unpooled pairs, pairs tied in q, pairs with an unobserved
+    # object and pairs on panels with no scores.
+    seen = set()
+    for ds in floor_panels():
+        panels = [ds]
+        if ds.rankings[0] is not None:
+            panels.append(Dataset(J=ds.J, M=ds.M, scores=np.full(ds.scores.shape, np.nan), rankings=ds.rankings))
+        for stats in map(compute_stats, panels):
+            for first, second in itertools.permutations(range(stats.J), 2):
+                got = fitting._pair_cost(stats, first, second)
+                assert float(got).hex() == reference_pair_cost(stats, first, second).hex(), (ds, first, second)
+                q, observed = stats.q, stats.observed
+                seen.add("no scores" if not any(observed) else "unobserved" if not observed[first] * observed[second]
+                         else "tied" if q[first] == q[second] else "pooled" if q[first] > q[second] else "chained")
+    assert seen == {"no scores", "unobserved", "tied", "pooled", "chained"}, seen
+
+
+def test_greedy_searches_at_twenty_objects_match_the_eager_references_bitwise(monkeypatch):
+    # On seeded J = 20 panels, full and top-5: greedy pops the children the
+    # eager descent keeps, with the same exact keys and counters, and its fit,
+    # built from the terminal it pops, is fit_given_order's of the same
+    # order; greedy_local, screened, ends where the unscreened local search
+    # ends, after as many rounds and candidates. A* cut before any terminal
+    # falls back on the same descent.
+    for R, seed in ((20, 76), (20, 88), (5, 98)):  # 1, 3 and 5 local rounds
+        stats = compute_stats(simulate_cell(10, 10, 20, R, 0.4, np.random.default_rng(seed))[1])
+        popped = []
+        order, evals = reference_greedy_order(_SearchContext(stats, theta_max=None), popped)
+        traffic = HeapTraffic()
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "heapq", traffic)
+            fit = greedy(stats)
+        assert traffic.popped == popped, R
+        expected = fit_given_order(stats, order)
+        assert (fit.params.consensus_order, fit.params.p.tobytes(), fit.f_value.hex()) == (
+            order, expected.params.p.tobytes(), expected.f_value.hex())
+        assert (fit.nodes_expanded, fit.candidate_evaluations) == (stats.J - 1, evals)
+        local = greedy_local(stats)
+        reference, reference_evals, rounds = reference_greedy_local(stats)
+        assert (local.params.consensus_order, local.f_value.hex(), local.candidate_evaluations, local.local_rounds) == (
+            reference.params.consensus_order, reference.f_value.hex(), reference_evals, rounds), R
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a budget cut before any terminal
+            traffic, cut = astar_traffic(monkeypatch, stats, node_budget=1)
+        reference = reference_astar(stats, node_budget=1)
+        assert (traffic.popped, cut.params.consensus_order, cut.f_value.hex()) == (
+            reference["popped"], reference["order"], fit.f_value.hex())
 
 
 def test_greedy_local_screens_most_neighbours_before_their_p_fit(monkeypatch):
@@ -655,7 +741,8 @@ def test_order_screen_chord_is_a_lower_bound(monkeypatch):
             for scanned, incoming in ((order, order[::-1]), (order[::-1], order)):
                 neighbours = kendall.adjacent_neighbors(scanned)
                 search._best_fit(stats, neighbours, [_kendall_total(stats, o) for o in neighbours],
-                                 theta_max=theta_max, best=fit_given_order(stats, incoming, theta_max=theta_max))
+                                 theta_max=theta_max, best=fit_given_order(stats, incoming, theta_max=theta_max),
+                                 best_total=_kendall_total(stats, incoming))
             f = min(abs(result.f_value) for result in results)
             cap = fitting._theta_cap(J, theta_max)
             g = {}
