@@ -14,6 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .kendall import _positions
 from .model import Dataset, Parameters, Ranking, SufficientStats, _check_partial_shape, compute_stats
 from .special import xlog1py, xlogy
 
@@ -193,18 +194,19 @@ def _scale_part(theta: float | None, total: float, profile: tuple[int, ...]) -> 
     return float(theta * (total / n * n) + log_psi_total(theta, profile)) if n else 0.0
 
 
-def _pava(stack: list[tuple[float, float, int]], v: float, w: float) -> int:
-    """Push the value v of weight w onto a pool-adjacent-violators stack of
-    blocks (value, weight, member count) and return the number of blocks
-    below it.
+def _pava(stack: list[tuple[float, float, tuple[int, ...]]], v: float, w: float, j: int) -> int:
+    """Push object j's value v of weight w onto a pool-adjacent-violators
+    stack of blocks (value, weight, members), members the block's objects in
+    push order, and return the number of blocks below it.
 
     The value is pooled with the blocks below it while they lie above it; a
-    pool of (v1, w1) below (v, w) is (w1*v1 + w*v) / (w1 + w)."""
-    span = 1
+    pool of (v1, w1, members1) below (v, w, members) is ((w1*v1 + w*v) /
+    (w1 + w), w1 + w, members1 + members)."""
+    members = (j,)
     while stack and stack[-1][0] > v:
-        v1, w1, span1 = stack.pop()
-        v, w, span = (w1 * v1 + w * v) / (w1 + w), w1 + w, span + span1
-    stack.append((v, w, span))
+        v1, w1, members1 = stack.pop()
+        v, w, members = (w1 * v1 + w * v) / (w1 + w), w1 + w, members1 + members
+    stack.append((v, w, members))
     return len(stack) - 1
 
 
@@ -215,18 +217,17 @@ def _chain_costs(stats: SufficientStats, chain: Sequence[int], sign: float = 1.0
     sign -1 the pass pushes -q, so a reversed chain gives the cost of each
     suffix of the chain, for a pool of negated values is the pool negated."""
     q, weight, observed = stats.q, stats.q_weight, stats.observed
-    stack, members, block_costs, costs = [], [], [], [0.0]  # block_costs: one per block of the stack
+    stack, block_costs, costs = [], [], [0.0]  # block_costs: one per block of the stack
     for j in chain:
         if observed[j]:
-            members.append(j)
             v = sign * q[j]
             if stack and stack[-1][0] > v:  # it pools: the blocks it joins are costed again
-                depth = _pava(stack, v, weight[j])
-                v, _, span = stack[depth]
+                depth = _pava(stack, v, weight[j], j)
+                v, _, members = stack[depth]
                 del block_costs[depth:]
-                block_costs.append(sum([_binomial_term(stats, member, sign * v) for member in members[-span:]]))
+                block_costs.append(sum([_binomial_term(stats, member, sign * v) for member in members]))
             else:  # a block of its own, at its own q: what _pava and the sum of one term would give
-                stack.append((v, weight[j], 1))
+                stack.append((v, weight[j], (j,)))
                 block_costs.append(0 + _binomial_term(stats, j, q[j]))
         costs.append(-sum(block_costs))
     return costs
@@ -271,23 +272,24 @@ class _NodePricer:
     one child at a time: the cost of prefix + ext is, bit for bit,
     _binomial_cost(stats, _fit_p_core(stats, prefix + ext)).
 
-    The pricer holds the PAVA stack of the prefix chain. A child resumes from
-    it, pushes its extension, then pushes the q-sorted free tail only while a
-    value would pool with the top block: the first that would not, and every
-    later one, stays a singleton at its own q, because the tail is sorted.
-    Each child's row is the prefix's template (chain terms at the stack's values, tail terms at
-    their own q, 0 for unobserved objects) with only the entries of re-pooled
-    blocks replaced, and is summed by math.fsum, as _binomial_cost sums.
+    The pricer holds the PAVA stack of the prefix chain, each block with its
+    members. A child resumes from it, pushes its extension, then pushes the
+    q-sorted free tail only while a value would pool with the top block: the
+    first that would not, and every later one, stays a singleton at its own
+    q, because the tail is sorted. Each child's row is the prefix's template
+    (chain terms at their blocks' values, tail terms at their own q, 0 for
+    unobserved objects) with only the members of re-pooled blocks replaced,
+    and is summed by math.fsum, as _binomial_cost sums.
     A pricer is built for the root and derived object by object down the
     tree; PAVA pushes one value at a time, so a derived stack and template
     are those a build from the whole prefix would give."""
 
-    __slots__ = ("stats", "chain", "tail", "stack", "starts", "template")
+    __slots__ = ("stats", "tail", "stack", "template")
 
     def __init__(self, stats: SufficientStats):
         """The pricer of the root, whose prefix is empty."""
         self.stats = stats
-        self.chain, self.stack, self.starts = [], [], [0]
+        self.stack = []
         self.tail = list(stats.by_q)
         self.template = [0.0] * stats.J
         for j in self.tail:
@@ -300,15 +302,12 @@ class _NodePricer:
             return self  # no term, no place on the chain, not in the tail
         child = _NodePricer.__new__(_NodePricer)
         child.stats = stats
-        child.chain = chain = self.chain + [j]
         child.tail = tail = self.tail[:]
         tail.remove(j)  # an observed free object is in the tail once
         child.stack = stack = self.stack[:]
-        depth = _pava(stack, stats.q[j], stats.q_weight[j])
-        child.starts = self.starts[:depth + 1] + [len(chain)]
+        v, _, members = stack[_pava(stack, stats.q[j], stats.q_weight[j], j)]
         child.template = template = self.template[:]
-        v = stack[depth][0]
-        for member in chain[self.starts[depth]:]:
+        for member in members:
             template[member] = _binomial_term(stats, member, v)
         return child
 
@@ -317,28 +316,23 @@ class _NodePricer:
         objects (one for a child, none for the node itself)."""
         stats = self.stats
         q, weight, observed = stats.q, stats.q_weight, stats.observed
-        blocks, depth, pushed = self.stack[:], len(self.stack), []
+        blocks, depth = self.stack[:], len(self.stack)
         for j in ext:
             if observed[j]:
-                below = _pava(blocks, q[j], weight[j])
+                below = _pava(blocks, q[j], weight[j], j)
                 if below < depth:
                     depth = below
-                pushed.append(j)
         for j in self.tail:
             if j not in ext:
                 if not blocks or blocks[-1][0] <= q[j]:
                     break  # it would pool with nothing
-                below = _pava(blocks, q[j], weight[j])
-                pushed.append(j)
+                below = _pava(blocks, q[j], weight[j], j)
                 if below < depth:
                     depth = below
         row = self.template[:]
-        members = self.chain[self.starts[depth]:] + pushed
-        start = 0
-        for v, _, span in blocks[depth:]:
-            for j in members[start:start + span]:
+        for v, _, members in blocks[depth:]:
+            for j in members:
                 row[j] = _binomial_term(stats, j, v)
-            start += span
         return -math.fsum(row)
 
 
@@ -370,17 +364,17 @@ def _fit_p_core(stats: SufficientStats, prefix: Ranking) -> np.ndarray:
     p = [0.5] * stats.J
     if not members:
         return np.array(p)
-    stack: list[tuple[float, float, int]] = []
+    stack: list[tuple[float, float, tuple[int, ...]]] = []
     for j in members:
-        _pava(stack, q[j], weight[j])
-    fitted = [v for v, _, span in stack for _ in range(span)]
-    for j, v in zip(members, fitted):
-        p[j] = v
+        _pava(stack, q[j], weight[j], j)
+    for v, _, block in stack:
+        for j in block:
+            p[j] = v
 
     # Zero-count objects take the nearest feasible value: a chain gap the
     # value below it (the first observed value when it leads), an unobserved
     # chain min(lowest leaf, 0.5), a free object the top of the chain.
-    prev = fitted[0] if n_chain else min(fitted[0], 0.5)
+    prev = stack[0][0] if n_chain else min(stack[0][0], 0.5)
     for j in prefix:
         if observed[j]:
             prev = p[j]
@@ -399,9 +393,7 @@ def _kendall_total(stats: SufficientStats, order: Sequence[int]) -> float:
     order, the win counts of the pairs it reverses, an integer summed
     exactly; 0.0 without rankings. A search reaches the same D through its
     own sums, so both give the scale fit the same key."""
-    pos = np.empty(stats.J, dtype=int)
-    for r, obj in enumerate(order):
-        pos[obj] = r
+    pos = _positions(order)
     mask = pos[:, None] > pos[None, :]
     return float(stats.W[mask].sum())
 

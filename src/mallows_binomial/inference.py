@@ -7,6 +7,7 @@ consistency and speed/accuracy studies.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from itertools import permutations, product
@@ -203,6 +204,8 @@ def _resample(dataset: Dataset, idx: np.ndarray) -> Dataset:
 
 
 def _bootstrap_replicate(args):
+    """(rep, payload, None) for a fitted replicate, (rep, None, reason) for a
+    failed one; perfbench's tracer reads slot 2 as the failure."""
     (dataset, method, theta_max, node_budget, candidate_cap, seed, rep) = args
     rng = np.random.default_rng([seed, rep])
     idx = rng.integers(0, dataset.I, size=dataset.I)
@@ -254,21 +257,12 @@ def bootstrap(
     else:
         raw = [_bootstrap_replicate(t) for t in tasks]
 
-    p_rows, theta_vals, flags, rank_rows, failures = [], [], [], [], []
-    n_budget_exhausted = 0
-    for _, payload, failure in raw:
-        if failure is not None:
-            failures.append(failure)
-            continue
-        p, theta, flag, ranks, budget_exhausted = payload
-        p_rows.append(p)
-        theta_vals.append(theta)
-        flags.append(flag)
-        rank_rows.append(ranks)
-        n_budget_exhausted += budget_exhausted
-    if not p_rows:
+    failures = [failure for _, _, failure in raw if failure is not None]
+    fitted = [payload for _, payload, _ in raw if payload is not None]
+    if not fitted:
         # no resample of this panel can be fitted: a property of the data, not a solver failure
         raise DegenerateDataError(f"every bootstrap replicate failed; cannot form intervals ({failures[0]})")
+    p_rows, theta_vals, flags, rank_rows, exhausted = zip(*fitted)
 
     rep_p = np.array(p_rows)
     rep_theta = np.array(theta_vals)
@@ -303,7 +297,7 @@ def bootstrap(
         replicate_ranks=rep_ranks,
         n_failed=len(failures),
         failures=tuple(failures),
-        n_budget_exhausted=n_budget_exhausted,
+        n_budget_exhausted=sum(exhausted),
         theta_undefined_count=int((~defined).sum()),
     )
 
@@ -349,10 +343,7 @@ def bias_enumeration(
         raise ValueError("p0 length must equal J")
     _check_partial_shape(R, J)
     _check_scale(M)
-    n_rankings = 1
-    for j in range(J, J - R, -1):
-        n_rankings *= j
-    n_outcomes = (M + 1) ** J * n_rankings
+    n_outcomes = (M + 1) ** J * math.perm(J, R)
     if n_outcomes > max_outcomes:
         raise ValueError(f"{n_outcomes} outcomes exceed the enumeration cap {max_outcomes}")
     truth = Parameters(p=p0, theta=theta0, consensus_order=order_of(p0))

@@ -143,10 +143,7 @@ class Parameters:
 
     def rank_places(self) -> np.ndarray:
         """1-based rank place of each object under the consensus order."""
-        places = np.empty(self.J, dtype=int)
-        for pos, obj in enumerate(self.consensus_order):
-            places[obj] = pos + 1
-        return places
+        return kendall._positions(self.consensus_order) + 1
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,9 @@ class _SearchContext:
     def theta_part(self, fixed: float, free_min: float, free: tuple[int, ...]) -> float:
         """Admissible scale part of the bound of a node with pair costs
         (fixed, free_min) and free objects free, which only the LP reads.
-        _lp_cache[free] holds the LP clamped by the free_min of the node that
-        first computed it, so a cached value is not a function of its key alone."""
+        _lp_cache[free] holds the LP clamped by free_min, the exact integer sum
+        of the free pairs' minima whatever path reached the node, so a cached
+        value is a function of its key alone."""
         # Below three free objects the LP has no triangle rows and equals the
         # pairwise minimum sum.
         if self.heuristic == "lp" and len(free) >= 3:

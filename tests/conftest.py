@@ -754,15 +754,15 @@ def reference_node_binomial_costs(stats, prefix, extensions):
 def reference_chain_costs(stats, chain, sign=1.0):
     """_chain_costs as it ran before its pass skipped _pava for a value that
     pools with nothing: every push goes through _pava, and the block it tops
-    is costed by summing its members' terms."""
+    is costed by summing the terms of the last len(block) objects pushed."""
     stack, members, block_costs, costs = [], [], [], [0.0]
     for j in chain:
         if stats.observed[j]:
             members.append(j)
-            depth = _pava(stack, sign * stats.q[j], stats.q_weight[j])
-            v, _, span = stack[depth]
+            depth = _pava(stack, sign * stats.q[j], stats.q_weight[j], j)
+            v, _, block = stack[depth]
             del block_costs[depth:]
-            block_costs.append(sum([_binomial_term(stats, member, sign * v) for member in members[-span:]]))
+            block_costs.append(sum([_binomial_term(stats, member, sign * v) for member in members[-len(block):]]))
         costs.append(-sum(block_costs))
     return costs
 

@@ -12,6 +12,7 @@ from conftest import (
     pairwise_distance_oracle,
     random_dataset,
     reference_fit_p_core,
+    reference_pava,
     reference_distance_variance_total,
     reference_expected_distance_total,
     reference_fit_theta,
@@ -257,6 +258,34 @@ def test_fit_p_matches_sweep_oracle():
                 assert np.max(np.abs(p - oracle)) <= 1e-12
             else:
                 assert np.array_equal(p, oracle)
+
+
+def test_pava_blocks_hold_their_members():
+    # Seeded runs of tied values, long decreasing runs, equal neighbours and
+    # free draws, pushed under shuffled object ids with integer-valued
+    # weights, as score counts times M are: the blocks' members, in order,
+    # are the push order, each member's block value is reference_pava's
+    # value for it bit for bit, and each block weighs its members' weights.
+    rng = np.random.default_rng(83)
+    runs, pooled = 0, 0
+    for n in list(range(1, 9)) * 6 + [40, 60]:
+        ids = rng.permutation(100)[:n].tolist()
+        weights = rng.integers(1, 30, size=n).astype(float).tolist()
+        for values in (rng.integers(0, 3, size=n) / 2, np.sort(rng.uniform(size=n))[::-1],
+                       np.repeat(rng.uniform(size=(n + 1) // 2), 2)[:n], rng.uniform(size=n)):
+            values = values.tolist()
+            stack = []
+            for j, v, w in zip(ids, values, weights):
+                fitting._pava(stack, v, w, j)
+            assert [j for _, _, members in stack for j in members] == ids
+            want = dict(zip(ids, reference_pava(values, weights)))
+            weight = dict(zip(ids, weights))
+            for v, w, members in stack:
+                assert all(v.hex() == want[j].hex() for j in members), (values, members)
+                assert w == sum(weight[j] for j in members)
+            runs += 1
+            pooled += len(stack) < n
+    assert runs == 200 and pooled > 100, (runs, pooled)
 
 
 def test_fit_p_core_matches_reference_bitwise():

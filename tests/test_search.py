@@ -45,6 +45,7 @@ from mallows_binomial import (
 from mallows_binomial import fitting, kendall, search
 from mallows_binomial.fitting import THETA_FLOOR, _kendall_total
 from mallows_binomial.inference import bootstrap, simulate_cell
+from mallows_binomial.kemeny_lp import lp_free_cost
 from mallows_binomial.search import BruteForceCapExceeded, _SearchContext, _tie_break_orders
 
 
@@ -365,9 +366,8 @@ def test_children_and_theta_parts_match_the_eager_reference_bitwise(monkeypatch)
     # Every child a search generates, the root's included, under both
     # heuristics: its fixed and free costs are the reference's numpy sums,
     # its theta part is the reference's scale fit (after the LP, read from
-    # the search's own LP cache, whose clamps depend on which node came
-    # first), and its key is that part plus the node's floor. A root holds
-    # cross sums of 0.0.
+    # the search's own LP cache), and its key is that part plus the node's
+    # floor. A root holds cross sums of 0.0.
     calls = []
     children = search._SearchContext.children
 
@@ -399,6 +399,22 @@ def test_children_and_theta_parts_match_the_eager_reference_bitwise(monkeypatch)
                         assert entry.sums[0] == [0.0] * J
                 roots += not prefix
     assert roots == 7 * 2 + 7
+
+
+def test_lp_cache_is_a_function_of_its_key():
+    # A node's free_min is the exact integer sum of its free pairs' minima,
+    # whatever path reached it, so every LP the search caches equals the LP
+    # clamped by the from-scratch minimum sum of its free set, bit for bit.
+    rng = np.random.default_rng(81)
+    entries = 0
+    for _ in range(60):
+        stats = compute_stats(random_dataset(rng, J=8, I=6))
+        ctx = _SearchContext(stats, theta_max=None, heuristic="lp")
+        search._best_first(ctx)
+        for free, cached in ctx._lp_cache.items():
+            assert cached.hex() == lp_free_cost(stats.W, free, min_pair_cost(stats.W, free)).hex(), free
+        entries += len(ctx._lp_cache)
+    assert entries > 1000, entries
 
 
 def test_node_kernel_matches_the_per_child_loop_at_twenty_objects():
@@ -634,9 +650,9 @@ def test_chain_costs_match_the_general_pass_bitwise():
                 blocks = []
                 for j in chain:
                     if stats.observed[j]:
-                        fitting._pava(blocks, sign * stats.q[j], stats.q_weight[j])
-                singletons += sum(span == 1 for _, _, span in blocks)
-                pooled += sum(span > 1 for _, _, span in blocks)
+                        fitting._pava(blocks, sign * stats.q[j], stats.q_weight[j], j)
+                singletons += sum(len(members) == 1 for _, _, members in blocks)
+                pooled += sum(len(members) > 1 for _, _, members in blocks)
     assert singletons > 200 and pooled > 50, (singletons, pooled)
 
 
