@@ -64,9 +64,9 @@ class FitResult:
 
     @property
     def optimal(self) -> bool:
-        """Whether an exact search proved its order optimal: it did unless
-        the node budget ran out."""
-        return not self.budget_exhausted
+        """Whether the fit's order is proven optimal: brute force's always is,
+        an exact A* search's is unless the node budget ran out, and no other method's is."""
+        return self.algorithm == "brute" or self.algorithm.startswith("exact-") and not self.budget_exhausted
 
     @classmethod
     def from_fit(cls, stats: SufficientStats, cond: ConditionalFit, algorithm: str, t0: float,
@@ -102,14 +102,13 @@ class _SearchContext:
     def __init__(self, stats: SufficientStats, *, theta_max: float | None, heuristic: str = "crude"):
         if heuristic not in ("crude", "lp"):
             raise ValueError(f"unknown heuristic {heuristic!r}")
-        self.stats = stats
-        self.J = stats.J
+        self.stats, self.J, self.heuristic = stats, stats.J, heuristic
         self.theta_max = _theta_cap(stats.J, theta_max)
-        self.heuristic = heuristic
         mmin = np.minimum(stats.W, stats.W.T)
         self.W_rows, self.mmin, self.col_total = stats.W.tolist(), mmin.tolist(), stats.W.sum(axis=0).tolist()
-        self.root_rows = mmin.sum(axis=1).tolist()
-        self.root_free_min = sum(self.root_rows) / 2  # every free pair is in two rows
+        rows = mmin.sum(axis=1).tolist()
+        # the root's record (see children); every free pair is in two rows
+        self.root = (), 0.0, sum(rows) / 2, ([0.0] * self.J, rows, list(range(self.J))), _NodePricer(stats)
         self._lp_cache: dict[tuple[int, ...], float] = {}
         # crude bounds' g(D) of each total D read, so the memo's key, with its J-long profile, is hashed once per D
         self._scale_parts: dict[float, float] = {}
@@ -128,30 +127,20 @@ class _SearchContext:
             free_min = self._lp_cache[free]
         return _scale_fit(fixed + free_min, self.stats.length_profile, self.theta_max)[2]
 
-    def children(self, prefix: Ranking, fixed: float, free_min: float, carry: tuple | None, floor: float,
-                 pricer: _NodePricer, counter) -> list[tuple]:
+    def children(self, node: tuple, floor: float, counter) -> list[tuple]:
         """The heap entries of every child of a node, in object order: (theta
-        part + floor, counter, child prefix, fixed, free_min, the node's
-        sums, theta part, None, pricer), the lazy entry of _best_first.
+        part + floor, counter, child c, node, theta part, None), the lazy
+        entry of _best_first. A node's record, (prefix, fixed, free_min, sums,
+        pricer), is built when the node is expanded and shared by its children.
 
-        A node's sums are cross[c], the wins over c of its prefix, and
-        rows[c], the cheaper orientations of c's pairs with the free objects,
-        for every object c, and its free objects: its parent's (carry)
-        updated by its last object, or the root's when carry is None. A child c
-        adds col_total[c] - cross[c] to the fixed cost and drops rows[c]
-        from the free cost. Each counter is next(counter) plus
-        (J - len(prefix)) << 40, so of two entries with equal keys the
-        deeper pops first."""
-        J = self.J
-        if carry is None:
-            cross, rows, free = [0.0] * J, self.root_rows, list(range(J))
-        else:
-            last = prefix[-1]
-            cross = list(map(operator.add, carry[0], self.W_rows[last]))
-            rows = list(map(operator.sub, carry[1], self.mmin[last]))
-            free = carry[2][:]
-            free.remove(last)
-        sums, col_total, depth = (cross, rows, free), self.col_total, (J - len(prefix)) << 40
+        Its sums are cross[c], the wins over c of its prefix, and rows[c], the
+        cheaper orientations of c's pairs with the free objects, for every
+        object c, and its free objects. A child c adds col_total[c] - cross[c]
+        to the fixed cost and drops rows[c] from the free cost, as child_costs
+        rebuilds them. Each counter is next(counter) plus (J - len(prefix))
+        << 40, so of two entries with equal keys the deeper pops first."""
+        prefix, fixed, free_min, (cross, rows, free), _ = node
+        col_total, depth = self.col_total, (self.J - len(prefix)) << 40
         profile, cap, lp, parts = self.stats.length_profile, self.theta_max, self.heuristic == "lp", self._scale_parts
         entries = []
         for i, c in enumerate(free):
@@ -162,16 +151,29 @@ class _SearchContext:
                 t = parts.get(f + m)
                 if t is None:
                     t = parts[f + m] = _scale_fit(f + m, profile, cap)[2]
-            entries.append((t + floor, next(counter) + depth, prefix + (c,), f, m, sums, t, None, pricer))
+            entries.append((t + floor, next(counter) + depth, c, node, t, None))
         return entries
+
+    def child_costs(self, entry: tuple) -> tuple[Ranking, float, float]:
+        """An entry's prefix, fixed and free_min, by the float operations children keyed it with."""
+        _, _, c, (prefix, fixed, free_min, (cross, rows, _), _), _, _ = entry
+        return prefix + (c,), fixed + self.col_total[c] - cross[c], free_min - rows[c]
+
+    def node(self, entry: tuple) -> tuple:
+        """The record of an entry's node, built from its parent's when it is expanded."""
+        _, _, c, (_, _, _, (cross, rows, free), pricer), _, _ = entry
+        free = free[:]
+        free.remove(c)
+        sums = list(map(operator.add, cross, self.W_rows[c])), list(map(operator.sub, rows, self.mmin[c])), free
+        return *self.child_costs(entry), sums, pricer.child(c)
 
     def terminal_fit(self, terminal: tuple) -> tuple[ConditionalFit, float]:
         """The conditional fit of a priced terminal's order (the object left
         goes last) and its Kendall total D: D is the terminal's fixed cost and
         its priced cost the Binomial part, bit for bit, so one p fit is left."""
-        _, _, prefix, fixed, _, _, _, cost, _ = terminal
+        prefix, D, _ = self.child_costs(terminal)
         order = prefix + tuple(o for o in range(self.J) if o not in prefix)
-        return _conditional_fit(self.stats, order, _fit_p_core(self.stats, order), fixed, cost, self.theta_max), fixed
+        return _conditional_fit(self.stats, order, _fit_p_core(self.stats, order), D, terminal[5], self.theta_max), D
 
 
 def _lazy_floor(cost: float) -> float:
@@ -204,17 +206,17 @@ def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, 
     counter) is returned, lazy ones priced then; the entry is None when no
     terminal was generated."""
     J = ctx.J
-    # An entry is (key, counter, prefix, fixed, free_min, the parent's sums
-    # or None, theta part, cost, the parent's pricer); a lazy one has no cost yet.
+    # An entry is (key, counter, c, the parent's record, theta part, cost);
+    # a lazy one has no cost yet, and a terminal's parent places J - 2 objects.
     heap: list[tuple] = []
     counter = itertools.count()
     nodes = cands = 0
 
-    def expand(prefix: Ranking, fixed: float, free_min: float, carry, pricer: _NodePricer, cost: float):
+    def expand(node: tuple, cost: float):
         nonlocal nodes, cands
         if greedy:
             heap.clear()
-        entries = ctx.children(prefix, fixed, free_min, carry, _lazy_floor(cost), pricer, counter)
+        entries = ctx.children(node, _lazy_floor(cost), counter)
         for entry in entries:
             heapq.heappush(heap, entry)
         cands += len(entries)
@@ -222,25 +224,23 @@ def _best_first(ctx: _SearchContext, node_budget: int = DEFAULT_NODE_BUDGET, *, 
 
     def priced(entry):
         # the entry with its exact key and its original counter
-        _, count, prefix, fixed, free_min, carry, theta_part, _, pricer = entry
-        cost = pricer.cost(prefix[-1:])
-        return theta_part + cost, count, prefix, fixed, free_min, carry, theta_part, cost, pricer
+        _, count, c, node, theta_part, _ = entry
+        cost = node[4].cost((c,))
+        return theta_part + cost, count, c, node, theta_part, cost
 
-    root = _NodePricer(ctx.stats)
-    expand((), 0.0, ctx.root_free_min, None, root, root.cost(()))
+    expand(ctx.root, ctx.root[4].cost(()))
     while heap:
         entry = heapq.heappop(heap)
-        while entry[7] is None:
+        while entry[5] is None:
             entry = heapq.heappushpop(heap, priced(entry))
-        _, _, prefix, fixed, free_min, carry, _, cost, pricer = entry
-        if len(prefix) == J - 1:
+        if len(entry[3][0]) == J - 2:
             return entry, nodes, cands, False
         if nodes >= node_budget:
             break
-        expand(prefix, fixed, free_min, carry, pricer.child(prefix[-1]), cost)
+        expand(ctx.node(entry), entry[5])
 
     # a terminal leaves the open list only by ending the search, so every one generated is open
-    terminals = [entry if entry[7] is not None else priced(entry) for entry in heap if len(entry[2]) == J - 1]
+    terminals = [entry if entry[5] is not None else priced(entry) for entry in heap if len(entry[3][0]) == J - 2]
     return min(terminals, key=lambda entry: entry[:2]) if terminals else None, nodes, cands, True
 
 

@@ -600,7 +600,7 @@ def reference_greedy_order(ctx, popped=None):
     popped as (prefix, bound bits, counter), the counter numbering every
     generated child plus its tie_rank, as the search's heap records the
     descent."""
-    prefix, fixed, free_min, evals = (), 0.0, ctx.root_free_min, 0
+    (prefix, fixed, free_min), evals = ctx.root[:3], 0  # the root's prefix and pair costs
     while len(prefix) < ctx.J - 1:
         children = list(reference_children(ctx, prefix, fixed, free_min, "crude"))
         index = min(range(len(children)), key=lambda i: children[i][0])
@@ -636,7 +636,7 @@ def reference_astar(stats, *, theta_max=None, heuristic="crude", node_budget=sea
             if len(child) == J - 1:
                 terminals.append(entry)
 
-    expand((), 0.0, ctx.root_free_min)
+    expand(*ctx.root[:3])
     nodes, order = 1, None
     while heap:
         bound, count, prefix, fixed, free_min = heapq.heappop(heap)
@@ -659,27 +659,33 @@ class HeapTraffic:
     """Stands in for the heapq module of the search's best-first loop (A*
     and its greedy fallback) and records its heap traffic: every pushed
     entry as (key bits, counter, prefix), and every popped entry whose key
-    is exact as (prefix, key bits, counter). An entry is (key, counter,
-    prefix, ..., cost, pricer), exact when its Binomial cost is known."""
+    is exact as (prefix, key bits, counter). An entry is (key, counter, c,
+    the parent's record, theta part, cost), its prefix the parent's plus c,
+    exact when its Binomial cost is known."""
 
     def __init__(self):
         self.pushed, self.popped = [], []
 
     def heappush(self, heap, entry):
-        self.pushed.append((entry[0].hex(), entry[1], entry[2]))
+        self.pushed.append((entry[0].hex(), entry[1], entry_prefix(entry)))
         heapq.heappush(heap, entry)
 
     def heappop(self, heap):
         return self._popped(heapq.heappop(heap))
 
     def heappushpop(self, heap, entry):
-        self.pushed.append((entry[0].hex(), entry[1], entry[2]))
+        self.pushed.append((entry[0].hex(), entry[1], entry_prefix(entry)))
         return self._popped(heapq.heappushpop(heap, entry))
 
     def _popped(self, entry):
-        if entry[-2] is not None:
-            self.popped.append((entry[2], entry[0].hex(), entry[1]))
+        if entry[-1] is not None:
+            self.popped.append((entry_prefix(entry), entry[0].hex(), entry[1]))
         return entry
+
+
+def entry_prefix(entry):
+    """The prefix of a heap entry's node: its parent's record's plus its object."""
+    return entry[3][0] + (entry[2],)
 
 
 def astar_traffic(monkeypatch, stats, **options):
@@ -707,16 +713,23 @@ def node_bound(ctx, prefix, fixed, free_min, free):
 
 
 class ChildEntry(NamedTuple):
-    """A heap entry of _best_first as _SearchContext.children emits it."""
+    """A heap entry of _best_first as _SearchContext.children emits it, then
+    the child's prefix, fixed and free_min as the search rebuilds them when
+    the child is expanded or ends the search (_SearchContext.child_costs)."""
     key: float
     counter: int
+    c: int
+    parent: tuple  # the parent's record (prefix, fixed, free_min, sums, pricer), shared by its children
+    theta_part: float
+    cost: float | None
     prefix: tuple
     fixed: float
     free_min: float
-    sums: tuple  # the node's (cross, rows, free), which its children carry down
-    theta_part: float
-    cost: float | None
-    pricer: object
+
+    @classmethod
+    def of(cls, ctx, entry):
+        assert len(entry) == 6, entry
+        return cls(*entry, *ctx.child_costs(entry))
 
 
 def node_sums(ctx, prefix):
@@ -730,10 +743,9 @@ def node_sums(ctx, prefix):
 
 def search_children(ctx, prefix, fixed, free_min, floor=0.0, pricer=None):
     """ctx.children of a node as ChildEntry tuples, counters from 0 plus the
-    tie rank, the parent's sums computed from scratch."""
-    carry = node_sums(ctx, prefix[:-1]) if prefix else None
-    return [ChildEntry(*entry) for entry in
-            ctx.children(prefix, fixed, free_min, carry, floor, pricer, itertools.count())]
+    tie rank, the node's record holding its sums computed from scratch."""
+    node = (prefix, fixed, free_min, node_sums(ctx, prefix), pricer)
+    return [ChildEntry.of(ctx, entry) for entry in ctx.children(node, floor, itertools.count())]
 
 
 def exact_children(ctx, prefix, fixed, free_min):

@@ -290,6 +290,28 @@ def test_fit_json_and_heuristic_equivalence(tmp_path, capsys):
                       "budget_exhausted", "candidate_evaluations", "elapsed_seconds"}
 
 
+def test_fit_optimal_flag_is_true_only_for_a_proof(tmp_path):
+    # "optimal" claims a proof: brute force and an exact A* search that ran to
+    # its first terminal give one, a heuristic never does, whatever it found,
+    # and neither does an A* search cut by its node budget (exit 3).
+    out = simulate_files(tmp_path, seed=7, I=8, J=5, R=3, M=8, theta=0.5)
+    path = tmp_path / "fit.json"
+    flags = {}
+    for method in cli.inference.CORE_METHODS:
+        for budget in ("1", "10000000") if method.startswith("exact-") else ("10000000",):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # a cut before any terminal
+                code = main(["fit", *data_flags(out, 8), "--method", method, "--node-budget", budget,
+                             "--out", str(path)])
+            doc = json.loads(path.read_text())
+            assert code == (EXIT_BUDGET if doc["budget_exhausted"] else EXIT_OK), (method, budget)
+            flags[method, budget] = doc["optimal"]
+    assert flags == {("exact-crude", "1"): False, ("exact-crude", "10000000"): True,
+                     ("exact-lp", "1"): False, ("exact-lp", "10000000"): True,
+                     ("fv", "10000000"): False, ("greedy", "10000000"): False,
+                     ("greedy-local", "10000000"): False, ("brute", "10000000"): True}
+
+
 def test_fit_brute_cap_exit_code(tmp_path):
     out = simulate_files(tmp_path, seed=9, I=4, J=8, R=3, M=5, theta=2.0)
     code = main(["fit", *data_flags(out, 5), "--method", "brute"])
